@@ -7,8 +7,9 @@ This module builds that graph with exact rational arithmetic and computes
 the per-face invariants everything downstream relies on:
 
 * signed area of every bounded face (shoelace over the boundary walk),
-* winding number (exact ray casting from a point inside the face),
-* depth (BFS distance to the unbounded face in the dual graph),
+* winding number and depth, both from one BFS over the dual graph from
+  the unbounded face: the depth is the BFS level, and the winding rises
+  by one across every edge from its right face to its left face,
 * a tree/cotree pair whose cotree duals form a BFS spanning tree of the
   dual graph rooted at the unbounded face.
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -99,10 +99,6 @@ def _cross(a: Point, b: Point) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Point, b: Point) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """Is p on the closed segment [a, b]?  Exact."""
     if _cross(_sub(b, a), _sub(p, a)) != 0:
@@ -110,16 +106,16 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
 
 
+def _half(w: Point) -> int:
+    """0 for a direction angle in [0, pi), 1 for [pi, 2pi)."""
+    if w[1] > 0 or (w[1] == 0 and w[0] > 0):
+        return 0
+    return 1
+
+
 def _ccw_cmp(u: Point, v: Point) -> int:
     """Compare two nonzero direction vectors by angle in [0, 2pi)."""
-
-    def half(w: Point) -> int:
-        # 0 for angles in [0, pi), 1 for [pi, 2pi)
-        if w[1] > 0 or (w[1] == 0 and w[0] > 0):
-            return 0
-        return 1
-
-    hu, hv = half(u), half(v)
+    hu, hv = _half(u), _half(v)
     if hu != hv:
         return -1 if hu < hv else 1
     c = _cross(u, v)
@@ -259,6 +255,8 @@ class Arrangement:
     traversal: tuple[Dart, ...]  # the curve as a cyclic dart sequence (all fwd)
     # per vertex: the two traversal indices at which the curve leaves it
     vertex_passes: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # per face: (neighbor face, edge id) pairs in ascending edge id order
+    dual: list[list[tuple[int, int]]] = field(default_factory=list)
 
     @property
     def unbounded_face(self) -> Face:
@@ -290,13 +288,7 @@ class Arrangement:
 
     def dual_neighbors(self, fid: int) -> list[tuple[int, int]]:
         """(neighbor face, edge id) pairs, in ascending edge id order."""
-        out = []
-        for e in self.edges:
-            if e.left_face == fid:
-                out.append((e.right_face, e.id))
-            elif e.right_face == fid:
-                out.append((e.left_face, e.id))
-        return out
+        return list(self.dual[fid])
 
     def pass_direction(self, vid: int, which: int) -> Point:
         """Direction of motion at the given vertex on pass 0 or 1."""
@@ -468,8 +460,7 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     )
 
     _trace_faces(arr)
-    _compute_windings(arr)
-    _compute_depths(arr)
+    _compute_windings_and_depths(arr)
     _check_invariants(arr)
     return arr
 
@@ -495,7 +486,8 @@ def _simple_loop_arrangement(curve: PlaneCurve) -> Arrangement:
     edge.left_face = 1 if ccw else 0
     edge.right_face = 0 if ccw else 1
     return Arrangement(curve=curve, vertices=[], edges=[edge],
-                       faces=[outer, inner], traversal=(d,), vertex_passes={})
+                       faces=[outer, inner], traversal=(d,), vertex_passes={},
+                       dual=[[(1, 0)], [(0, 0)]])
 
 
 def _next_left(arr: Arrangement, d: Dart) -> Dart:
@@ -561,119 +553,36 @@ def _trace_faces(arr: Arrangement) -> None:
         else:
             e.right_face = fid_of_cycle[ci]
     arr.faces = faces
-
-
-def _all_subsegments(arr: Arrangement) -> list[tuple[Point, Point]]:
-    out = []
+    arr.dual = [[] for _ in faces]
     for e in arr.edges:
-        g = e.geometry
-        for i in range(len(g) - 1):
-            out.append((g[i], g[i + 1]))
-    return out
+        arr.dual[e.left_face].append((e.right_face, e.id))
+        arr.dual[e.right_face].append((e.left_face, e.id))
 
 
-def _interior_point(arr: Arrangement, face: Face) -> Point:
-    """An exact point strictly inside the (bounded) face.
+def _compute_windings_and_depths(arr: Arrangement) -> None:
+    """One BFS over the dual graph from the unbounded face (winding 0).
 
-    Take the midpoint m of the first geometric sub-segment of the face's
-    first boundary dart, push it into the face along the left normal, and
-    stop well before the ray out of m hits anything else.
+    A face's depth is its BFS level.  Crossing an edge from its right face
+    to its left face raises the winding by one, so the BFS tree edges fix
+    every winding and the remaining edges check the same relation.
     """
-    d = min(face.boundary, key=lambda dd: (dd.edge, not dd.fwd))
-    g = arr.dart_geometry(d)
-    a, b = g[0], g[1]
-    m = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    dv = _sub(b, a)
-    nrm = (-dv[1], dv[0])  # left normal: points into the face on d's left
-
-    t_min: Optional[Fraction] = None
-    for (c, dpt) in _all_subsegments(arr):
-        if (c, dpt) == (a, b) or (c, dpt) == (b, a):
-            continue
-        s = _sub(dpt, c)
-        denom = _cross(nrm, s)
-        if denom == 0:
-            if _cross(_sub(c, m), s) == 0:
-                # collinear with the ray: hits at the endpoint parameters
-                for q in (c, dpt):
-                    dq = _sub(q, m)
-                    if _dot(dq, nrm) > 0:
-                        t = _dot(dq, nrm) / _dot(nrm, nrm)
-                        if t > 0 and (t_min is None or t < t_min):
-                            t_min = t
-            continue
-        # solve m + t*nrm = c + u*s exactly
-        u = _cross(_sub(m, c), nrm) / _cross(s, nrm)
-        t = _cross(_sub(c, m), s) / _cross(nrm, s)
-        if 0 <= u <= 1 and t > 0:
-            if t_min is None or t < t_min:
-                t_min = t
-    assert t_min is not None, "a bounded face must enclose the ray"
-    delta = t_min / 2
-    return (m[0] + delta * nrm[0], m[1] + delta * nrm[1])
-
-
-def _winding_at(arr: Arrangement, p: Point) -> int:
-    """Winding number of the curve about p by exact signed ray casting."""
-    segs = _all_subsegments(arr)
-    corners = set()
-    for (a, b) in segs:
-        corners.add(a)
-        corners.add(b)
-
-    def candidates():
-        yield (Fraction(1), Fraction(0))
-        yield (Fraction(0), Fraction(1))
-        for k in range(1, 200):
-            yield (Fraction(1), Fraction(1, k))
-            yield (Fraction(1), Fraction(-1, k))
-
-    ray = None
-    for cand in candidates():
-        if all(not (_cross(_sub(q, p), cand) == 0 and _dot(_sub(q, p), cand) > 0)
-               for q in corners):
-            ray = cand
-            break
-    assert ray is not None, "no generic ray direction found"
-
-    wind = 0
-    for (a, b) in segs:
-        d = _sub(b, a)
-        denom = _cross(ray, d)
-        if denom == 0:
-            continue
-        # Solve p + t*ray = a + s*d exactly.
-        s = _cross(_sub(p, a), ray) / _cross(d, ray)
-        t = _cross(_sub(a, p), d) / _cross(ray, d)
-        if 0 < s < 1 and t > 0:
-            wind += 1 if denom > 0 else -1
-    return wind
-
-
-def _compute_windings(arr: Arrangement) -> None:
-    arr.faces[0].winding = 0
-    for face in arr.faces[1:]:
-        p = _interior_point(arr, face)
-        face.winding = _winding_at(arr, p)
-    # Cross-check against the edge-crossing relation.
-    for e in arr.edges:
-        assert arr.faces[e.left_face].winding == arr.faces[e.right_face].winding + 1, (
-            f"edge {e.id}: winding must drop by one from left to right")
-
-
-def _compute_depths(arr: Arrangement) -> None:
-    for f in arr.faces:
-        f.depth = -1
-    arr.faces[0].depth = 0
+    faces, edges = arr.faces, arr.edges
+    faces[0].depth = 0
     frontier = [0]
     while frontier:
         nxt = []
         for fid in frontier:
-            for nb, _ in sorted(arr.dual_neighbors(fid)):
-                if arr.faces[nb].depth == -1:
-                    arr.faces[nb].depth = arr.faces[fid].depth + 1
+            here = faces[fid]
+            for nb, eid in arr.dual[fid]:
+                face = faces[nb]
+                if face.depth == -1:
+                    face.depth = here.depth + 1
+                    face.winding = here.winding + (1 if edges[eid].right_face == fid else -1)
                     nxt.append(nb)
         frontier = nxt
+    for e in edges:
+        assert faces[e.left_face].winding == faces[e.right_face].winding + 1, (
+            f"edge {e.id}: winding must drop by one from left to right")
 
 
 def _check_invariants(arr: Arrangement) -> None:
@@ -714,36 +623,40 @@ def face_measures(arr: Arrangement) -> dict:
 
 
 def rotation_number(curve: PlaneCurve) -> int:
-    """Total turning of the tangent, in full turns.
-
-    Each corner contributes its exterior angle; the sum is an exact integer
-    multiple of 2*pi, so the floating point sum rounds unambiguously.
-    """
+    """Total turning of the tangent, in full turns, counted exactly."""
     pts = curve.points
     n = len(pts)
-    total = 0.0
-    for i in range(n):
-        u = _sub(pts[(i + 1) % n], pts[i])
-        v = _sub(pts[(i + 2) % n], pts[(i + 1) % n])
-        total += math.atan2(float(_cross(u, v)), float(_dot(u, v)))
-    turns = total / (2 * math.pi)
-    k = round(turns)
-    assert abs(turns - k) < 0.25, f"turning sum {turns} too far from an integer"
-    return k
+    return turning_of_directions([_sub(pts[(i + 1) % n], pts[i]) for i in range(n)])
 
 
 def turning_of_directions(dirs: Sequence[Point]) -> int:
     """Rotation number of a closed direction sequence (one entry per
-    straight piece, in traversal order)."""
-    total = 0.0
+    straight piece, in traversal order), counted exactly.
+
+    Each step from u to the next direction v turns by less than half a
+    turn, towards the side the sign of u x v names.  The count is +1 for
+    each left turn that carries the angle past 0 (v before u in [0, 2pi))
+    and -1 for each right turn that does.  Such a step always moves
+    between the half-planes [0, pi) and [pi, 2pi), so only those steps need
+    a cross product: a left turn from the lower half to the upper one
+    counts +1, a right turn from the upper half to the lower one -1.  A
+    reversal (v opposite to u) has no turning direction and is rejected.
+    """
+    halves = [_half(w) for w in dirs]
+    turns = 0
     n = len(dirs)
     for i in range(n):
-        u, v = dirs[i], dirs[(i + 1) % n]
-        total += math.atan2(float(_cross(u, v)), float(_dot(u, v)))
-    turns = total / (2 * math.pi)
-    k = round(turns)
-    assert abs(turns - k) < 0.25, f"turning sum {turns} too far from an integer"
-    return k
+        j = (i + 1) % n
+        if halves[i] == halves[j]:
+            continue
+        c = _cross(dirs[i], dirs[j])
+        if c == 0:
+            raise NonGenericCurve(f"the curve reverses its direction after piece {i}")
+        if c > 0 and halves[i] == 1:
+            turns += 1
+        elif c < 0 and halves[i] == 0:
+            turns -= 1
+    return turns
 
 
 # ---------------------------------------------------------------------------

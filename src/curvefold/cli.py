@@ -99,8 +99,6 @@ WEIGHTS = click.option("--weights", "weights_mode",
                             "input file's weights object.")
 INPUT = click.option("--input", "path", required=True,
                      type=click.Path(), help="Curve JSON file.")
-SEED = click.option("--seed", type=int, default=0, show_default=True,
-                    help="Seed for randomized cross-checks.")
 ORACLE = click.option("--oracle", is_flag=True,
                       help="Cross-check against the exponential oracle.")
 
@@ -175,9 +173,8 @@ def word(path: str, weights_mode: str) -> None:
 @INPUT
 @WEIGHTS
 @ORACLE
-@SEED
 @_command
-def norm(path: str, weights_mode: str, oracle: bool, seed: int) -> None:
+def norm(path: str, weights_mode: str, oracle: bool) -> None:
     """Cancellation norm of the face word, with witness folding."""
     curve = _load_curve(path, weights_mode)
     _, _, _, w = _word_pipeline(curve)
@@ -201,9 +198,8 @@ def norm(path: str, weights_mode: str, oracle: bool, seed: int) -> None:
 @INPUT
 @WEIGHTS
 @ORACLE
-@SEED
 @_command
-def selfoverlap(path: str, weights_mode: str, oracle: bool, seed: int) -> None:
+def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
     """Is the curve the boundary of an immersed disk?"""
     curve = _load_curve(path, weights_mode)
     verdict, cert = is_self_overlapping(curve)
@@ -243,9 +239,8 @@ def _pieces_json(sod) -> list[dict]:
 @INPUT
 @WEIGHTS
 @ORACLE
-@SEED
 @_command
-def decompose(path: str, weights_mode: str, oracle: bool, seed: int) -> None:
+def decompose(path: str, weights_mode: str, oracle: bool) -> None:
     """Minimum-area decomposition into immersed-disk boundaries."""
     curve = _load_curve(path, weights_mode)
     sod = min_area_sod(curve)

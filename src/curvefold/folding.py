@@ -201,8 +201,6 @@ def norm_bruteforce(word: CyclicWord, cap: int = 14) -> Fraction:
     best = [sum((weights[f] for f, _ in letters), Fraction(0))]
 
     def recurse(pos: int, chosen: list[Pairing], taken: set[int], cost: Fraction):
-        if cost >= best[0]:
-            pass
         if pos == m:
             if cost < best[0]:
                 best[0] = cost

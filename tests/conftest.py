@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvefold.arrangement import build_arrangement, parse_curve, tree_cotree
+from curvefold.arrangement import (CurveError, PlaneCurve, build_arrangement,
+                                   parse_curve, tree_cotree)
 from curvefold.words import blank_word, build_cable_system
 
 CURVES_DIR = pathlib.Path(__file__).resolve().parent.parent / "curves"
@@ -30,6 +31,23 @@ def pipeline(name: str):
         word = blank_word(arr, cables)
         _cache[name] = (curve, arr, tc, cables, word)
     return _cache[name]
+
+
+def random_generic_polygon(rng, corners: int, span: int = 10 ** 4):
+    """(curve, arrangement) of a random integer polygon, drawn again until
+    it is generic (only transverse crossings, no corner on another segment)."""
+    while True:
+        pts = tuple((Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span)))
+                    for _ in range(corners))
+        try:
+            curve = PlaneCurve(pts)
+            return curve, build_arrangement(curve)
+        except CurveError:
+            continue
+
+
+# (seed, corners) of the random polygons the oracle tests run on
+RANDOM_POLYGONS = [(seed, 8 + seed % 9) for seed in range(24)]
 
 
 def unit_weights(word):

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, load_curve, pipeline
+from conftest import CORPUS, CURVES_DIR, load_curve, pipeline
 from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve,
                                    build_arrangement, fraction_str, parse_curve,
-                                   rotation_number, to_fraction, tree_cotree)
+                                   rotation_number, to_fraction, tree_cotree,
+                                   turning_of_directions)
 
 # frozen per-curve facts: rotation, vertex count, {face: (area, winding, depth)}
 EXPECTED = {
@@ -40,6 +41,36 @@ def test_frozen_invariants(name):
     got = {f.id: (fraction_str(f.signed_area), f.winding, f.depth)
            for f in arr.faces[1:]}
     assert got == faces
+
+
+def test_corpus_rotations_match_readme():
+    rows = {}
+    for line in (CURVES_DIR / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[0].endswith(".json`"):
+            rows[cells[0].strip("`")[:-len(".json")]] = int(cells[2].replace("\u2212", "-"))
+    assert set(rows) == set(CORPUS)
+    for name, rot in rows.items():
+        assert rotation_number(load_curve(name)) == rot, name
+
+
+def test_reversing_the_points_negates_the_rotation(corpus_name):
+    curve = load_curve(corpus_name)
+    assert rotation_number(PlaneCurve(curve.points[::-1])) == -rotation_number(curve)
+
+
+def test_rotation_is_exact_at_huge_coordinates():
+    big = 10 ** 200
+    curve = parse_curve({"points": [[0, 0], [big, 0], [big, big], [0, big]]})
+    assert rotation_number(curve) == 1
+    assert rotation_number(PlaneCurve(curve.points[::-1])) == -1
+
+
+def test_direction_reversal_has_no_rotation():
+    with pytest.raises(NonGenericCurve):
+        rotation_number(parse_curve({"points": [[0, 0], [4, 0], [2, 0]]}))
+    with pytest.raises(NonGenericCurve):
+        turning_of_directions([(Fraction(1), Fraction(0)), (Fraction(-3), Fraction(0))])
 
 
 def test_euler_formula(corpus_name):

@@ -32,6 +32,16 @@ def test_analyze_limacon():
     assert doc["depth_area"] == "98"
 
 
+@pytest.mark.parametrize("command", ["analyze", "selfoverlap"])
+def test_huge_coordinates_keep_an_exact_rotation(tmp_path, command):
+    big = 10 ** 200
+    path = tmp_path / "huge_square.json"
+    path.write_text(json.dumps({"points": [[0, 0], [big, 0], [big, big], [0, big]]}))
+    res = run(command, "--input", str(path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["rotation_number"] == 1
+
+
 def test_analyze_unit_weights_changes_nothing_geometric():
     res = run("analyze", "--input", curve_path("bowtie"), "--weights", "unit")
     doc = json.loads(res.output)

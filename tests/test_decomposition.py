@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_curve, pipeline
+from conftest import RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
+from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidPairing, LinkedVertices, NotAStack,
                                      blank_cut, certify_subcurve,
                                      curve_subcurve, cut_along_folding,
@@ -15,7 +16,7 @@ from curvefold.decomposition import (InvalidPairing, LinkedVertices, NotAStack,
                                      stack_decompose, vertices_linked)
 from curvefold.folding import (Folding, Pairing, cancellation_norm,
                                complete_to_maximal, is_linked)
-from curvefold.words import CyclicWord, cyclic_equal
+from curvefold.words import CyclicWord, build_cable_system, cyclic_equal
 
 
 def full_piece(name):
@@ -41,8 +42,15 @@ def test_full_subcurve_matches_word(corpus_name):
 
 def test_full_subcurve_rotation(corpus_name):
     curve, _, _, _, _ = pipeline(corpus_name)
-    from curvefold.arrangement import rotation_number
     assert full_piece(corpus_name).rotation == rotation_number(curve)
+
+
+@pytest.mark.parametrize("seed,corners", RANDOM_POLYGONS)
+def test_full_subcurve_rotation_on_random_polygons(seed, corners):
+    # the pieces split segments at crossings, so parallel steps occur
+    curve, arr = random_generic_polygon(random.Random(seed), corners)
+    cables = build_cable_system(arr, tree_cotree(arr))
+    assert curve_subcurve(arr, cables).rotation == rotation_number(curve)
 
 
 # ---------------------------------------------------------------------------
