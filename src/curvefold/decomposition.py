@@ -20,6 +20,7 @@ synthetic cut arc and expose word-level data only.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -585,40 +586,47 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     is exactly the folding's unpaired weight.
     """
     word = folding.word
-    m = len(word)
-    live = list(range(m))
+    live = list(range(len(word)))
     remaining = set(folding.pairings)
-    paired_pos = {x for p in remaining for x in (p.i, p.j)}
+    # both sorted, so that an arc's ends are found by bisection
+    paired = sorted(x for p in remaining for x in (p.i, p.j))
     steps: list[object] = []
     total = Fraction(0)
 
-    def free_arc(p: Pairing) -> Optional[list[int]]:
-        idx = {pos: k for k, pos in enumerate(live)}
-        a, b = idx[p.i], idx[p.j]
-        n = len(live)
-        for start, stop in ((a, b), (b, a)):
-            arc = [live[(start + t) % n] for t in range(1, (stop - start) % n)]
-            if not any(x in paired_pos for x in arc):
-                return arc
+    def free_arc(p: Pairing) -> Optional[tuple[int, int]]:
+        for a, b in ((p.i, p.j), (p.j, p.i)):
+            # free when b is the next paired position after a, cyclically
+            if paired[bisect_right(paired, a) % len(paired)] == b:
+                return a, b
         return None
 
     while remaining:
         candidates = []
         for p in remaining:
-            arc = free_arc(p)
-            if arc is not None:
-                candidates.append((len(arc), min(p.i, p.j), p, arc))
+            ends = free_arc(p)
+            if ends is not None:
+                a, b = ends
+                # live[lo - 1] is a and live[hi] is b; the arc lies strictly between
+                lo, hi = bisect_right(live, a), bisect_left(live, b)
+                length = hi - lo if a < b else len(live) - lo + hi
+                candidates.append((length, min(p.i, p.j), p, a, b, lo, hi))
         assert candidates, "an unlinked family always has an innermost pairing"
-        _, _, p, arc = min(candidates, key=lambda c: (c[0], c[1]))
+        _, _, p, a, b, lo, hi = min(candidates, key=lambda c: (c[0], c[1]))
+        if a < b:
+            arc = live[lo:hi]
+            del live[lo - 1:hi + 1]
+        else:
+            arc = live[lo:] + live[:hi]
+            del live[lo - 1:]
+            del live[:hi + 1]
         f, _ = word[p.i]
         steps.append(CutStep(face=f, positions=(p.i, p.j)))
         swept = sum((word.weight(x) for x in arc), Fraction(0))
         steps.append(ContractStep(letters=tuple(word[x] for x in arc), area=swept))
         total += swept
-        gone = set(arc) | {p.i, p.j}
-        live = [x for x in live if x not in gone]
         remaining.discard(p)
-        paired_pos -= {p.i, p.j}
+        for x in (p.i, p.j):
+            del paired[bisect_left(paired, x)]
 
     swept = sum((word.weight(x) for x in live), Fraction(0))
     steps.append(ContractStep(letters=tuple(word[x] for x in live), area=swept))

@@ -10,7 +10,17 @@ area swept by a null-homotopy of the curve.
 The norm is computed by an interval dynamic program over linear
 subwords, extended to the cyclic word by conditioning on the fate of
 position 0 — O(m^3) overall — and cross-checked in the tests against an
-exhaustive enumeration of all foldings (``norm_bruteforce``).
+exhaustive enumeration of all foldings (``norm_bruteforce``).  The
+weights are scaled once to Python ints by their least common
+denominator, so the table holds ints and only the result is a
+``Fraction``; the positions holding each letter's inverse are listed
+once, so a cell visits only real split points.  Rows are filled
+from the last to the first, and a row is dropped once filled unless a
+later row, the cyclic step or the backtrack reads it.  Backtracking
+keeps an explicit stack, so deep nesting needs no recursion.
+
+A folding is validated in one pass: cut at position 0, its pairings
+must nest like brackets.
 
 A *positive* folding deletes, for each pairing, one of the two arcs
 between the paired letters, innermost pairings first, so that every
@@ -24,7 +34,7 @@ admits a positive folding.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -79,16 +89,29 @@ class Folding:
     pairings: frozenset[Pairing]
 
     def __post_init__(self):
-        used = set()
+        if not self.pairings:
+            return
+        m = len(self.word)
+        owner: list[Optional[Pairing]] = [None] * m
         for p in self.pairings:
             _check_pairing(self.word, p)
             for x in p.positions():
-                if x in used:
+                if owner[x % m] is not None:
                     raise ValueError(f"position {x} used twice")
-                used.add(x)
-        for p, q in itertools.combinations(self.pairings, 2):
-            if is_linked(p, q, self.word):
-                raise ValueError(f"linked pairings {p} and {q}")
+                owner[x % m] = p
+        # Cut at position 0, two pairings interleave on the cycle exactly
+        # when their intervals interleave, so the pairings must nest like
+        # brackets: each one closes on top of the stack of open ones.
+        open_: list[Pairing] = []
+        for x, p in enumerate(owner):
+            if p is None:
+                continue
+            if x != max(p.i % m, p.j % m):
+                open_.append(p)
+            elif open_[-1] is not p:
+                raise ValueError(f"linked pairings {open_[-1]} and {p}")
+            else:
+                open_.pop()
 
     @property
     def paired_positions(self) -> frozenset[int]:
@@ -109,41 +132,80 @@ def empty_folding(word: CyclicWord) -> Folding:
 # the norm
 
 
-def _linear_norm_table(letters: Sequence[Letter], weights) -> list[list[Fraction]]:
-    """dp[i][j] = norm of the linear subword letters[i:j]."""
-    m = len(letters)
-    dp = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    for length in range(1, m + 1):
-        for i in range(0, m - length + 1):
-            j = i + length
-            f, s = letters[j - 1]
-            best = dp[i][j - 1] + weights[f]
-            for k in range(i, j - 1):
-                if letters[k] == (f, -s):
-                    cand = dp[i][k] + dp[k + 1][j - 1]
-                    if cand < best:
-                        best = cand
-            dp[i][j] = best
-    return dp
+def _scaled_weights(letters: Sequence[Letter], weights) -> tuple[int, dict[int, int]]:
+    """(D, {face: weight * D}) for the faces of the word, D the least common
+    denominator of their weights, so that the DP adds Python ints."""
+    faces = {f for f, _ in letters}
+    D = 1
+    for f in faces:
+        D *= Fraction(D, weights[f].denominator).denominator
+    return D, {f: weights[f].numerator * (D // weights[f].denominator) for f in faces}
 
 
-def _linear_backtrack(letters, weights, dp, i: int, j: int, out: list[tuple[int, int]]):
+def _inverse_occurrences(letters: Sequence[Letter]) -> list[list[int]]:
+    """inverses[i] = the positions holding the inverse of letters[i],
+    ascending; letters with the same inverse share one list."""
+    occurrences: dict[Letter, list[int]] = {}
+    for k, letter in enumerate(letters):
+        occurrences.setdefault(letter, []).append(k)
+    return [occurrences.get((f, -s), []) for f, s in letters]
+
+
+def _linear_norm_rows(w: Sequence[int], inverses: list[list[int]],
+                      keep: set[int]) -> list[Optional[list[int]]]:
+    """rows[i][j] = norm of the linear subword letters[i:j], in integer weights.
+
+    ``w[j]`` is the scaled weight of letters[j] and ``inverses[k]`` the
+    positions holding the inverse of letters[k].  Rows are filled from the
+    last to the first; row i reads rows k + 1 for the split points k >= i,
+    so only those rows, plus the rows named in ``keep``, outlive their own
+    fill.  While row i is filled, ``active[j]`` holds the split points
+    k >= i of position j with row k + 1.
+    """
+    n = len(w)
+    keep = keep | {k + 1 for k in range(n) if inverses[k] and inverses[k][-1] > k}
+    rows: list[Optional[list[int]]] = [None] * (n + 1)
+    active: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for i in range(n, -1, -1):
+        row = [0] * (n + 1)
+        if i < n:
+            ks = inverses[i]
+            for j in ks[bisect_right(ks, i):]:
+                active[j].append((i, rows[i + 1]))
+        for j in range(i, n):
+            best = row[j] + w[j]
+            for k, below in active[j]:
+                cand = row[k] + below[j]
+                if cand < best:
+                    best = cand
+            row[j + 1] = best
+        if i in keep:
+            rows[i] = row
+    return rows
+
+
+def _linear_backtrack(w: Sequence[int], rows, inverses: list[list[int]], i: int, j: int,
+                      out: list[tuple[int, int]]) -> None:
     """Recover one minimal pairing set for letters[i:j]; prefers pairing the
-    last letter with the smallest partner."""
-    while j > i:
-        f, s = letters[j - 1]
-        chosen = None
-        for k in range(i, j - 1):
-            if letters[k] == (f, -s) and dp[i][k] + dp[k + 1][j - 1] == dp[i][j]:
-                chosen = k
-                break
-        if chosen is not None:
-            out.append((chosen, j - 1))
-            _linear_backtrack(letters, weights, dp, chosen + 1, j - 1, out)
-            j = chosen
-        else:
-            assert dp[i][j] == dp[i][j - 1] + weights[f]
-            j -= 1
+    last letter with the smallest partner.  The enclosed interval is resolved
+    before the rest of the outer one, as a recursion would."""
+    stack = [(i, j)]
+    while stack:
+        i, j = stack.pop()
+        row = rows[i]
+        while j > i:
+            last = j - 1
+            ks = inverses[last]
+            for k in ks[bisect_left(ks, i):bisect_left(ks, last)]:
+                if row[k] + rows[k + 1][last] == row[j]:
+                    out.append((k, last))
+                    stack.append((i, k))
+                    i, j = k + 1, last
+                    row = rows[i]
+                    break
+            else:
+                assert row[j] == row[last] + w[last]
+                j = last
 
 
 def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
@@ -157,35 +219,36 @@ def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     if m == 0:
         return Fraction(0), empty_folding(word)
     letters = word.letters
-    weights = word.weights
+    D, scaled = _scaled_weights(letters, word.weights)
     rest = letters[1:]
-    dp = _linear_norm_table(rest, weights)
+    w = [scaled[f] for f, _ in rest]
+    inverses = _inverse_occurrences(rest)
     f0, s0 = letters[0]
+    partners = [k for k in range(1, m) if letters[k] == (f0, -s0)]
+    # the cyclic step reads row 0 and the rows that start at a partner of 0
+    rows = _linear_norm_rows(w, inverses, {0, *partners})
 
-    best = dp[0][m - 1] + weights[f0]
+    best = rows[0][m - 1] + scaled[f0]
     best_k: Optional[int] = None
-    for k in range(1, m):
-        if letters[k] == (f0, -s0):
-            cand = dp[0][k - 1] + dp[k][m - 1]
-            if cand < best or (cand == best and best_k is None):
-                best = cand
-                best_k = k
+    for k in partners:
+        cand = rows[0][k - 1] + rows[k][m - 1]
+        if cand < best or (cand == best and best_k is None):
+            best = cand
+            best_k = k
 
     pairs: list[tuple[int, int]] = []
+    pairings: list[Pairing] = []
     if best_k is None:
-        _linear_backtrack(rest, weights, dp, 0, m - 1, pairs)
-        pairings = [Pairing(a + 1, b + 1) for a, b in pairs]
+        _linear_backtrack(w, rows, inverses, 0, m - 1, pairs)
     else:
-        k = best_k
-        left: list[tuple[int, int]] = []
-        right: list[tuple[int, int]] = []
-        _linear_backtrack(rest, weights, dp, 0, k - 1, left)
-        _linear_backtrack(rest, weights, dp, k, m - 1, right)
-        pairings = [Pairing(0, k)]
-        pairings += [Pairing(a + 1, b + 1) for a, b in left + right]
+        _linear_backtrack(w, rows, inverses, 0, best_k - 1, pairs)
+        _linear_backtrack(w, rows, inverses, best_k, m - 1, pairs)
+        pairings.append(Pairing(0, best_k))
+    pairings += [Pairing(a + 1, b + 1) for a, b in pairs]
+    value = Fraction(best, D)
     witness = Folding(word, frozenset(pairings))
-    assert witness.area == best, "witness area must equal the DP value"
-    return best, witness
+    assert witness.area == value, "witness area must equal the DP value"
+    return value, witness
 
 
 def norm_bruteforce(word: CyclicWord, cap: int = 14) -> Fraction:
@@ -282,35 +345,54 @@ def _positive_linear(letters: Sequence[Letter]) -> Optional[list[tuple[int, int]
     foldability under cable switches.)  The DP finds a non-crossing
     matching covering the negative letters.
     """
+    n = len(letters)
+    if n == 0:
+        return []
+    inverses = _inverse_occurrences(letters)
     memo: dict[tuple[int, int], Optional[list[tuple[int, int]]]] = {}
-
-    def solve(i: int, j: int) -> Optional[list[tuple[int, int]]]:
-        # non-crossing full cover of the negatives in letters[i:j]
-        if i == j:
-            return []
-        if (i, j) in memo:
-            return memo[(i, j)]
-        f, s = letters[i]
-        result = None
-        if s > 0:
-            rest = solve(i + 1, j)
-            if rest is not None:
-                result = rest
-        if result is None:
-            for k in range(i + 1, j):
-                if letters[k] != (f, -s):
-                    continue
-                inner = solve(i + 1, k)
-                if inner is None:
-                    continue
-                rest = solve(k + 1, j)
-                if rest is not None:
-                    result = [(i, k)] + inner + rest
-                    break
-        memo[(i, j)] = result
-        return result
-
-    return solve(0, len(letters))
+    # Frames [i, j, t, inner] of the intervals letters[i:j] being solved,
+    # innermost last; ``result`` hands the last solution down to the frame
+    # below.  t is -2 before a frame starts and -1 while a positive letter i
+    # is tried unpaired.  Then partner k = inverses[i][t] is tried: first
+    # letters[i+1:k] is solved (inner is None), then letters[k+1:j] (inner
+    # holds the first solution).  Partners go in ascending order from i + 1
+    # and the first success is kept, as in the recursive form.
+    stack: list[list] = [[0, n, -2, None]]
+    result: Optional[list[tuple[int, int]]] = None
+    while stack:
+        frame = stack[-1]
+        i, j, t, inner = frame
+        need: Optional[tuple[int, int]] = None
+        if t == -2:
+            if letters[i][1] > 0:
+                frame[2] = -1
+                need = (i + 1, j)
+        elif result is not None and (t == -1 or inner is not None):
+            if t >= 0:
+                result = [(i, inverses[i][t])] + inner + result
+            memo[(i, j)] = result
+            stack.pop()
+            continue
+        elif result is not None:
+            frame[3] = result
+            need = (inverses[i][t] + 1, j)
+        if need is None:
+            # the current try failed: go on to the next partner
+            ks = inverses[i]
+            t = bisect_right(ks, i) if t < 0 else t + 1
+            frame[2:] = [t, None]
+            if t == len(ks) or ks[t] >= j:
+                memo[(i, j)] = result = None
+                stack.pop()
+                continue
+            need = (i + 1, ks[t])
+        if need[0] == need[1]:
+            result = []
+        elif need in memo:
+            result = memo[need]
+        else:
+            stack.append([need[0], need[1], -2, None])
+    return memo[(0, n)]
 
 
 def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,45 @@ def test_folding_positions_disjoint():
     w = W(1, -1, 1, -1)
     with pytest.raises(ValueError):
         Folding(w, frozenset({Pairing(0, 1), Pairing(1, 2)}))
+
+
+def test_wrap_around_pairings_are_validated():
+    w = W(1, 2, -2, -1)
+    # i > j: the pairing is read from position 3 forward around the cycle
+    folding = Folding(w, frozenset({Pairing(3, 0), Pairing(1, 2)}))
+    assert folding.paired_positions == frozenset(range(4))
+    with pytest.raises(ValueError, match="linked"):
+        Folding(W(1, 2, -1, -2), frozenset({Pairing(2, 0), Pairing(3, 1)}))
+
+
+def _named_pairings(message):
+    return [Pairing(int(i), int(j)) for i, j in re.findall(r"Pairing\(i=(\d+), j=(\d+)\)", message)]
+
+
+def test_linked_pairings_far_apart_are_rejected_by_name():
+    # face 1 at 3 and 43, face 2 at 20 and 58: the pairings interleave
+    letters = [7] * 60
+    letters[3], letters[43] = 1, -1
+    letters[20], letters[58] = 2, -2
+    letters[10], letters[11] = 3, -3          # nested pairings beside them
+    letters[45], letters[50] = 4, -4
+    w = W(*letters)
+    pairings = frozenset({Pairing(3, 43), Pairing(58, 20), Pairing(10, 11), Pairing(45, 50)})
+    with pytest.raises(ValueError, match="linked") as info:
+        Folding(w, pairings)
+    named = _named_pairings(str(info.value))
+    assert len(named) == 2 and set(named) <= pairings
+    assert is_linked(named[0], named[1], w)
+    Folding(w, pairings - {Pairing(58, 20)})
+
+
+def test_position_used_twice_across_pairings():
+    w = W(1, -1, 1, 5)
+    with pytest.raises(ValueError, match="position 1 used twice"):
+        Folding(w, frozenset({Pairing(0, 1), Pairing(2, 1)}))
+    # position 0 shared by a wrap-around pairing and a forward one
+    with pytest.raises(ValueError, match="used twice"):
+        Folding(W(-1, 2, 1, 1), frozenset({Pairing(2, 0), Pairing(0, 3)}))
 
 
 def test_area_counts_unpaired_weight():
@@ -194,6 +235,35 @@ def test_positive_foldability_against_oracle():
         if fast and witness is not None:
             # every pairing encloses only positive or cancelled letters
             assert isinstance(witness, Folding)
+
+
+def test_positive_folding_of_a_long_positive_word():
+    ok, witness = positively_foldable(CyclicWord(((1, 1),) * 1200))
+    assert ok and witness.pairings == frozenset()
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deeply_nested_word_needs_no_recursion():
+    """f1 ... f300 f300^-1 ... f1^-1 with distinct faces: every pairing
+    nests in the previous one, 300 deep."""
+    letters = [(f, 1) for f in range(1, 301)] + [(f, -1) for f in range(300, 0, -1)]
+    w = CyclicWord(letters, {f: Fraction(f, 7) for f in range(1, 301)})
+    nested = frozenset(Pairing(k, 599 - k) for k in range(300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        value, witness = cancellation_norm(w)
+        ok, positive = positively_foldable(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 0 and witness.pairings == nested
+    assert ok and positive.pairings == nested
 
 
 def test_self_overlapping_corpus():

@@ -1,0 +1,312 @@
+"""The norm DP, the homotopy trace and folding validation against the
+straightforward versions they replaced.
+
+The library computes the norm on integer-scaled weights over per-position
+candidate lists, replays foldings over bisected position lists, and
+validates foldings in one stack pass.  The oracles below are the direct
+forms of the same definitions: the interval DP over every split point in
+``Fraction`` arithmetic with a recursive backtrack, the trace that
+re-indexes the live positions for every pairing on every step, and the
+pairwise ``is_linked`` check; the positive-folding search is checked
+against its recursive form.  Norms, witness pairings, trace steps and
+accept/reject verdicts must be identical, on long seeded words with
+``p/q`` weights and on the words of random generic polygons, whose face
+areas have large denominators.
+"""
+
+import functools
+import itertools
+import random
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+
+from conftest import RANDOM_POLYGONS, random_generic_polygon
+from curvefold.arrangement import tree_cotree
+from curvefold.decomposition import ContractStep, CutStep, homotopy_trace
+from curvefold.folding import (Folding, Pairing, cancellation_norm, is_linked,
+                               positively_foldable)
+from curvefold.words import CyclicWord, blank_word, build_cable_system
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _norm_table(letters, weights):
+    """dp[i][j] = norm of the linear subword letters[i:j], every split tried."""
+    m = len(letters)
+    dp = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    for length in range(1, m + 1):
+        for i in range(0, m - length + 1):
+            j = i + length
+            f, s = letters[j - 1]
+            best = dp[i][j - 1] + weights[f]
+            for k in range(i, j - 1):
+                if letters[k] == (f, -s):
+                    cand = dp[i][k] + dp[k + 1][j - 1]
+                    if cand < best:
+                        best = cand
+            dp[i][j] = best
+    return dp
+
+
+def _backtrack(letters, weights, dp, i, j, out):
+    while j > i:
+        f, s = letters[j - 1]
+        chosen = None
+        for k in range(i, j - 1):
+            if letters[k] == (f, -s) and dp[i][k] + dp[k + 1][j - 1] == dp[i][j]:
+                chosen = k
+                break
+        if chosen is not None:
+            out.append((chosen, j - 1))
+            _backtrack(letters, weights, dp, chosen + 1, j - 1, out)
+            j = chosen
+        else:
+            assert dp[i][j] == dp[i][j - 1] + weights[f]
+            j -= 1
+
+
+def norm_oracle(word: CyclicWord) -> tuple[Fraction, frozenset[Pairing]]:
+    """(norm, witness pairings) by the all-split ``Fraction`` DP."""
+    m = len(word)
+    if m == 0:
+        return Fraction(0), frozenset()
+    letters, weights = word.letters, word.weights
+    rest = letters[1:]
+    dp = _norm_table(rest, weights)
+    f0, s0 = letters[0]
+    best = dp[0][m - 1] + weights[f0]
+    best_k: Optional[int] = None
+    for k in range(1, m):
+        if letters[k] == (f0, -s0):
+            cand = dp[0][k - 1] + dp[k][m - 1]
+            if cand < best or (cand == best and best_k is None):
+                best, best_k = cand, k
+    pairs: list[tuple[int, int]] = []
+    if best_k is None:
+        _backtrack(rest, weights, dp, 0, m - 1, pairs)
+        return best, frozenset(Pairing(a + 1, b + 1) for a, b in pairs)
+    _backtrack(rest, weights, dp, 0, best_k - 1, pairs)
+    _backtrack(rest, weights, dp, best_k, m - 1, pairs)
+    return best, frozenset([Pairing(0, best_k)] + [Pairing(a + 1, b + 1) for a, b in pairs])
+
+
+def trace_oracle(folding: Folding) -> tuple:
+    """Trace steps, re-indexing the live positions for every pairing."""
+    word = folding.word
+    live = list(range(len(word)))
+    remaining = set(folding.pairings)
+    paired_pos = {x for p in remaining for x in (p.i, p.j)}
+    steps = []
+
+    def free_arc(p):
+        idx = {pos: k for k, pos in enumerate(live)}
+        a, b = idx[p.i], idx[p.j]
+        n = len(live)
+        for start, stop in ((a, b), (b, a)):
+            arc = [live[(start + t) % n] for t in range(1, (stop - start) % n)]
+            if not any(x in paired_pos for x in arc):
+                return arc
+        return None
+
+    while remaining:
+        candidates = []
+        for p in remaining:
+            arc = free_arc(p)
+            if arc is not None:
+                candidates.append((len(arc), min(p.i, p.j), p, arc))
+        _, _, p, arc = min(candidates, key=lambda c: (c[0], c[1]))
+        steps.append(CutStep(face=word[p.i][0], positions=(p.i, p.j)))
+        steps.append(ContractStep(letters=tuple(word[x] for x in arc),
+                                  area=sum((word.weight(x) for x in arc), Fraction(0))))
+        gone = set(arc) | {p.i, p.j}
+        live = [x for x in live if x not in gone]
+        remaining.discard(p)
+        paired_pos -= {p.i, p.j}
+    steps.append(ContractStep(letters=tuple(word[x] for x in live),
+                              area=sum((word.weight(x) for x in live), Fraction(0))))
+    return tuple(steps)
+
+
+def positive_oracle(letters) -> Optional[list[tuple[int, int]]]:
+    """Pairings of a positive folding by the recursive memoised search."""
+    memo = {}
+
+    def solve(i, j):
+        if i == j:
+            return []
+        if (i, j) in memo:
+            return memo[(i, j)]
+        f, s = letters[i]
+        result = solve(i + 1, j) if s > 0 else None
+        if result is None:
+            for k in range(i + 1, j):
+                if letters[k] != (f, -s):
+                    continue
+                inner = solve(i + 1, k)
+                if inner is None:
+                    continue
+                rest = solve(k + 1, j)
+                if rest is not None:
+                    result = [(i, k)] + inner + rest
+                    break
+        memo[(i, j)] = result
+        return result
+
+    return solve(0, len(letters))
+
+
+def folding_valid_oracle(word: CyclicWord, pairings) -> bool:
+    """Inverse letters, disjoint positions and no two pairings linked."""
+    used = set()
+    for p in pairings:
+        f, s = word[p.i]
+        if p.i == p.j or word[p.j] != (f, -s):
+            return False
+        if used & {p.i, p.j}:
+            return False
+        used.update((p.i, p.j))
+    return not any(is_linked(p, q, word) for p, q in itertools.combinations(pairings, 2))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def nested_letters(rng, length, faces, positive=False):
+    """A product of nested conjugates a w a^-1, so that pairings nest deeply;
+    with ``positive`` the cores are positive letters and the word folds
+    positively."""
+    if length == 0:
+        return []
+    if length == 1:
+        return [(rng.randint(1, faces), 1 if positive else rng.choice((1, -1)))]
+    if rng.random() < 0.6:
+        f, s = rng.randint(1, faces), rng.choice((1, -1))
+        return [(f, s)] + nested_letters(rng, length - 2, faces, positive) + [(f, -s)]
+    cut = rng.randint(1, length - 1)
+    return (nested_letters(rng, cut, faces, positive)
+            + nested_letters(rng, length - cut, faces, positive))
+
+
+@functools.cache
+def seeded_long_words():
+    rng = random.Random(4404)
+    words = []
+    # (length, faces, largest denominator); whole weights make ties, which
+    # the witness must break as the oracle does
+    for length, faces, q in ((100, 6, 1), (100, 6, 12), (150, 12, 12), (210, 20, 12), (300, 30, 12)):
+        for nested in (False, True):
+            letters = (nested_letters(rng, length, faces) if nested else
+                       [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(length)])
+            top = 60 if q > 1 else 3
+            weights = {f: Fraction(rng.randint(1, top), rng.randint(1, q))
+                       for f in range(1, faces + 1)}
+            words.append(CyclicWord(letters, weights))
+    return words
+
+
+@functools.cache
+def polygon_words():
+    # the small corpus of the winding tests, and three 22-gons whose words
+    # run to 60-120 letters
+    polygons = [(seed, corners, 10 ** 4) for seed, corners in RANDOM_POLYGONS]
+    polygons += [(seed, 22, 10 ** 6) for seed in range(3)]
+    words = []
+    for seed, corners, span in polygons:
+        _, arr = random_generic_polygon(random.Random(seed), corners, span)
+        words.append(blank_word(arr, build_cable_system(arr, tree_cotree(arr))))
+    return words
+
+
+def random_pairings(rng, word, tries):
+    """Random inverse-letter pairings in both orders, often linked or
+    sharing a position, for the validation verdicts."""
+    m = len(word)
+    out = []
+    for _ in range(tries):
+        i = rng.randrange(m)
+        f, s = word[i]
+        mates = [j for j in range(m) if word[j] == (f, -s)]
+        if mates:
+            out.append(Pairing(i, rng.choice(mates)))
+    return frozenset(out)
+
+
+def greedy_folding(rng, word):
+    """A random maximal-ish folding, pairings in both orders."""
+    m = len(word)
+    pairings, taken = [], set()
+    for i in rng.sample(range(m), m):
+        if i in taken:
+            continue
+        f, s = word[i]
+        for j in rng.sample(range(m), m):
+            if j in taken or j == i or word[j] != (f, -s):
+                continue
+            cand = Pairing(i, j)
+            if not any(is_linked(cand, p, word) for p in pairings):
+                pairings.append(cand)
+                taken.update({i, j})
+                break
+    return Folding(word, frozenset(pairings))
+
+
+WORDS = {"seeded": seeded_long_words, "polygon": polygon_words}
+
+
+@pytest.mark.parametrize("source", sorted(WORDS))
+def test_norm_witness_and_trace_match_the_oracles(source):
+    for word in WORDS[source]():
+        value, witness = cancellation_norm(word)
+        assert (value, witness.pairings) == norm_oracle(word)
+        assert homotopy_trace(witness).steps == trace_oracle(witness)
+
+
+@pytest.mark.parametrize("source", sorted(WORDS))
+def test_positive_witness_matches_the_recursive_search(source):
+    rng = random.Random(source)
+    # positive cores, so that some long words fold positively
+    words = WORDS[source]() + [CyclicWord(nested_letters(rng, length, 12, positive=True), {})
+                               for length in (40, 120, 250)]
+    verdicts = []
+    for word in words:
+        ok, witness = positively_foldable(word)
+        expected = positive_oracle(word.letters)
+        assert ok == (expected is not None)
+        if ok:
+            assert witness.pairings == frozenset(Pairing(a, b) for a, b in expected)
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("source", sorted(WORDS))
+def test_trace_of_arbitrary_foldings_matches_the_oracle(source):
+    rng = random.Random(source)
+    for word in WORDS[source]():
+        folding = greedy_folding(rng, word)
+        trace = homotopy_trace(folding)
+        assert trace.steps == trace_oracle(folding)
+        assert trace.total_area == folding.area
+
+
+@pytest.mark.parametrize("source", sorted(WORDS))
+def test_folding_verdicts_match_the_pairwise_check(source):
+    rng = random.Random(source)
+    verdicts = []
+    for word in WORDS[source]():
+        candidates = [cancellation_norm(word)[1].pairings, greedy_folding(rng, word).pairings]
+        candidates += [random_pairings(rng, word, tries) for tries in (2, 3, 5, 10, 30)]
+        for pairings in candidates:
+            expected = folding_valid_oracle(word, pairings)
+            try:
+                Folding(word, pairings)
+                got = True
+            except ValueError:
+                got = False
+            assert got == expected, sorted(pairings)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
