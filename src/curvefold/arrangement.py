@@ -7,11 +7,12 @@ This module builds that graph with exact rational arithmetic and computes
 the per-face invariants everything downstream relies on:
 
 * signed area of every bounded face (shoelace over the boundary walk),
-* winding number and depth, both from one BFS over the dual graph from
-  the unbounded face: the depth is the BFS level, and the winding rises
-  by one across every edge from its right face to its left face,
-* a tree/cotree pair whose cotree duals form a BFS spanning tree of the
-  dual graph rooted at the unbounded face.
+* winding number, depth and cotree parent, all from one BFS over the
+  dual graph from the unbounded face: the depth is the BFS level, the
+  winding rises by one across every edge from its right face to its left
+  face, and each face keeps the (face, edge) it was first reached through,
+* a tree/cotree pair read off those parents: the cotree duals form a BFS
+  spanning tree of the dual graph rooted at the unbounded face.
 
 All coordinates are ``fractions.Fraction``; no tolerances anywhere.
 """
@@ -240,6 +241,7 @@ class Face:
     unbounded: bool
     winding: int = 0
     depth: int = -1
+    parent: Optional[tuple[int, int]] = None  # (face, edge) it was first reached through
 
     @property
     def area(self) -> Optional[Fraction]:
@@ -285,10 +287,6 @@ class Arrangement:
         for f in self.faces[1:]:
             out[f.id] = Fraction(override.get(f.id, f.signed_area))
         return out
-
-    def dual_neighbors(self, fid: int) -> list[tuple[int, int]]:
-        """(neighbor face, edge id) pairs, in ascending edge id order."""
-        return list(self.dual[fid])
 
     def pass_direction(self, vid: int, which: int) -> Point:
         """Direction of motion at the given vertex on pass 0 or 1."""
@@ -480,7 +478,7 @@ def _simple_loop_arrangement(curve: PlaneCurve) -> Arrangement:
     d = Dart(0, True)
     inner = Face(id=1, boundary=(d if ccw else d.twin,),
                  signed_area=abs(area2) / 2, unbounded=False,
-                 winding=1 if ccw else -1, depth=1)
+                 winding=1 if ccw else -1, depth=1, parent=(0, 0))
     outer = Face(id=0, boundary=(d.twin if ccw else d,),
                  signed_area=-abs(area2) / 2, unbounded=True, winding=0, depth=0)
     edge.left_face = 1 if ccw else 0
@@ -562,9 +560,13 @@ def _trace_faces(arr: Arrangement) -> None:
 def _compute_windings_and_depths(arr: Arrangement) -> None:
     """One BFS over the dual graph from the unbounded face (winding 0).
 
-    A face's depth is its BFS level.  Crossing an edge from its right face
-    to its left face raises the winding by one, so the BFS tree edges fix
-    every winding and the remaining edges check the same relation.
+    The frontier is explored in ascending face id, and each face's
+    neighbors in ascending edge id; the first discovery fixes a face's
+    depth (its BFS level) and its cotree parent, which is thus the
+    smallest-id face of the level above joined to it, through the smallest
+    edge id between the two.  Crossing an edge from its right face to its
+    left face raises the winding by one, so the BFS tree edges fix every
+    winding and the remaining edges check the same relation.
     """
     faces, edges = arr.faces, arr.edges
     faces[0].depth = 0
@@ -578,8 +580,9 @@ def _compute_windings_and_depths(arr: Arrangement) -> None:
                 if face.depth == -1:
                     face.depth = here.depth + 1
                     face.winding = here.winding + (1 if edges[eid].right_face == fid else -1)
+                    face.parent = (fid, eid)
                     nxt.append(nb)
-        frontier = nxt
+        frontier = sorted(nxt)
     for e in edges:
         assert faces[e.left_face].winding == faces[e.right_face].winding + 1, (
             f"edge {e.id}: winding must drop by one from left to right")
@@ -669,44 +672,29 @@ class TreeCotree:
     cotree: frozenset[int]    # primal edge ids; duals span the dual graph
     parent_edge: dict[int, int]   # face id -> cotree edge id toward the root
     parent_face: dict[int, int]   # face id -> parent face id
-    level: dict[int, int]         # face id -> BFS level (== depth)
-
-    def children(self, fid: int) -> list[int]:
-        return sorted(f for f, p in self.parent_face.items() if p == fid)
 
 
 def tree_cotree(arr: Arrangement,
                 prefer: Optional[Mapping[int, int]] = None) -> TreeCotree:
     """BFS spanning tree of the dual rooted at the unbounded face.
 
-    Deterministic: the frontier explores neighbor faces in ascending face
-    id, and among parallel edges between the same two faces the smallest
-    edge id wins.  ``prefer`` may pin the parent edge of individual faces
-    to another edge of the same BFS level (useful to reproduce specific
+    Reads the parents that the arrangement's dual BFS fixed: the frontier
+    explores neighbor faces in ascending face id, and among parallel edges
+    between the same two faces the smallest edge id wins.  ``prefer`` may
+    pin the parent edge of individual faces to another edge joining them
+    to a face one level shallower (useful to reproduce specific
     hand-drawn cable systems).
     """
-    prefer = dict(prefer or {})
-    parent_edge: dict[int, int] = {}
-    parent_face: dict[int, int] = {}
-    level = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for fid in frontier:
-            neighbors = sorted(arr.dual_neighbors(fid), key=lambda t: (t[0], t[1]))
-            for nb, eid in neighbors:
-                if nb not in level:
-                    level[nb] = level[fid] + 1
-                    parent_edge[nb] = eid
-                    parent_face[nb] = fid
-                    nxt.append(nb)
-                elif nb in prefer and prefer[nb] == eid and level[nb] == level[fid] + 1:
-                    parent_edge[nb] = eid
-                    parent_face[nb] = fid
-        frontier = sorted(nxt)
+    parent = {f.id: f.parent for f in arr.faces[1:]}
+    for fid, eid in (prefer or {}).items():
+        if fid not in parent:
+            continue
+        for nb, e in arr.dual[fid]:
+            if e == eid and arr.faces[nb].depth == arr.faces[fid].depth - 1:
+                parent[fid] = (nb, e)
+    parent_face = {f: p[0] for f, p in parent.items()}
+    parent_edge = {f: p[1] for f, p in parent.items()}
     cotree = frozenset(parent_edge.values())
     tree = frozenset(e.id for e in arr.edges) - cotree
-    for f in arr.faces:
-        assert level[f.id] == f.depth, "cotree BFS level must equal the face depth"
     return TreeCotree(tree=tree, cotree=cotree, parent_edge=parent_edge,
-                      parent_face=parent_face, level=level)
+                      parent_face=parent_face)

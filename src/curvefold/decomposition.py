@@ -26,9 +26,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .arrangement import Arrangement, PlaneCurve, build_arrangement, tree_cotree, turning_of_directions
-from .folding import Folding, Pairing, cancellation_norm, complete_to_maximal, positively_foldable
-from .words import (CombinedWord, CyclicWord, Letter, build_cable_system, combined_word,
-                    is_vertex_token)
+from .folding import Folding, Pairing, cancellation_norm, positively_foldable
+from .words import CyclicWord, Letter, build_cable_system
 
 
 class InvalidPairing(Exception):
@@ -138,33 +137,12 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
         v = arr.dart_tail(d)
         if v is not None:
             seen[v] = seen.get(v, 0) + 1
-        letters: tuple[Letter, ...] = ()
-        if d.edge in cables.ports:
-            seq = cables.ports[d.edge]
-            if cables.outbound_is_traversal[d.edge]:
-                letters = tuple((f, 1) for f in seq)
-            else:
-                letters = tuple((f, -1) for f in reversed(seq))
+        letters = cables.letters.get(d.edge, ())
         entries.append(SubcurveEntry(
             dart=t, tail_vertex=v, letters=letters,
             positions=tuple(range(pos, pos + len(letters)))))
         pos += len(letters)
     return Subcurve(entries=tuple(entries), weights=arr.face_weights(), arr=arr)
-
-
-def subcurve_from_combined_word(cw: CombinedWord) -> Subcurve:
-    """Word-only subcurve (no geometry), one entry per token."""
-    entries: list[SubcurveEntry] = []
-    pos = 0
-    for tok in cw.tokens:
-        if is_vertex_token(tok):
-            entries.append(SubcurveEntry(dart=None, tail_vertex=tok[1],
-                                         letters=(), positions=()))
-        else:
-            entries.append(SubcurveEntry(dart=None, tail_vertex=None,
-                                         letters=(tok,), positions=(pos,)))
-            pos += 1
-    return Subcurve(entries=tuple(entries), weights=cw.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +426,7 @@ class SelfOverlappingDecomposition:
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
     area: Fraction
+    word: CyclicWord  # the whole curve's face word the pieces were cut from
 
 
 def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -465,7 +444,8 @@ def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> list[tuple[int, ...
     return out
 
 
-def _decomposition_for(full: Subcurve, combo: Sequence[int]) -> Optional[SelfOverlappingDecomposition]:
+def _decomposition_for(full: Subcurve, combo: Sequence[int],
+                       word: CyclicWord) -> Optional[SelfOverlappingDecomposition]:
     pieces = smooth_at(full, combo)
     total = Fraction(0)
     for piece in pieces:
@@ -473,7 +453,14 @@ def _decomposition_for(full: Subcurve, combo: Sequence[int]) -> Optional[SelfOve
         if not ok:
             return None
         total += piece.area_w()
-    return SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), total)
+    return SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), total, word)
+
+
+def _whole_curve(curve: PlaneCurve) -> tuple[Subcurve, dict[int, tuple[int, int]]]:
+    """The curve as one subcurve, and each crossing's occurrence chord."""
+    arr = build_arrangement(curve)
+    full = curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr)))
+    return full, {v: _occurrence_chord(full, v) for v in range(len(arr.vertices))}
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -483,21 +470,12 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     optimum; the search scans unlinked vertex subsets in increasing size
     and returns the first decomposition achieving it.
     """
-    arr = build_arrangement(curve)
-    tc = tree_cotree(arr)
-    cables = build_cable_system(arr, tc)
-    full = curve_subcurve(arr, cables)
-    target, witness = cancellation_norm(full.word())
-
-    # every piece cut along a maximal folding must have single-signed letters
-    maximal = complete_to_maximal(full.word(), witness)
-    for piece in cut_along_folding(full, maximal):
-        assert is_good(piece), "cut pieces of a maximal folding must be good"
-
-    chords = {v: _occurrence_chord(full, v) for v in range(len(arr.vertices))}
+    full, chords = _whole_curve(curve)
+    word = full.word()
+    target, _ = cancellation_norm(word)
     best: Optional[SelfOverlappingDecomposition] = None
     for combo in _unlinked_subsets(chords):
-        sod = _decomposition_for(full, combo)
+        sod = _decomposition_for(full, combo, word)
         if sod is None:
             continue
         if sod.area == target:
@@ -515,13 +493,11 @@ def sod_oracle(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     Ignores the cancellation norm entirely; the testing cross-check for
     ``min_area_sod`` on small curves.
     """
-    arr = build_arrangement(curve)
-    cables = build_cable_system(arr, tree_cotree(arr))
-    full = curve_subcurve(arr, cables)
-    chords = {v: _occurrence_chord(full, v) for v in range(len(arr.vertices))}
+    full, chords = _whole_curve(curve)
+    word = full.word()
     best: Optional[SelfOverlappingDecomposition] = None
     for combo in _unlinked_subsets(chords):
-        sod = _decomposition_for(full, combo)
+        sod = _decomposition_for(full, combo, word)
         if sod is not None and (best is None or sod.area < best.area):
             best = sod
     assert best is not None, "every curve admits at least one decomposition"
@@ -534,12 +510,12 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
     Each piece contributes a minimum folding of its own subword (its norm
     equals its winding area precisely because the piece bounds an
     immersed disk); pairings embed at the pieces' global positions and
-    never link across pieces.
+    never link across pieces.  The full word is the one the decomposition
+    carries; ``curve`` only guards against a decomposition of another
+    curve.
     """
-    arr = build_arrangement(curve)
-    cables = build_cable_system(arr, tree_cotree(arr))
-    full = curve_subcurve(arr, cables)
-    word = full.word()
+    if any(piece.arr is None or piece.arr.curve != curve for piece in sod.subcurves):
+        raise InvalidDecomposition("the decomposition is of another curve")
     pairings: list[Pairing] = []
     for piece in sod.subcurves:
         sub = piece.word()
@@ -549,7 +525,7 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
                 "piece's contraction cost exceeds its winding area")
         slots = piece.positions()
         pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in witness.pairings)
-    folding = Folding(word, frozenset(pairings))
+    folding = Folding(sod.word, frozenset(pairings))
     assert folding.area == sod.area
     return folding
 

@@ -11,7 +11,9 @@ Two constructions of the same cyclic word over the bounded faces:
 
 The two agree letter-for-letter once the flattening is derived from the
 cable system (``derive_flattening``); that equality is exercised in the
-test-suite for every corpus curve.
+test-suite for every corpus curve.  Both are built in one loop over the
+cotree faces, deepest first, so that every child edge is done before its
+parent edge; neither recurses.
 
 Cable routing is purely combinatorial here.  Cables through one edge
 form a nested non-crossing bundle, and the nesting is forced up to one
@@ -23,7 +25,9 @@ Sign convention: a crossing is positive exactly when the child face of
 the crossed edge lies to the left of the traversal direction, i.e. when
 the edge runs counter-clockwise around the face whose cable bundle it
 carries.  Equivalently the curve crosses the outbound cables from right
-to left.
+to left.  The signed letters of each cotree edge, in traversal order, are
+worked out once with the bundle (``CableSystem.letters``) and read by
+every word built from the cables.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .arrangement import Arrangement, Dart, TreeCotree
+from .arrangement import Arrangement, TreeCotree
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -213,18 +217,19 @@ class CableSystem:
 
     ``ports[e]`` lists the faces whose cables cross edge e, ordered along
     the edge's *outbound* direction (counter-clockwise around the child
-    face); ``outbound_is_traversal[e]`` says whether that direction is the
-    curve traversal direction of e; equivalently, whether crossings on e
-    are positive.  ``cables[f]`` is the primal-edge path from face f to
-    the unbounded face, and ``ordering`` is the cyclic cable order around
-    the basepoint.
+    face); ``letters[e]`` holds the signed letters the curve records while
+    crossing e, in traversal order: ``ports[e]`` positive when the
+    outbound direction is the traversal direction, else reversed and
+    negative.  ``cables[f]`` is the primal-edge path from face f to the
+    unbounded face, and ``ordering`` is the cyclic cable order around the
+    basepoint.
     """
 
     arr: Arrangement
     tc: TreeCotree
     cables: Mapping[int, tuple[int, ...]]
     ports: Mapping[int, tuple[int, ...]]
-    outbound_is_traversal: Mapping[int, bool]
+    letters: Mapping[int, tuple[Letter, ...]]
     insertions: Mapping[int, int]
     ordering: tuple[int, ...]
 
@@ -237,31 +242,20 @@ def _boundary_children(arr: Arrangement, tc: TreeCotree, fid: int,
     start for the root / unbounded face).
     """
     cycle = arr.faces[fid].boundary
-    n = len(cycle)
     start = 0
     if parent_eid is not None:
         start = next(i for i, d in enumerate(cycle) if d.edge == parent_eid) + 1
-    out = []
-    for k in range(n):
-        d = cycle[(start + k) % n]
-        eid = d.edge
-        if eid == parent_eid or eid not in tc.cotree:
-            continue
-        # only edges whose *child* side is a child of fid belong here
-        if tc.parent_edge.get(_child_face(arr, tc, eid)) == eid and \
-                tc.parent_face[_child_face(arr, tc, eid)] == fid:
-            out.append(eid)
-    return out
+    # every cotree edge of the boundary but fid's own parent edge is the
+    # parent edge of the face across it
+    return [d.edge for d in cycle[start:] + cycle[:start]
+            if d.edge in tc.cotree and d.edge != parent_eid]
 
 
-def _child_face(arr: Arrangement, tc: TreeCotree, eid: int) -> int:
-    e = arr.edges[eid]
-    a, b = e.left_face, e.right_face
-    # the deeper endpoint of the dual cotree edge is the child
-    if tc.parent_edge.get(a) == eid:
-        return a
-    assert tc.parent_edge.get(b) == eid, f"edge {eid} is not a cotree edge"
-    return b
+def _deepest_first(arr: Arrangement, tc: TreeCotree) -> list[tuple[int, int, list[int]]]:
+    """(face, parent edge, child edges) per bounded face, children first."""
+    faces = sorted(tc.parent_edge, key=lambda f: -arr.faces[f].depth)
+    return [(g, tc.parent_edge[g], _boundary_children(arr, tc, g, tc.parent_edge[g]))
+            for g in faces]
 
 
 def build_cable_system(arr: Arrangement, tc: TreeCotree,
@@ -275,29 +269,20 @@ def build_cable_system(arr: Arrangement, tc: TreeCotree,
     """
     insertions = dict(insertions or {})
     ports: dict[int, tuple[int, ...]] = {}
-    outbound_fwd: dict[int, bool] = {}
-
-    def bundle(eid: int) -> tuple[int, ...]:
-        if eid in ports:
-            return ports[eid]
-        g = _child_face(arr, tc, eid)
-        children = _boundary_children(arr, tc, g, eid)
+    letters: dict[int, tuple[Letter, ...]] = {}
+    for g, eid, children in _deepest_first(arr, tc):
         # outbound reading order: reversed child blocks, own cable inserted
-        blocks: list[int] = []
-        for a in reversed(children):
-            blocks.extend(bundle(a))
+        blocks = [f for a in reversed(children) for f in ports[a]]
         pos = insertions.get(g, 0)
         if not 0 <= pos <= len(blocks):
             raise InvalidFlattening(
                 f"insertion {pos} for face {g} out of range 0..{len(blocks)}")
         seq = tuple(blocks[:pos]) + (g,) + tuple(blocks[pos:])
         ports[eid] = seq
-        e = arr.edges[eid]
-        outbound_fwd[eid] = e.left_face == g
-        return seq
-
-    for fid in tc.parent_edge:
-        bundle(tc.parent_edge[fid])
+        if arr.edges[eid].left_face == g:
+            letters[eid] = tuple((f, 1) for f in seq)
+        else:
+            letters[eid] = tuple((f, -1) for f in reversed(seq))
 
     cables: dict[int, tuple[int, ...]] = {}
     for f in tc.parent_edge:
@@ -314,13 +299,7 @@ def build_cable_system(arr: Arrangement, tc: TreeCotree,
     for eid in _boundary_children(arr, tc, 0, None):
         ordering.extend(ports[eid])
 
-    # cables sharing a path prefix keep one relative order on every edge
-    for f, path in cables.items():
-        for eid in path:
-            assert f in ports[eid]
-
-    return CableSystem(arr=arr, tc=tc, cables=cables, ports=ports,
-                       outbound_is_traversal=outbound_fwd,
+    return CableSystem(arr=arr, tc=tc, cables=cables, ports=ports, letters=letters,
                        insertions=insertions, ordering=tuple(ordering))
 
 
@@ -331,18 +310,8 @@ def blank_word(arr: Arrangement, cables: CableSystem) -> CyclicWord:
     left, which happens exactly when the edge's outbound direction agrees
     with the traversal direction.
     """
-    letters: list[Letter] = []
-    for d in arr.traversal:
-        eid = d.edge
-        if eid not in cables.ports:
-            continue
-        seq = cables.ports[eid]
-        if cables.outbound_is_traversal[eid]:
-            letters.extend((f, 1) for f in seq)
-        else:
-            letters.extend((f, -1) for f in reversed(seq))
-    word = CyclicWord(tuple(letters), arr.face_weights())
-    return word
+    letters = tuple(l for d in arr.traversal for l in cables.letters.get(d.edge, ()))
+    return CyclicWord(letters, arr.face_weights())
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +341,19 @@ def nie_word(arr: Arrangement, tc: TreeCotree,
     curve-traversal order.
     """
     choices = dict(flat.choices) if flat else {}
-    memo: dict[int, tuple[Letter, ...]] = {}
-
-    def oriented(eid: int) -> tuple[Letter, ...]:
-        """Free word of cotree edge eid, oriented along the traversal."""
-        if eid in memo:
-            return memo[eid]
-        g = _child_face(arr, tc, eid)
-        children = _boundary_children(arr, tc, g, eid)
+    oriented: dict[int, tuple[Letter, ...]] = {}  # cotree edge -> word along the traversal
+    for g, eid, children in _deepest_first(arr, tc):
         r = len(children)
-        # child words in boundary (ccw around g) orientation
-        w: list[tuple[Letter, ...]] = []
-        for a in children:
-            wa = oriented(a)
-            ccw_around_g = arr.edges[a].left_face == g
-            w.append(wa if ccw_around_g else invert_sequence(wa))
         if r == 0:
             u: tuple[Letter, ...] = ((g, 1),)
         else:
             j, split = choices.get(g, (r, 0))
             if not 1 <= j <= r:
                 raise InvalidFlattening(f"face {g}: child index {j} not in 1..{r}")
-            wbar = [invert_sequence(x) for x in w]  # wbar[i] for child i+1
+            # inverted child words in boundary (ccw around g) orientation;
+            # wbar[i] for child i+1
+            wbar = [invert_sequence(oriented[a]) if arr.edges[a].left_face == g
+                    else oriented[a] for a in children]
             if not 0 <= split <= len(wbar[j - 1]):
                 raise InvalidFlattening(
                     f"face {g}: split {split} out of range 0..{len(wbar[j - 1])}")
@@ -403,16 +363,10 @@ def nie_word(arr: Arrangement, tc: TreeCotree,
             u += wbar[j - 1][:split] + ((g, 1),) + wbar[j - 1][split:]
             for i in range(j - 1, 0, -1):
                 u += wbar[i - 1]
-        e_ccw_around_g = arr.edges[eid].left_face == g
-        res = u if e_ccw_around_g else invert_sequence(u)
-        memo[eid] = res
-        return res
+        oriented[eid] = u if arr.edges[eid].left_face == g else invert_sequence(u)
 
-    letters: list[Letter] = []
-    for d in arr.traversal:
-        if d.edge in tc.cotree:
-            letters.extend(oriented(d.edge))
-    return CyclicWord(tuple(letters), arr.face_weights())
+    letters = tuple(l for d in arr.traversal for l in oriented.get(d.edge, ()))
+    return CyclicWord(letters, arr.face_weights())
 
 
 def derive_flattening(cables: CableSystem) -> Flattening:
@@ -476,18 +430,12 @@ def combined_word(arr: Arrangement, cables: CableSystem) -> CombinedWord:
     tokens: list[object] = []
     seen: dict[int, int] = {}
     for d in arr.traversal:
-        eid = d.edge
         v = arr.dart_tail(d)
         if v is not None:
             occ = seen.get(v, 0) + 1
             seen[v] = occ
             tokens.append(("v", v, occ))
-        if eid in cables.ports:
-            seq = cables.ports[eid]
-            if cables.outbound_is_traversal[eid]:
-                tokens.extend((f, 1) for f in seq)
-            else:
-                tokens.extend((f, -1) for f in reversed(seq))
+        tokens.extend(cables.letters.get(d.edge, ()))
     for v, occ in seen.items():
         assert occ == 2, f"vertex {v} must appear exactly twice"
     return CombinedWord(tuple(tokens), arr.face_weights())

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,21 @@ def random_generic_polygon(rng, corners: int, span: int = 10 ** 4):
 
 # (seed, corners) of the random polygons the oracle tests run on
 RANDOM_POLYGONS = [(seed, 8 + seed % 9) for seed in range(24)]
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Allow only ``frames`` more stack frames than the caller has, and
+    restore the interpreter's recursion limit afterwards."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def unit_weights(word):

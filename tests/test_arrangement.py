@@ -117,10 +117,14 @@ def test_unbounded_face_has_depth_zero_winding_zero(corpus_name):
 
 
 def test_depth_is_dual_distance(corpus_name):
-    """Depth equals the BFS level of the tree-cotree construction."""
+    """Depth rises by one from each face's cotree parent and by at most one
+    across any edge, so it is the distance to the unbounded face in the dual."""
     _, arr, tc, _, _ = pipeline(corpus_name)
-    for f in arr.faces:
-        assert tc.level[f.id] == f.depth
+    assert arr.faces[0].depth == 0
+    for f in arr.faces[1:]:
+        assert f.depth == arr.faces[tc.parent_face[f.id]].depth + 1
+    for e in arr.edges:
+        assert abs(arr.faces[e.left_face].depth - arr.faces[e.right_face].depth) <= 1
 
 
 def test_winding_changes_by_one_across_edges(corpus_name):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
+from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
 from curvefold.arrangement import rotation_number, tree_cotree
-from curvefold.decomposition import (InvalidPairing, LinkedVertices, NotAStack,
+from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
+                                     LinkedVertices, NotAStack,
                                      blank_cut, certify_subcurve,
                                      curve_subcurve, cut_along_folding,
                                      faces_around_vertex, homotopy_trace,
@@ -164,8 +165,11 @@ def test_blank_cut_rejects_non_inverse_positions():
 
 
 def test_cut_along_maximal_folding_gives_good_pieces():
-    for name in ("mouse", "one_ear", "bowtie"):
-        sc = full_piece(name)
+    whole = [full_piece(name) for name in CORPUS]
+    for seed, corners in RANDOM_POLYGONS:
+        _, arr = random_generic_polygon(random.Random(seed), corners)
+        whole.append(curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr))))
+    for sc in whole:
         value, witness = cancellation_norm(sc.word())
         maximal = complete_to_maximal(sc.word(), witness)
         pieces = cut_along_folding(sc, maximal)
@@ -235,6 +239,12 @@ def test_sod_to_folding_round_trip(corpus_name):
     assert isinstance(folding, Folding)
     assert folding.area == sod.area
     assert cyclic_equal(folding.word, word)
+
+
+def test_sod_to_folding_rejects_another_curves_decomposition():
+    sod = min_area_sod(load_curve("trefoil"))
+    with pytest.raises(InvalidDecomposition, match="another curve"):
+        sod_to_folding(load_curve("limacon"), sod)
 
 
 def test_trefoil_every_single_smoothing_decomposes():

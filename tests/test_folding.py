@@ -1,13 +1,12 @@
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_curve, pipeline, unit_weights
+from conftest import load_curve, pipeline, recursion_headroom, unit_weights
 from curvefold.folding import (CapExceeded, Folding, Pairing, cancellation_norm,
                                complete_to_maximal, empty_folding, is_linked,
                                is_self_overlapping, norm_bruteforce,
@@ -242,26 +241,15 @@ def test_positive_folding_of_a_long_positive_word():
     assert ok and witness.pairings == frozenset()
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_deeply_nested_word_needs_no_recursion():
     """f1 ... f300 f300^-1 ... f1^-1 with distinct faces: every pairing
     nests in the previous one, 300 deep."""
     letters = [(f, 1) for f in range(1, 301)] + [(f, -1) for f in range(300, 0, -1)]
     w = CyclicWord(letters, {f: Fraction(f, 7) for f in range(1, 301)})
     nested = frozenset(Pairing(k, 599 - k) for k in range(300))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
-    try:
+    with recursion_headroom(100):
         value, witness = cancellation_norm(w)
         ok, positive = positively_foldable(w)
-    finally:
-        sys.setrecursionlimit(limit)
     assert value == 0 and witness.pairings == nested
     assert ok and positive.pairings == nested
 

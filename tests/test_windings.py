@@ -1,8 +1,10 @@
-"""Windings and dual adjacency against independent brute force.
+"""Windings, dual adjacency and cotree against independent brute force.
 
-The library sets windings by one BFS over the dual graph.  The oracle here
-computes each face's winding from the geometry alone: it picks an exact
-point inside the face and casts a ray from it against every sub-segment.
+The library sets windings, depths and cotree parents by one BFS over the
+dual graph.  The oracles here compute each face's winding from the geometry
+alone (an exact point inside the face, and a ray cast from it against every
+sub-segment), and run the dual BFS a second time, over a brute edge scan,
+to get each face's level and cotree parent.
 """
 
 import random
@@ -12,7 +14,7 @@ from typing import Optional
 import pytest
 
 from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
-from curvefold.arrangement import Arrangement, Face, Point, _cross, _sub
+from curvefold.arrangement import Arrangement, Face, Point, _cross, _sub, tree_cotree
 
 
 def _dot(a: Point, b: Point) -> Fraction:
@@ -116,12 +118,46 @@ def _scan_dual_neighbors(arr: Arrangement, fid: int) -> list[tuple[int, int]]:
     return out
 
 
+def _bfs_cotree(arr: Arrangement, prefer: dict[int, int]):
+    """(level, parent) per face by a dual BFS: the frontier in ascending face
+    id, neighbors in ascending (face id, edge id), the first discovery wins,
+    and a preferred edge from a face one level up replaces it."""
+    level, parent = {0: 0}, {}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for fid in frontier:
+            for nb, eid in sorted(_scan_dual_neighbors(arr, fid)):
+                if nb not in level:
+                    level[nb] = level[fid] + 1
+                    parent[nb] = (fid, eid)
+                    nxt.append(nb)
+                elif prefer.get(nb) == eid and level[nb] == level[fid] + 1:
+                    parent[nb] = (fid, eid)
+        frontier = sorted(nxt)
+    return level, parent
+
+
 def _check_against_oracles(arr: Arrangement) -> None:
     assert arr.faces[0].winding == 0
     for face in arr.faces[1:]:
         assert face.winding == _winding_at(arr, _interior_point(arr, face)), face.id
     for face in arr.faces:
-        assert arr.dual_neighbors(face.id) == _scan_dual_neighbors(arr, face.id), face.id
+        assert arr.dual[face.id] == _scan_dual_neighbors(arr, face.id), face.id
+    level, _ = _bfs_cotree(arr, {})
+    assert {face.id: face.depth for face in arr.faces} == level
+    # pin each face to its last edge toward a shallower face, or name its last
+    # edge toward a face no shallower, which the cotree must ignore
+    shallower, other = {}, {}
+    for face in arr.faces[1:]:
+        for nb, eid in _scan_dual_neighbors(arr, face.id):
+            pins = shallower if level[nb] == level[face.id] - 1 else other
+            pins[face.id] = eid
+    for pins in ({}, shallower, other):
+        _, parent = _bfs_cotree(arr, pins)
+        tc = tree_cotree(arr, pins)
+        assert tc.parent_face == {f: p[0] for f, p in parent.items()}
+        assert tc.parent_edge == {f: p[1] for f, p in parent.items()}
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pipeline, unit_weights
-from curvefold.arrangement import tree_cotree
+from conftest import pipeline, recursion_headroom, unit_weights
+from curvefold.arrangement import PlaneCurve, build_arrangement, tree_cotree
 from curvefold.folding import cancellation_norm
 from curvefold.words import (CyclicWord, Flattening, InvalidFlattening,
                              blank_word, build_cable_system, combined_word,
@@ -89,6 +89,8 @@ def test_cable_lengths_equal_depth(corpus_name):
         assert len(cables.cables[f.id]) == f.depth
         # the cable follows the dual cotree toward the unbounded face
         assert all(e in tc.cotree for e in cables.cables[f.id])
+        # and is listed in the ports of every edge it crosses
+        assert all(f.id in cables.ports[e] for e in cables.cables[f.id])
     # ports account for every cable crossing
     crossings = sum(len(seq) for seq in cables.ports.values())
     assert crossings == sum(f.depth for f in arr.faces[1:])
@@ -102,6 +104,30 @@ def test_combined_word_consistency(corpus_name):
     assert len(seq) == 2 * len(arr.vertices)
     for v in range(len(arr.vertices)):
         assert seq.count(v) == 2
+
+
+def square_spiral(turns: int) -> PlaneCurve:
+    """A square spiral winding inwards, closed by one straight segment back
+    out: each turn adds one crossing and one level of depth."""
+    r = 4 * turns + 10
+    pts = []
+    for _ in range(turns):
+        for x, y in ((r, r), (-r, r), (-r, -r), (r, -r + 1)):
+            pts.append((Fraction(x), Fraction(y)))
+            r -= 1
+    pts.append((Fraction(0), Fraction(1)))
+    return PlaneCurve(tuple(pts))
+
+
+def test_deep_cotree_needs_no_recursion():
+    arr = build_arrangement(square_spiral(80))
+    assert (len(arr.curve.points), len(arr.vertices)) == (321, 79)
+    assert max(f.depth for f in arr.faces) == 80
+    tc = tree_cotree(arr)
+    with recursion_headroom(60):
+        cables = build_cable_system(arr, tc)
+        other = nie_word(arr, tc)
+    assert blank_word(arr, cables).letters == other.letters
 
 
 def test_insertion_choices_preserve_norm():
