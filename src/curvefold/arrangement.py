@@ -23,7 +23,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class CurveError(Exception):
@@ -214,9 +214,6 @@ class Edge:
     geometry: tuple[Point, ...]  # oriented along the traversal
     left_face: int = -1
     right_face: int = -1
-
-    def endpoint(self, at_tail: bool) -> Optional[int]:
-        return self.v_from if at_tail else self.v_to
 
     def direction_out(self, fwd: bool) -> Point:
         """Direction leaving the tail of the (fwd?) dart."""

@@ -10,20 +10,18 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import click
 
 from .arrangement import (Arrangement, CurveError, PlaneCurve, build_arrangement,
-                          fraction_str, parse_curve, rotation_number, tree_cotree)
-from .decomposition import (ContractStep, CutStep, curve_subcurve, homotopy_trace,
-                            min_area_sod, sod_oracle, sod_to_folding)
+                          face_measures, fraction_str, parse_curve, rotation_number,
+                          tree_cotree)
+from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable,
                       positively_foldable_bruteforce)
-from .words import (CyclicWord, blank_word, build_cable_system, combined_word,
-                    cyclic_equal, derive_flattening, letter_str, nie_word,
-                    word_to_json)
+from .words import (blank_word, build_cable_system, combined_word, cyclic_equal,
+                    derive_flattening, letter_str, nie_word, word_to_json)
 
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT_ERROR = 3
@@ -70,18 +68,6 @@ def _folding_json(folding: Folding) -> dict:
         "pairings": sorted([p.i, p.j] for p in folding.pairings),
         "area": fraction_str(folding.area),
     }
-
-
-def _faces_json(arr: Arrangement) -> list[dict]:
-    out = []
-    for f in arr.faces[1:]:
-        out.append({
-            "id": f.id,
-            "area": fraction_str(f.signed_area),
-            "winding": f.winding,
-            "depth": f.depth,
-        })
-    return out
 
 
 def _word_pipeline(curve: PlaneCurve):
@@ -133,16 +119,15 @@ def analyze(path: str, weights_mode: str) -> None:
     """Faces, winding numbers, depths, areas, rotation number."""
     curve = _load_curve(path, weights_mode)
     arr = build_arrangement(curve)
-    weights = arr.face_weights()
-    area_w = sum((abs(f.winding) * weights[f.id] for f in arr.faces[1:]),
-                 Fraction(0))
-    area_d = sum((f.depth * weights[f.id] for f in arr.faces[1:]), Fraction(0))
+    measures = face_measures(arr)
     _emit({
-        "faces": _faces_json(arr),
+        "faces": [{"id": f["id"], "area": fraction_str(f["area"]),
+                   "winding": f["winding"], "depth": f["depth"]}
+                  for f in measures["faces"][1:]],
         "vertices": len(arr.vertices),
         "rotation_number": rotation_number(curve),
-        "winding_area": fraction_str(area_w),
-        "depth_area": fraction_str(area_d),
+        "winding_area": fraction_str(measures["area_w"]),
+        "depth_area": fraction_str(measures["area_d"]),
     })
 
 
@@ -203,6 +188,8 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
     """Is the curve the boundary of an immersed disk?"""
     curve = _load_curve(path, weights_mode)
     verdict, cert = is_self_overlapping(curve)
+    if "word" not in cert:
+        build_arrangement(curve)     # the rotation test ran alone: reject non-generic input
     doc: dict = {"self_overlapping": verdict}
     if verdict:
         doc["rotation_number"] = cert["rotation_number"]

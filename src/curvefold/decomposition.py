@@ -72,7 +72,6 @@ class Subcurve:
     entries: tuple[SubcurveEntry, ...]
     weights: Mapping[int, Fraction] = field(default_factory=dict, compare=False)
     arr: Optional[Arrangement] = field(default=None, compare=False, repr=False)
-    provenance: tuple[str, ...] = ()
 
     def letters(self) -> tuple[Letter, ...]:
         return tuple(l for e in self.entries for l in e.letters)
@@ -203,9 +202,7 @@ def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
             entries.append(e)
         if not entries:
             continue
-        pieces.append(Subcurve(entries=tuple(entries), weights=sc.weights,
-                               arr=sc.arr,
-                               provenance=sc.provenance + (f"smooth:{key}",)))
+        pieces.append(Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr))
     return pieces
 
 
@@ -237,7 +234,7 @@ def blank_cut(sc: Subcurve, p: Pairing) -> tuple[Subcurve, Subcurve]:
             flat.append((ei, li))
     (ei1, li1), (ei2, li2) = flat[i], flat[j]
 
-    def side(start: tuple[int, int], stop: tuple[int, int], tag: str) -> Subcurve:
+    def side(start: tuple[int, int], stop: tuple[int, int]) -> Subcurve:
         """Entries strictly between two letter slots, cyclically."""
         (sa, sl), (sb, bl) = start, stop
         entries: list[SubcurveEntry] = []
@@ -262,11 +259,10 @@ def blank_cut(sc: Subcurve, p: Pairing) -> tuple[Subcurve, Subcurve]:
             entries.append(partial(sc.entries[sb], 0, bl, cut=False))
         entries.append(SubcurveEntry(dart=None, tail_vertex=None,
                                      letters=(), positions=()))  # cut arc
-        return Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr,
-                        provenance=sc.provenance + (tag,))
+        return Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr)
 
-    cut1 = side((ei1, li1), (ei2, li2), f"cut:{fi}:{i}-{j}")
-    cut2 = side((ei2, li2), (ei1, li1), f"cut:{fi}:{j}-{i}")
+    cut1 = side((ei1, li1), (ei2, li2))
+    cut2 = side((ei2, li2), (ei1, li1))
     assert len(cut1.letters()) + len(cut2.letters()) == m - 2
     return cut1, cut2
 
@@ -291,7 +287,7 @@ def cut_along_folding(sc: Subcurve, folding: Folding) -> list[Subcurve]:
 
 
 # ---------------------------------------------------------------------------
-# goodness, sign changes, stacks
+# goodness and stacks
 
 
 def is_good(sc: Subcurve) -> bool:
@@ -305,31 +301,6 @@ def is_good(sc: Subcurve) -> bool:
         if signs.setdefault(f, s) != s:
             return False
     return True
-
-
-def faces_around_vertex(arr: Arrangement, vid: int) -> tuple[int, ...]:
-    """The four incident faces in ccw wedge order."""
-    darts = arr.vertices[vid].darts_ccw
-    wedges = tuple(arr.dart_face(d) for d in darts)
-    for k, d in enumerate(darts):
-        nxt = darts[(k + 1) % 4]
-        assert arr.dart_face(nxt.twin) == wedges[k], "wedge faces disagree"
-    return wedges
-
-
-def sign_changing_vertices(sc: Subcurve) -> list[int]:
-    """Crossings whose four wedge windings read [+1, 0, -1, 0] cyclically."""
-    if sc.arr is None:
-        raise ValueError("needs an arrangement for the vertex wedges")
-    wind = sc.windings()
-    out = []
-    for v in sc.crossings():
-        ws = [wind.get(f, 0) for f in faces_around_vertex(sc.arr, v)]
-        for r in range(4):
-            if [ws[(r + t) % 4] for t in range(4)] == [1, 0, -1, 0]:
-                out.append(v)
-                break
-    return out
 
 
 def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
@@ -460,7 +431,7 @@ def _whole_curve(curve: PlaneCurve) -> tuple[Subcurve, dict[int, tuple[int, int]
     """The curve as one subcurve, and each crossing's occurrence chord."""
     arr = build_arrangement(curve)
     full = curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr)))
-    return full, {v: _occurrence_chord(full, v) for v in range(len(arr.vertices))}
+    return full, arr.vertex_passes
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:

@@ -37,9 +37,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .arrangement import Arrangement, PlaneCurve, build_arrangement, rotation_number, tree_cotree
+from .arrangement import PlaneCurve, build_arrangement, rotation_number, tree_cotree
 from .words import CyclicWord, Letter, blank_word, build_cable_system
 
 
@@ -251,44 +251,45 @@ def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     return value, witness
 
 
-def norm_bruteforce(word: CyclicWord, cap: int = 14) -> Fraction:
-    """Exhaustive minimum over all unlinked pairing sets.
+def _unlinked_pairing_sets(word: CyclicWord, cap: int) -> Iterator[frozenset[Pairing]]:
+    """Every set of pairwise-unlinked, position-disjoint pairings.
 
-    Independent of the DP in every respect; used as the testing oracle.
+    Exhaustive, for the testing oracles; raises ``CapExceeded`` on the
+    call, before the first set, when the word is longer than ``cap``.
     """
     m = len(word)
     if m > cap:
         raise CapExceeded(f"word length {m} exceeds cap {cap}")
-    letters = word.letters
-    weights = word.weights
-    best = [sum((weights[f] for f, _ in letters), Fraction(0))]
 
-    def recurse(pos: int, chosen: list[Pairing], taken: set[int], cost: Fraction):
+    def extend(pos: int, chosen: list[Pairing], taken: set[int]) -> Iterator[frozenset[Pairing]]:
         if pos == m:
-            if cost < best[0]:
-                best[0] = cost
+            yield frozenset(chosen)
             return
+        yield from extend(pos + 1, chosen, taken)           # leave pos unpaired
         if pos in taken:
-            recurse(pos + 1, chosen, taken, cost)
             return
-        f, s = letters[pos]
-        # leave unpaired
-        recurse(pos + 1, chosen, taken, cost + weights[f])
-        # pair with any later free inverse occurrence
+        f, s = word[pos]
         for q in range(pos + 1, m):
-            if q in taken or letters[q] != (f, -s):
+            if q in taken or word[q] != (f, -s):
                 continue
             p = Pairing(pos, q)
             if any(is_linked(p, c, word) for c in chosen):
                 continue
             chosen.append(p)
             taken.add(q)
-            recurse(pos + 1, chosen, taken, cost)
+            yield from extend(pos + 1, chosen, taken)
             taken.remove(q)
             chosen.pop()
 
-    recurse(0, [], set(), Fraction(0))
-    return best[0]
+    return extend(0, [], set())
+
+
+def norm_bruteforce(word: CyclicWord, cap: int = 14) -> Fraction:
+    """Exhaustive minimum over all unlinked pairing sets.
+
+    Independent of the DP in every respect; used as the testing oracle.
+    """
+    return min(Folding(word, chosen).area for chosen in _unlinked_pairing_sets(word, cap))
 
 
 def complete_to_maximal(word: CyclicWord, folding: Folding) -> Folding:
@@ -425,35 +426,8 @@ def _positive_witness_ok(word: CyclicWord, folding: Folding) -> bool:
 
 def positively_foldable_bruteforce(word: CyclicWord, cap: int = 12) -> bool:
     """Oracle: search all foldings for a valid positive witness."""
-    m = len(word)
-    if m > cap:
-        raise CapExceeded(f"word length {m} exceeds cap {cap}")
-
-    def recurse(pos: int, chosen: list[Pairing], taken: set[int]) -> bool:
-        if pos == m:
-            return _positive_witness_ok(word, Folding(word, frozenset(chosen)))
-        if pos in taken:
-            return recurse(pos + 1, chosen, taken)
-        if recurse(pos + 1, chosen, taken):
-            return True
-        f, s = word[pos]
-        for q in range(pos + 1, m):
-            if q in taken or word[q] != (f, -s):
-                continue
-            p = Pairing(pos, q)
-            if any(is_linked(p, c, word) for c in chosen):
-                continue
-            chosen.append(p)
-            taken.add(q)
-            if recurse(pos + 1, chosen, taken):
-                chosen.pop()
-                taken.remove(q)
-                return True
-            chosen.pop()
-            taken.remove(q)
-        return False
-
-    return recurse(0, [], set())
+    return any(_positive_witness_ok(word, Folding(word, chosen))
+               for chosen in _unlinked_pairing_sets(word, cap))
 
 
 # ---------------------------------------------------------------------------

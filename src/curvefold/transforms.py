@@ -8,11 +8,17 @@ around the basepoint, and a full twist about a loop enclosing exactly
 two cable endpoints.  Both are implemented as explicit substitutions on
 the word, together with *transport* maps that carry a folding of the old
 word to a folding of the new word with exactly the same area.
+
+The twist wraps each letter of cable i or j in a prefix block and, after
+it, the formal inverse of that block, both of one length L.  The added
+letters are therefore a reflection about the letter they wrap: the
+letter at position p, added around the letter at c, is inverted by the
+letter at 2c - p.  The transports pair and follow added letters by this
+arithmetic alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .folding import Folding, Pairing
@@ -148,44 +154,27 @@ def transport_folding_switch(word: CyclicWord, word_switched: CyclicWord,
 # the twist about a loop around two cable ends
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One letter of the twisted word with its provenance."""
+def _twist_layout(word: CyclicWord, i: int, j: int,
+                  B: Sequence[Letter]) -> tuple[list[Letter], list[int]]:
+    """The twisted letters, and for each new position p the position of
+    the original letter whose blocks hold p (p itself for an original).
 
-    letter: Letter
-    orig: Optional[int]          # original position, if the letter survives
-    host: Optional[int] = None   # original position whose block added it
-    block: Optional[str] = None  # "pre" or "suf"
-    index: int = -1
-
-
-def _twist_blocks(i: int, j: int, B: Sequence[Letter], letter: Letter) -> Optional[tuple[tuple[Letter, ...], tuple[Letter, ...]]]:
-    """Conjugating blocks inserted around one original letter, if any."""
+    A letter of cable i or j that lands at c is wrapped in a prefix block
+    at c-L .. c-1 and its formal inverse at c+1 .. c+L, L = 2 len(B) + 2,
+    so the added letter at p is inverted by its twin at 2 centre[p] - p.
+    """
     Bi = tuple(B)
     Bb = invert_sequence(Bi)
-    f, _ = letter
-    if f == i:
-        return ((i, -1), *Bb, (j, -1), *Bi), (*Bb, (j, 1), *Bi, (i, 1))
-    if f == j:
-        return ((*Bi, (i, -1), *Bb, (j, -1))), ((j, 1), *Bi, (i, 1), *Bb)
-    return None
-
-
-def _twist_layout(word: CyclicWord, i: int, j: int, B: Sequence[Letter]) -> list[_Slot]:
-    slots: list[_Slot] = []
-    for k in range(len(word)):
-        letter = word[k]
-        blocks = _twist_blocks(i, j, B, letter)
-        if blocks is None:
-            slots.append(_Slot(letter, orig=k))
-            continue
-        pre, suf = blocks
-        for t, l in enumerate(pre):
-            slots.append(_Slot(l, orig=None, host=k, block="pre", index=t))
-        slots.append(_Slot(letter, orig=k))
-        for t, l in enumerate(suf):
-            slots.append(_Slot(l, orig=None, host=k, block="suf", index=t))
-    return slots
+    # i last, so that its blocks win when i == j
+    prefix = {j: (*Bi, (i, -1), *Bb, (j, -1)), i: ((i, -1), *Bb, (j, -1), *Bi)}
+    blocks = {f: (pre, invert_sequence(pre)) for f, pre in prefix.items()}
+    letters: list[Letter] = []
+    centre: list[int] = []
+    for letter in word:
+        pre, suf = blocks.get(letter[0], ((), ()))
+        centre += [len(letters) + len(pre)] * (len(pre) + 1 + len(suf))
+        letters += (*pre, letter, *suf)
+    return letters, centre
 
 
 def dehn_twist(word: CyclicWord, i: int, j: int, B: Sequence[Letter]) -> CyclicWord:
@@ -195,29 +184,8 @@ def dehn_twist(word: CyclicWord, i: int, j: int, B: Sequence[Letter]) -> CyclicW
     from the bundle word B of the cables lying between them; crossings
     with other cables are untouched.
     """
-    slots = _twist_layout(word, i, j, B)
-    return CyclicWord(tuple(s.letter for s in slots), word.weights)
-
-
-def _mirror(slots: list[_Slot]) -> dict[int, int]:
-    """Position of each added letter's conjugate inverse twin.
-
-    The blocks flanking one original letter mirror each other: entry t of
-    the prefix inverts entry L-1-t of the suffix.
-    """
-    by_key = {(s.host, s.block, s.index): p
-              for p, s in enumerate(slots) if s.orig is None}
-    length = {}
-    for s in slots:
-        if s.orig is None:
-            length[s.host] = max(length.get(s.host, 0), s.index + 1)
-    twin: dict[int, int] = {}
-    for p, s in enumerate(slots):
-        if s.orig is None:
-            other = "suf" if s.block == "pre" else "pre"
-            q = by_key[(s.host, other, length[s.host] - 1 - s.index)]
-            twin[p] = q
-    return twin
+    letters, _ = _twist_layout(word, i, j, B)
+    return CyclicWord(letters, word.weights)
 
 
 def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
@@ -231,14 +199,11 @@ def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
     one against suffix of the other), which matches because the blocks
     are conjugate mirror images.
     """
-    slots = _twist_layout(word, i, j, B)
-    assert CyclicWord(tuple(s.letter for s in slots), word.weights) == word_twisted, \
+    letters, centre = _twist_layout(word, i, j, B)
+    assert CyclicWord(letters, word.weights) == word_twisted, \
         "second word must be the twist of the first"
-    pos_of = {s.orig: p for p, s in enumerate(slots) if s.orig is not None}
-    blocks: dict[tuple[int, str], list[int]] = {}
-    for p, s in enumerate(slots):
-        if s.orig is None:
-            blocks.setdefault((s.host, s.block), []).append(p)
+    pos_of = [p for p, c in enumerate(centre) if c == p]
+    L = 2 * len(B) + 2
 
     paired_with = {}
     for p in folding.pairings:
@@ -247,26 +212,16 @@ def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
 
     pairings = {Pairing(min(pos_of[p.i], pos_of[p.j]), max(pos_of[p.i], pos_of[p.j]))
                 for p in folding.pairings}
-
-    def pair_blocks(xs: list[int], ys: list[int]) -> None:
-        assert len(xs) == len(ys)
-        for t, x in enumerate(xs):
-            y = ys[len(ys) - 1 - t]
-            a, b = min(x, y), max(x, y)
-            pairings.add(Pairing(a, b))
-
-    done: set[int] = set()
-    for k in range(len(word)):
-        if (k, "pre") not in blocks or k in done:
-            continue
+    for k, c in enumerate(pos_of):
         mate = paired_with.get(k)
+        if word[k][0] not in (i, j) or (mate is not None and mate < k):
+            continue                      # no blocks, or paired off with its mate
         if mate is None:
-            pair_blocks(blocks[(k, "pre")], blocks[(k, "suf")])
-            done.add(k)
+            pairings.update(Pairing(c - 1 - t, c + 1 + t) for t in range(L))
         else:
-            pair_blocks(blocks[(k, "suf")], blocks[(mate, "pre")])
-            pair_blocks(blocks[(mate, "suf")], blocks[(k, "pre")])
-            done.update((k, mate))
+            d = pos_of[mate]              # c < d: the mate comes later
+            pairings.update(Pairing(c + 1 + t, d - 1 - t) for t in range(L))
+            pairings.update(Pairing(c - 1 - t, d + 1 + t) for t in range(L))
 
     result = Folding(word_twisted, frozenset(pairings))
     assert result.area == folding.area
@@ -286,9 +241,9 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
     face).  Both maps are injective, so the chain terminates; a visit set
     guards against malformed input.
     """
-    slots = _twist_layout(word, i, j, B)
-    assert CyclicWord(tuple(s.letter for s in slots), word.weights) == word_twisted
-    twin = _mirror(slots)
+    letters, centre = _twist_layout(word, i, j, B)
+    assert CyclicWord(letters, word.weights) == word_twisted
+    orig = {q: k for k, q in enumerate(q for q, c in enumerate(centre) if c == q)}
     partner: dict[int, int] = {}
     for p in folding_twisted.pairings:
         partner[p.i] = p.j
@@ -298,15 +253,14 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
     assigned: set[int] = set()
     for p in folding_twisted.pairings:
         a, b = p.i, p.j
-        sa, sb = slots[a], slots[b]
-        if sa.orig is not None and sb.orig is not None:
-            pairings.append(Pairing(min(sa.orig, sb.orig), max(sa.orig, sb.orig)))
-            assigned.update((sa.orig, sb.orig))
-        elif sa.orig is None and sb.orig is None:
+        if a in orig and b in orig:
+            pairings.append(Pairing(min(orig[a], orig[b]), max(orig[a], orig[b])))
+            assigned.update((orig[a], orig[b]))
+        elif a not in orig and b not in orig:
             continue
         else:
-            start, added = (sa, b) if sa.orig is not None else (sb, a)
-            if start.orig in assigned:
+            start, added = (orig[a], b) if a in orig else (orig[b], a)
+            if start in assigned:
                 continue
             visited: set[int] = set()
             cur = added
@@ -314,20 +268,20 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
             while True:
                 assert cur not in visited, "the alternating chain must not loop"
                 visited.add(cur)
-                t = twin[cur]
+                t = 2 * centre[cur] - cur
                 if t in visited:
                     break
                 visited.add(t)
                 nxt = partner.get(t)
                 if nxt is None:
                     break                      # unpaired twin: survivor stays unpaired
-                if slots[nxt].orig is not None:
-                    end = slots[nxt].orig
+                if nxt in orig:
+                    end = orig[nxt]
                     break
                 cur = nxt
             if end is not None and end not in assigned:
-                pairings.append(Pairing(min(start.orig, end), max(start.orig, end)))
-                assigned.update((start.orig, end))
+                pairings.append(Pairing(min(start, end), max(start, end)))
+                assigned.update((start, end))
 
     result = Folding(word, frozenset(pairings))
     assert result.area <= folding_twisted.area

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CURVES_DIR
+from curvefold import cli, folding
+from curvefold.arrangement import build_arrangement
 from curvefold.cli import _svg_num, main
 
 
@@ -168,6 +170,31 @@ def test_non_generic_curve_is_input_error(tmp_path):
     res = run("analyze", "--input", str(bad))
     assert res.exit_code == 2
     assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
+
+
+def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
+    # rotation 0, so the verdict is known before the arrangement is built
+    bad = tmp_path / "touch.json"
+    bad.write_text(json.dumps(
+        {"points": [[0, 0], [4, 3], [4, -3], [-4, 3], [-4, -3]]}))
+    res = run("selfoverlap", "--input", str(bad))
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
+
+
+@pytest.mark.parametrize("name", ["bowtie", "hook", "square"])
+def test_selfoverlap_builds_the_arrangement_once(monkeypatch, name):
+    builds = []
+
+    def counted(curve):
+        builds.append(curve)
+        return build_arrangement(curve)
+
+    monkeypatch.setattr(cli, "build_arrangement", counted)
+    monkeypatch.setattr(folding, "build_arrangement", counted)
+    res = run("selfoverlap", "--input", curve_path(name))
+    assert res.exit_code == 0
+    assert len(builds) == 1
 
 
 def test_weights_file_mode_requires_weights(tmp_path):

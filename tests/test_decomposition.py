@@ -7,13 +7,11 @@ import pytest
 from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
 from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
-                                     LinkedVertices, NotAStack,
+                                     LinkedVertices, NotAStack, _occurrence_chord,
                                      blank_cut, certify_subcurve,
                                      curve_subcurve, cut_along_folding,
-                                     faces_around_vertex, homotopy_trace,
-                                     is_good, min_area_sod,
-                                     sign_changing_vertices, smooth_at,
-                                     sod_oracle, sod_to_folding,
+                                     homotopy_trace, is_good, min_area_sod,
+                                     smooth_at, sod_oracle, sod_to_folding,
                                      stack_decompose, vertices_linked)
 from curvefold.folding import (Folding, Pairing, cancellation_norm,
                                complete_to_maximal, is_linked)
@@ -39,6 +37,8 @@ def test_full_subcurve_matches_word(corpus_name):
         assert sc.signed_count(f.id) == f.winding
         assert sc.unsigned_count(f.id) == f.depth
     assert sc.crossings() == sorted(v.id for v in arr.vertices)
+    # each crossing's chord is the pair of passes the arrangement records
+    assert {v: _occurrence_chord(sc, v) for v in range(len(arr.vertices))} == arr.vertex_passes
 
 
 def test_full_subcurve_rotation(corpus_name):
@@ -51,7 +51,9 @@ def test_full_subcurve_rotation_on_random_polygons(seed, corners):
     # the pieces split segments at crossings, so parallel steps occur
     curve, arr = random_generic_polygon(random.Random(seed), corners)
     cables = build_cable_system(arr, tree_cotree(arr))
-    assert curve_subcurve(arr, cables).rotation == rotation_number(curve)
+    sc = curve_subcurve(arr, cables)
+    assert sc.rotation == rotation_number(curve)
+    assert {v: _occurrence_chord(sc, v) for v in range(len(arr.vertices))} == arr.vertex_passes
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,29 @@ def test_is_good_on_corpus():
     }
     for name, good in expected.items():
         assert is_good(full_piece(name)) == good, name
+
+
+def faces_around_vertex(arr, vid):
+    """The four incident faces in ccw wedge order."""
+    darts = arr.vertices[vid].darts_ccw
+    wedges = tuple(arr.dart_face(d) for d in darts)
+    for k, d in enumerate(darts):
+        nxt = darts[(k + 1) % 4]
+        assert arr.dart_face(nxt.twin) == wedges[k], "wedge faces disagree"
+    return wedges
+
+
+def sign_changing_vertices(sc):
+    """Crossings whose four wedge windings read [+1, 0, -1, 0] cyclically."""
+    wind = sc.windings()
+    out = []
+    for v in sc.crossings():
+        ws = [wind.get(f, 0) for f in faces_around_vertex(sc.arr, v)]
+        for r in range(4):
+            if [ws[(r + t) % 4] for t in range(4)] == [1, 0, -1, 0]:
+                out.append(v)
+                break
+    return out
 
 
 def test_faces_around_vertex_wedges():

@@ -12,11 +12,18 @@ against its recursive form.  Norms, witness pairings, trace steps and
 accept/reject verdicts must be identical, on long seeded words with
 ``p/q`` weights and on the words of random generic polygons, whose face
 areas have large denominators.
+
+The twist and its two transports lay the twisted word out by position
+arithmetic; their oracle records every letter's provenance (original
+position, or host letter, block and index) and finds each added
+letter's inverse twin through a lookup table.  Twisted letters and
+transported pairings must be identical.
 """
 
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,9 +32,10 @@ import pytest
 from conftest import RANDOM_POLYGONS, random_generic_polygon
 from curvefold.arrangement import tree_cotree
 from curvefold.decomposition import ContractStep, CutStep, homotopy_trace
-from curvefold.folding import (Folding, Pairing, cancellation_norm, is_linked,
-                               positively_foldable)
-from curvefold.words import CyclicWord, blank_word, build_cable_system
+from curvefold.folding import (Folding, Pairing, cancellation_norm, complete_to_maximal,
+                               is_linked, positively_foldable)
+from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
+from curvefold.words import CyclicWord, blank_word, build_cable_system, invert_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +180,142 @@ def folding_valid_oracle(word: CyclicWord, pairings) -> bool:
     return not any(is_linked(p, q, word) for p, q in itertools.combinations(pairings, 2))
 
 
+@dataclass(frozen=True)
+class _Slot:
+    """One letter of the twisted word with its provenance."""
+
+    letter: tuple[int, int]
+    orig: Optional[int]          # original position, if the letter survives
+    host: Optional[int] = None   # original position whose block added it
+    block: Optional[str] = None  # "pre" or "suf"
+    index: int = -1
+
+
+def _twist_blocks(i, j, B, letter):
+    """Conjugating blocks inserted around one original letter, if any."""
+    Bi = tuple(B)
+    Bb = invert_sequence(Bi)
+    f, _ = letter
+    if f == i:
+        return ((i, -1), *Bb, (j, -1), *Bi), (*Bb, (j, 1), *Bi, (i, 1))
+    if f == j:
+        return ((*Bi, (i, -1), *Bb, (j, -1))), ((j, 1), *Bi, (i, 1), *Bb)
+    return None
+
+
+def _twist_slots(word, i, j, B) -> list[_Slot]:
+    slots = []
+    for k in range(len(word)):
+        letter = word[k]
+        blocks = _twist_blocks(i, j, B, letter)
+        if blocks is None:
+            slots.append(_Slot(letter, orig=k))
+            continue
+        pre, suf = blocks
+        for t, l in enumerate(pre):
+            slots.append(_Slot(l, orig=None, host=k, block="pre", index=t))
+        slots.append(_Slot(letter, orig=k))
+        for t, l in enumerate(suf):
+            slots.append(_Slot(l, orig=None, host=k, block="suf", index=t))
+    return slots
+
+
+def _mirror(slots) -> dict[int, int]:
+    """Entry t of a prefix inverts entry L-1-t of the same letter's suffix."""
+    by_key = {(s.host, s.block, s.index): p
+              for p, s in enumerate(slots) if s.orig is None}
+    length = {}
+    for s in slots:
+        if s.orig is None:
+            length[s.host] = max(length.get(s.host, 0), s.index + 1)
+    twin = {}
+    for p, s in enumerate(slots):
+        if s.orig is None:
+            other = "suf" if s.block == "pre" else "pre"
+            twin[p] = by_key[(s.host, other, length[s.host] - 1 - s.index)]
+    return twin
+
+
+def twist_oracle(word, i, j, B) -> tuple:
+    return tuple(s.letter for s in _twist_slots(word, i, j, B))
+
+
+def transport_twist_oracle(word, folding, i, j, B) -> frozenset[Pairing]:
+    """Survivors move; blocks pair mirror-wise or across a pairing."""
+    slots = _twist_slots(word, i, j, B)
+    pos_of = {s.orig: p for p, s in enumerate(slots) if s.orig is not None}
+    blocks = {}
+    for p, s in enumerate(slots):
+        if s.orig is None:
+            blocks.setdefault((s.host, s.block), []).append(p)
+    paired_with = {}
+    for p in folding.pairings:
+        paired_with[p.i] = p.j
+        paired_with[p.j] = p.i
+    pairings = {Pairing(min(pos_of[p.i], pos_of[p.j]), max(pos_of[p.i], pos_of[p.j]))
+                for p in folding.pairings}
+
+    def pair_blocks(xs, ys):
+        for t, x in enumerate(xs):
+            y = ys[len(ys) - 1 - t]
+            pairings.add(Pairing(min(x, y), max(x, y)))
+
+    done = set()
+    for k in range(len(word)):
+        if (k, "pre") not in blocks or k in done:
+            continue
+        mate = paired_with.get(k)
+        if mate is None:
+            pair_blocks(blocks[(k, "pre")], blocks[(k, "suf")])
+            done.add(k)
+        else:
+            pair_blocks(blocks[(k, "suf")], blocks[(mate, "pre")])
+            pair_blocks(blocks[(mate, "suf")], blocks[(k, "pre")])
+            done.update((k, mate))
+    return frozenset(pairings)
+
+
+def back_transport_twist_oracle(word, folding_twisted, i, j, B) -> frozenset[Pairing]:
+    """Chains of pairing and twin steps from a survivor to a survivor."""
+    slots = _twist_slots(word, i, j, B)
+    twin = _mirror(slots)
+    partner = {}
+    for p in folding_twisted.pairings:
+        partner[p.i] = p.j
+        partner[p.j] = p.i
+    pairings, assigned = [], set()
+    for p in folding_twisted.pairings:
+        sa, sb = slots[p.i], slots[p.j]
+        if sa.orig is not None and sb.orig is not None:
+            pairings.append(Pairing(min(sa.orig, sb.orig), max(sa.orig, sb.orig)))
+            assigned.update((sa.orig, sb.orig))
+            continue
+        if sa.orig is None and sb.orig is None:
+            continue
+        start, cur = (sa, p.j) if sa.orig is not None else (sb, p.i)
+        if start.orig in assigned:
+            continue
+        visited, end = set(), None
+        while True:
+            assert cur not in visited, "the alternating chain must not loop"
+            visited.add(cur)
+            t = twin[cur]
+            if t in visited:
+                break
+            visited.add(t)
+            nxt = partner.get(t)
+            if nxt is None:
+                break
+            if slots[nxt].orig is not None:
+                end = slots[nxt].orig
+                break
+            cur = nxt
+        if end is not None and end not in assigned:
+            pairings.append(Pairing(min(start.orig, end), max(start.orig, end)))
+            assigned.update((start.orig, end))
+    return frozenset(pairings)
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -310,3 +454,44 @@ def test_folding_verdicts_match_the_pairwise_check(source):
             assert got == expected, sorted(pairings)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def twist_cases():
+    """(word, i, j, bundle) over seeded words: flat and nested, short and
+    long, empty and longer bundles, and words without an i or j letter."""
+    rng = random.Random(6606)
+    cases = []
+    for n in range(48):
+        faces = rng.randint(2, 6)
+        length = rng.randint(1, 30)
+        letters = (nested_letters(rng, length, faces) if n % 2 else
+                   [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(length)])
+        i, j = rng.sample(range(1, faces + 3), 2)     # faces + 1, + 2 never occur
+        B = [(rng.randint(1, faces + 2), rng.choice((1, -1))) for _ in range(n % 4)]
+        weights = {f: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for f in range(1, faces + 3)}
+        cases.append((CyclicWord(letters, weights), i, j, B))
+    return cases
+
+
+def test_twist_and_its_transports_match_the_provenance_oracle():
+    rng = random.Random(6607)
+    seen = {"empty bundle": 0, "no i or j letter": 0, "wrapped pair": 0, "chain": 0}
+    for word, i, j, B in twist_cases():
+        twisted = dehn_twist(word, i, j, B)
+        assert twisted.letters == twist_oracle(word, i, j, B)
+        seen["empty bundle"] += not B
+        seen["no i or j letter"] += all(f not in (i, j) for f, _ in word)
+
+        for folding in (complete_to_maximal(word, cancellation_norm(word)[1]),
+                        greedy_folding(rng, word)):
+            moved = transport_folding_twist(word, twisted, folding, i, j, B)
+            assert moved.pairings == transport_twist_oracle(word, folding, i, j, B)
+            seen["wrapped pair"] += any(word[p.i][0] in (i, j) for p in folding.pairings)
+
+        for folding in (complete_to_maximal(twisted, cancellation_norm(twisted)[1]),
+                        greedy_folding(rng, twisted)):
+            pulled = back_transport_twist(word, twisted, folding, i, j, B)
+            assert pulled.pairings == back_transport_twist_oracle(word, folding, i, j, B)
+            kept = [s.orig is not None for s in _twist_slots(word, i, j, B)]
+            seen["chain"] += any(kept[p.i] != kept[p.j] for p in folding.pairings)
+    assert all(seen.values()), seen
