@@ -14,14 +14,13 @@ from fractions import Fraction
 import click
 
 from .arrangement import (Arrangement, CurveError, PlaneCurve, build_arrangement,
-                          face_measures, fraction_str, parse_curve, rotation_number,
-                          tree_cotree)
+                          face_measures, fraction_str, parse_curve, rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable,
                       positively_foldable_bruteforce)
-from .words import (blank_word, build_cable_system, combined_word, cyclic_equal,
-                    derive_flattening, letter_str, nie_word, word_to_json)
+from .words import (combined_word, cyclic_equal, derive_flattening, face_word,
+                    letter_str, nie_word, word_to_json)
 
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT_ERROR = 3
@@ -40,6 +39,12 @@ def _emit(doc) -> None:
 def _fail(exit_code: int, code: str, message: str) -> None:
     _emit({"error": {"code": code, "message": message}})
     sys.exit(exit_code)
+
+
+def _check(ok: bool, message: str) -> None:
+    """A cross-check that ``python -O`` keeps; failing it exits 3."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def _load_curve(path: str, weights_mode: str) -> PlaneCurve:
@@ -68,14 +73,6 @@ def _folding_json(folding: Folding) -> dict:
         "pairings": sorted([p.i, p.j] for p in folding.pairings),
         "area": fraction_str(folding.area),
     }
-
-
-def _word_pipeline(curve: PlaneCurve):
-    arr = build_arrangement(curve)
-    tc = tree_cotree(arr)
-    cables = build_cable_system(arr, tc)
-    word = blank_word(arr, cables)
-    return arr, tc, cables, word
 
 
 WEIGHTS = click.option("--weights", "weights_mode",
@@ -138,10 +135,10 @@ def analyze(path: str, weights_mode: str) -> None:
 def word(path: str, weights_mode: str) -> None:
     """Face word of the curve, three ways, with equality checks."""
     curve = _load_curve(path, weights_mode)
-    arr, tc, cables, bw = _word_pipeline(curve)
-    nw = nie_word(arr, tc, derive_flattening(cables))
-    cw = combined_word(arr, cables)
-    assert cyclic_equal(bw, nw), "word constructions must agree"
+    cables, bw = face_word(curve)
+    nw = nie_word(cables.arr, cables.tc, derive_flattening(cables))
+    cw = combined_word(cables.arr, cables)
+    _check(cyclic_equal(bw, nw), "word constructions must agree")
     _emit({
         "blank_word": word_to_json(bw),
         "nie_word": word_to_json(nw),
@@ -162,7 +159,7 @@ def word(path: str, weights_mode: str) -> None:
 def norm(path: str, weights_mode: str, oracle: bool) -> None:
     """Cancellation norm of the face word, with witness folding."""
     curve = _load_curve(path, weights_mode)
-    _, _, _, w = _word_pipeline(curve)
+    _, w = face_word(curve)
     value, witness = cancellation_norm(w)
     doc = {
         "word": word_to_json(w),
@@ -174,7 +171,7 @@ def norm(path: str, weights_mode: str, oracle: bool) -> None:
             brute = norm_bruteforce(w)
         except CapExceeded as exc:
             raise CliError("oracle_cap", str(exc))
-        assert brute == value, "norm oracle disagrees with the DP"
+        _check(brute == value, "norm oracle disagrees with the DP")
         doc["oracle"] = fraction_str(brute)
     _emit(doc)
 
@@ -206,7 +203,7 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
         except CapExceeded as exc:
             raise CliError("oracle_cap", str(exc))
         fast, _ = positively_foldable(w)
-        assert ok == fast, "positive-foldability oracle disagrees"
+        _check(ok == fast, "positive-foldability oracle disagrees")
         doc["oracle"] = ok
     _emit(doc)
 
@@ -238,7 +235,7 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
     }
     if oracle:
         other = sod_oracle(curve)
-        assert other.area == sod.area, "decomposition oracle disagrees"
+        _check(other.area == sod.area, "decomposition oracle disagrees")
         doc["oracle_area"] = fraction_str(other.area)
     _emit(doc)
 
@@ -250,10 +247,10 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
 def homotopy(path: str, weights_mode: str) -> None:
     """Minimum-area contraction schedule for the curve."""
     curve = _load_curve(path, weights_mode)
-    _, _, _, w = _word_pipeline(curve)
+    _, w = face_word(curve)
     value, witness = cancellation_norm(w)
     trace = homotopy_trace(witness)
-    assert trace.total_area == value, "trace total must equal the norm"
+    _check(trace.total_area == value, "trace total must equal the norm")
     steps = []
     for step in trace.steps:
         if isinstance(step, CutStep):
@@ -392,15 +389,11 @@ def render(path: str, weights_mode: str, fmt: str,
            cables: bool, decomposition: bool) -> None:
     """Render the curve (SVG by default)."""
     curve = _load_curve(path, weights_mode)
-    arr = build_arrangement(curve)
-    cs = None
-    if cables:
-        tc = tree_cotree(arr)
-        cs = build_cable_system(arr, tc)
+    cs, _ = face_word(curve)
     pieces = None
     if decomposition:
         pieces = min_area_sod(curve).subcurves
-    svg = render_svg(arr, cables=cs, pieces=pieces)
+    svg = render_svg(cs.arr, cables=cs if cables else None, pieces=pieces)
     if fmt == "svg":
         click.echo(svg, nl=False)
     else:

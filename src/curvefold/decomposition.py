@@ -23,11 +23,11 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .arrangement import Arrangement, PlaneCurve, build_arrangement, tree_cotree, turning_of_directions
-from .folding import Folding, Pairing, cancellation_norm, positively_foldable
-from .words import CyclicWord, Letter, build_cable_system
+from .arrangement import Arrangement, PlaneCurve, turning_of_directions
+from .folding import Folding, Pairing, cancellation_norm, chords_cross, positively_foldable
+from .words import CableSystem, CyclicWord, Letter, face_word
 
 
 class InvalidPairing(Exception):
@@ -130,15 +130,11 @@ class Subcurve:
 def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
     """The whole curve as a subcurve, aligned with its combined word."""
     entries: list[SubcurveEntry] = []
-    seen: dict[int, int] = {}
     pos = 0
     for t, d in enumerate(arr.traversal):
-        v = arr.dart_tail(d)
-        if v is not None:
-            seen[v] = seen.get(v, 0) + 1
         letters = cables.letters.get(d.edge, ())
         entries.append(SubcurveEntry(
-            dart=t, tail_vertex=v, letters=letters,
+            dart=t, tail_vertex=arr.dart_tail(d), letters=letters,
             positions=tuple(range(pos, pos + len(letters)))))
         pos += len(letters)
     return Subcurve(entries=tuple(entries), weights=arr.face_weights(), arr=arr)
@@ -146,14 +142,6 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
 
 # ---------------------------------------------------------------------------
 # smoothing
-
-
-def vertices_linked(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Do two occurrence chords interleave around the cycle?"""
-    (a1, a2), inside = sorted(a), 0
-    for x in b:
-        inside += 1 if a1 < x < a2 else 0
-    return inside == 1
 
 
 def _occurrence_chord(sc: Subcurve, v: int) -> tuple[int, int]:
@@ -174,7 +162,7 @@ def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
     vs = sorted(set(vertices))
     chords = {v: _occurrence_chord(sc, v) for v in vs}
     for u, v in itertools.combinations(vs, 2):
-        if vertices_linked(chords[u], chords[v]):
+        if chords_cross(chords[u], chords[v]):
             raise LinkedVertices(f"vertices {u} and {v} are linked")
 
     n = len(sc.entries)
@@ -308,41 +296,24 @@ def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
 
     Accepts rotation +1 with a positively foldable word, or rotation -1
     with a positively foldable inverse word (the piece read backwards).
+    A cut piece hides its rotation; it is accepted when its minimum
+    contraction cost equals its winding area and either orientation
+    folds positively, which is a necessary-condition certificate.
     """
     rot = sc.rotation
-    if rot is None:
-        return _certify_word_only(sc)
-    if rot == 1:
-        ok, witness = positively_foldable(sc.word())
-        if ok:
-            return True, {"rotation": 1, "witness": witness}
-        return False, {"reason": "not_positively_foldable", "rotation": rot}
-    if rot == -1:
-        ok, witness = positively_foldable(sc.word().inverse())
-        if ok:
-            return True, {"rotation": -1, "witness": witness, "reversed": True}
-        return False, {"reason": "not_positively_foldable", "rotation": rot}
-    return False, {"reason": f"rotation_number={rot}"}
-
-
-def _certify_word_only(sc: Subcurve) -> tuple[bool, dict]:
-    """Fallback for cut pieces: winding-area equality via the norm.
-
-    A piece is self-overlapping (either orientation) only if its minimum
-    contraction cost equals its winding area and one orientation folds
-    positively; without geometry the rotation test is unavailable, so
-    this is a necessary-condition certificate.
-    """
+    if rot not in (None, 1, -1):
+        return False, {"reason": f"rotation_number={rot}"}
     word = sc.word()
-    value, _ = cancellation_norm(word)
-    if value != sc.area_w():
-        return False, {"reason": "norm_exceeds_winding_area"}
-    for rot, w in ((1, word), (-1, word.inverse())):
-        ok, witness = positively_foldable(w)
+    if rot is None:
+        value, _ = cancellation_norm(word)
+        if value != sc.area_w():
+            return False, {"reason": "norm_exceeds_winding_area"}
+    for sign in ((1, -1) if rot is None else (rot,)):
+        ok, witness = positively_foldable(word if sign == 1 else word.inverse())
         if ok:
-            return True, {"rotation": None, "witness": witness,
-                          "reversed": rot == -1}
-    return False, {"reason": "not_positively_foldable"}
+            return True, {"rotation": rot, "witness": witness, "reversed": sign == -1}
+    fail = {"reason": "not_positively_foldable"}
+    return False, fail if rot is None else {**fail, "rotation": rot}
 
 
 def stack_decompose(sc: Subcurve) -> list[Subcurve]:
@@ -404,7 +375,7 @@ def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> list[tuple[int, ...
     """All pairwise non-crossing vertex subsets, smallest first."""
     vs = sorted(chords)
     compatible = {
-        (u, v): not vertices_linked(chords[u], chords[v])
+        (u, v): not chords_cross(chords[u], chords[v])
         for u, v in itertools.combinations(vs, 2)
     }
     out: list[tuple[int, ...]] = []
@@ -415,23 +386,16 @@ def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> list[tuple[int, ...
     return out
 
 
-def _decomposition_for(full: Subcurve, combo: Sequence[int],
-                       word: CyclicWord) -> Optional[SelfOverlappingDecomposition]:
-    pieces = smooth_at(full, combo)
-    total = Fraction(0)
-    for piece in pieces:
-        ok, _ = certify_subcurve(piece)
-        if not ok:
-            return None
-        total += piece.area_w()
-    return SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), total, word)
-
-
-def _whole_curve(curve: PlaneCurve) -> tuple[Subcurve, dict[int, tuple[int, int]]]:
-    """The curve as one subcurve, and each crossing's occurrence chord."""
-    arr = build_arrangement(curve)
-    full = curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr)))
-    return full, arr.vertex_passes
+def _decompositions(cables: CableSystem,
+                    word: CyclicWord) -> Iterator[SelfOverlappingDecomposition]:
+    """Every self-overlapping decomposition by smoothing, fewest crossings
+    first; ``word`` is the face word of ``cables``."""
+    full = curve_subcurve(cables.arr, cables)
+    for combo in _unlinked_subsets(cables.arr.vertex_passes):
+        pieces = smooth_at(full, combo)
+        if all(certify_subcurve(piece)[0] for piece in pieces):
+            area = sum((piece.area_w() for piece in pieces), Fraction(0))
+            yield SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -441,37 +405,23 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     optimum; the search scans unlinked vertex subsets in increasing size
     and returns the first decomposition achieving it.
     """
-    full, chords = _whole_curve(curve)
-    word = full.word()
+    cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
-    best: Optional[SelfOverlappingDecomposition] = None
-    for combo in _unlinked_subsets(chords):
-        sod = _decomposition_for(full, combo, word)
-        if sod is None:
-            continue
+    for sod in _decompositions(cables, word):
         if sod.area == target:
             return sod
-        if best is None or sod.area < best.area:
-            best = sod
-    assert best is not None and best.area == target, \
-        "search must reach the cancellation norm"
-    return best
+    raise AssertionError("search must reach the cancellation norm")
 
 
 def sod_oracle(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     """Exhaustive minimum over all unlinked vertex pairings.
 
     Ignores the cancellation norm entirely; the testing cross-check for
-    ``min_area_sod`` on small curves.
+    ``min_area_sod`` on small curves.  Ties go to the first found.
     """
-    full, chords = _whole_curve(curve)
-    word = full.word()
-    best: Optional[SelfOverlappingDecomposition] = None
-    for combo in _unlinked_subsets(chords):
-        sod = _decomposition_for(full, combo, word)
-        if sod is not None and (best is None or sod.area < best.area):
-            best = sod
-    assert best is not None, "every curve admits at least one decomposition"
+    best = min(_decompositions(*face_word(curve)), key=lambda sod: sod.area, default=None)
+    if best is None:
+        raise AssertionError("every curve admits at least one decomposition")
     return best
 
 

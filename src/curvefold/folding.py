@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arrangement import PlaneCurve, build_arrangement, rotation_number, tree_cotree
-from .words import CyclicWord, Letter, blank_word, build_cable_system
+from .arrangement import PlaneCurve, rotation_number
+from .words import CyclicWord, Letter, face_word
 
 
 class CapExceeded(Exception):
@@ -67,18 +67,16 @@ def _check_pairing(word: CyclicWord, p: Pairing) -> None:
         raise ValueError(f"positions {p.i},{p.j} do not hold inverse letters")
 
 
+def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Do two chords between four distinct positions on a cycle interleave?"""
+    lo, hi = sorted(a)
+    return (lo < b[0] < hi) != (lo < b[1] < hi)
+
+
 def is_linked(p1: Pairing, p2: Pairing, word: CyclicWord) -> bool:
-    """Do the two pairings interleave in cyclic order?"""
+    """Do two position-disjoint pairings interleave in cyclic order?"""
     m = len(word)
-    a, b = p1.i % m, p1.j % m
-    inside = 0
-    for x in (p2.i % m, p2.j % m):
-        # is x strictly inside the arc from a forward to b?
-        if a < b:
-            inside += 1 if a < x < b else 0
-        else:
-            inside += 1 if (x > a or x < b) else 0
-    return inside == 1
+    return chords_cross((p1.i % m, p1.j % m), (p2.i % m, p2.j % m))
 
 
 @dataclass(frozen=True)
@@ -314,17 +312,15 @@ def complete_to_maximal(word: CyclicWord, folding: Folding) -> Folding:
                 candidates.append(Pairing(i, j))
     candidates.sort(key=lambda p: (min(p.i, p.j), arc_len(p.i, p.j), p.i, p.j))
 
-    changed = True
-    while changed:
-        changed = False
-        for p in candidates:
-            if p.i in taken or p.j in taken:
-                continue
-            if any(is_linked(p, c, word) for c in current):
-                continue
-            current.add(p)
-            taken.update(p.positions())
-            changed = True
+    # ``taken`` and ``current`` only grow, so a candidate skipped once
+    # stays skipped: one pass is maximal
+    for p in candidates:
+        if p.i in taken or p.j in taken:
+            continue
+        if any(is_linked(p, c, word) for c in current):
+            continue
+        current.add(p)
+        taken.update(p.positions())
     result = Folding(word, frozenset(current))
     assert result.area <= folding.area
     return result
@@ -443,9 +439,7 @@ def is_self_overlapping(curve: PlaneCurve) -> tuple[bool, dict]:
     rot = rotation_number(curve)
     if rot != 1:
         return False, {"reason": f"rotation_number={rot}"}
-    arr = build_arrangement(curve)
-    tc = tree_cotree(arr)
-    word = blank_word(arr, build_cable_system(arr, tc))
+    _, word = face_word(curve)
     ok, witness = positively_foldable(word)
     if not ok:
         return False, {"reason": "not_positively_foldable", "word": word}

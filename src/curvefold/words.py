@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .arrangement import Arrangement, TreeCotree
+from .arrangement import Arrangement, PlaneCurve, TreeCotree, build_arrangement, tree_cotree
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -314,6 +314,17 @@ def blank_word(arr: Arrangement, cables: CableSystem) -> CyclicWord:
     return CyclicWord(letters, arr.face_weights())
 
 
+def face_word(curve: PlaneCurve) -> tuple[CableSystem, CyclicWord]:
+    """The curve's default cable system and its traced face word.
+
+    Builds the arrangement and its tree/cotree once; the cable system
+    carries both (``.arr``, ``.tc``).
+    """
+    arr = build_arrangement(curve)
+    cables = build_cable_system(arr, tree_cotree(arr))
+    return cables, blank_word(arr, cables)
+
+
 # ---------------------------------------------------------------------------
 # the recursive construction
 
@@ -426,16 +437,15 @@ def is_vertex_token(tok) -> bool:
 
 
 def combined_word(arr: Arrangement, cables: CableSystem) -> CombinedWord:
-    """Interleave the intersection sequence with the cable crossings."""
+    """Interleave the intersection sequence with the cable crossings.
+
+    A vertex token numbers its pass 1 or 2 in traversal order, as
+    ``arr.vertex_passes`` lists them.
+    """
     tokens: list[object] = []
-    seen: dict[int, int] = {}
-    for d in arr.traversal:
+    for t, d in enumerate(arr.traversal):
         v = arr.dart_tail(d)
         if v is not None:
-            occ = seen.get(v, 0) + 1
-            seen[v] = occ
-            tokens.append(("v", v, occ))
+            tokens.append(("v", v, 1 if arr.vertex_passes[v][0] == t else 2))
         tokens.extend(cables.letters.get(d.edge, ()))
-    for v, occ in seen.items():
-        assert occ == 2, f"vertex {v} must appear exactly twice"
     return CombinedWord(tuple(tokens), arr.face_weights())

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvefold.arrangement import (CurveError, PlaneCurve, build_arrangement,
-                                   parse_curve, tree_cotree)
-from curvefold.words import blank_word, build_cable_system
+from curvefold.arrangement import CurveError, PlaneCurve, build_arrangement, parse_curve
+from curvefold.words import face_word
 
 CURVES_DIR = pathlib.Path(__file__).resolve().parent.parent / "curves"
 
@@ -27,11 +26,8 @@ def pipeline(name: str):
     """(curve, arrangement, tree-cotree, cables, blank word), cached."""
     if name not in _cache:
         curve = load_curve(name)
-        arr = build_arrangement(curve)
-        tc = tree_cotree(arr)
-        cables = build_cable_system(arr, tc)
-        word = blank_word(arr, cables)
-        _cache[name] = (curve, arr, tc, cables, word)
+        cables, word = face_word(curve)
+        _cache[name] = (curve, cables.arr, cables.tc, cables, word)
     return _cache[name]
 
 

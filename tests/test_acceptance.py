@@ -13,8 +13,8 @@ from conftest import CORPUS, load_curve, pipeline
 from curvefold.arrangement import tree_cotree
 from curvefold.decomposition import (certify_subcurve, curve_subcurve,
                                      homotopy_trace, min_area_sod, smooth_at,
-                                     sod_oracle, vertices_linked)
-from curvefold.folding import (Folding, Pairing, cancellation_norm,
+                                     sod_oracle)
+from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked,
                                is_self_overlapping, norm_bruteforce,
                                positively_foldable)
@@ -197,7 +197,7 @@ def test_decomposition_optimality_suite():
         for u in sod.vertex_pairs:
             for v in sod.vertex_pairs:
                 if u < v:
-                    assert not vertices_linked(chords[u], chords[v])
+                    assert not chords_cross(chords[u], chords[v])
         if len(arr.vertices) <= 4:
             assert sod_oracle(curve).area == sod.area, name
     assert time.monotonic() - start < 120.0

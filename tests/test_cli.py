@@ -1,13 +1,16 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import CURVES_DIR
-from curvefold import cli, folding
+from conftest import CURVES_DIR, load_curve
+from curvefold import arrangement, cli, decomposition, folding, transforms, words
 from curvefold.arrangement import build_arrangement
 from curvefold.cli import _svg_num, main
+from curvefold.decomposition import min_area_sod, sod_oracle
+from curvefold.folding import is_self_overlapping
 
 
 def run(*args):
@@ -124,6 +127,20 @@ def test_decompose_with_oracle():
     assert sorted(p["rotation"] for p in doc["pieces"]) == [-1, 1]
 
 
+@pytest.mark.parametrize("cmd, name, target, wrong", [
+    ("norm", "one_ear", "norm_bruteforce", lambda w: Fraction(-1)),
+    ("selfoverlap", "hook", "positively_foldable_bruteforce", lambda w: True),
+    ("decompose", "bowtie", "sod_oracle",
+     lambda curve: dataclasses.replace(sod_oracle(curve), area=Fraction(-1))),
+], ids=["norm", "selfoverlap", "decompose"])
+def test_oracle_disagreement_is_an_invariant_violation(monkeypatch, cmd, name, target, wrong):
+    # an explicit check, so that it holds under python -O as well
+    monkeypatch.setattr(cli, target, wrong)
+    res = run(cmd, "--input", curve_path(name), "--oracle")
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"]["code"] == "invariant_violation"
+
+
 def test_homotopy_totals():
     res = run("homotopy", "--input", curve_path("one_ear"))
     assert res.exit_code == 0
@@ -182,18 +199,42 @@ def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
     assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
 
 
-@pytest.mark.parametrize("name", ["bowtie", "hook", "square"])
-def test_selfoverlap_builds_the_arrangement_once(monkeypatch, name):
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """The curves passed to ``build_arrangement``, through every module
+    that binds it."""
+    calls = []
 
     def counted(curve):
-        builds.append(curve)
+        calls.append(curve)
         return build_arrangement(curve)
 
-    monkeypatch.setattr(cli, "build_arrangement", counted)
-    monkeypatch.setattr(folding, "build_arrangement", counted)
+    for mod in (arrangement, words, folding, transforms, decomposition, cli):
+        if getattr(mod, "build_arrangement", None) is build_arrangement:
+            monkeypatch.setattr(mod, "build_arrangement", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["bowtie", "hook", "square"])
+def test_selfoverlap_builds_the_arrangement_once(builds, name):
     res = run("selfoverlap", "--input", curve_path(name))
     assert res.exit_code == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("weights_mode, count", [("area", 1), ("unit", 2)])
+@pytest.mark.parametrize("cmd", ["analyze", "word", "norm", "selfoverlap",
+                                 "decompose", "homotopy", "render"])
+def test_every_command_builds_the_arrangement_once(builds, cmd, weights_mode, count):
+    # --weights unit builds one more arrangement, to learn the face ids
+    res = run(cmd, "--input", curve_path("one_ear"), "--weights", weights_mode)
+    assert res.exit_code == 0
+    assert len(builds) == count
+
+
+@pytest.mark.parametrize("fn", [is_self_overlapping, min_area_sod, sod_oracle])
+def test_library_builds_the_arrangement_once(builds, fn):
+    fn(load_curve("one_ear"))                  # rotation 1: the word is needed
     assert len(builds) == 1
 
 

@@ -12,8 +12,8 @@ from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
                                      curve_subcurve, cut_along_folding,
                                      homotopy_trace, is_good, min_area_sod,
                                      smooth_at, sod_oracle, sod_to_folding,
-                                     stack_decompose, vertices_linked)
-from curvefold.folding import (Folding, Pairing, cancellation_norm,
+                                     stack_decompose)
+from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked)
 from curvefold.words import CyclicWord, build_cable_system, cyclic_equal
 
@@ -61,9 +61,9 @@ def test_full_subcurve_rotation_on_random_polygons(seed, corners):
 
 
 def test_vertices_linked():
-    assert vertices_linked((0, 4), (2, 6))
-    assert not vertices_linked((0, 4), (5, 6))
-    assert not vertices_linked((1, 6), (2, 4))  # nested
+    assert chords_cross((0, 4), (2, 6))
+    assert not chords_cross((0, 4), (5, 6))
+    assert not chords_cross((1, 6), (2, 4))  # nested
 
 
 def test_smooth_bowtie_splits_into_loops():
@@ -85,7 +85,7 @@ def test_smooth_linked_vertices_rejected():
         hits = [i for i, e in enumerate(sc.entries) if e.tail_vertex == v]
         chords[v] = (hits[0], hits[1])
     linked = [(u, v) for u, v in itertools.combinations(sorted(chords), 2)
-              if vertices_linked(chords[u], chords[v])]
+              if chords_cross(chords[u], chords[v])]
     assert linked  # the star polygon interleaves its crossings
     with pytest.raises(LinkedVertices):
         smooth_at(sc, linked[0])
