@@ -14,7 +14,12 @@ the per-face invariants everything downstream relies on:
 * a tree/cotree pair read off those parents: the cotree duals form a BFS
   spanning tree of the dual graph rooted at the unbounded face.
 
-All coordinates are ``fractions.Fraction``; no tolerances anywhere.
+The input corners are ``fractions.Fraction``.  Each build scales them
+once to integers by the common denominator of their coordinates, and
+every predicate (which segments cross, the angular order around a
+crossing, the turning of the tangent) is the sign of an integer cross
+product.  Crossing points and areas stay ``Fraction``, in the curve's own
+coordinates; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ class NonGenericCurve(CurveError):
 
 
 Point = tuple[Fraction, Fraction]
+Vector = tuple[int, int]  # a direction on the integer-scaled corners
 
 
 def to_fraction(value) -> Fraction:
@@ -53,16 +59,32 @@ def to_fraction(value) -> Fraction:
         raise MalformedInput(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        # Floats in a hand-written JSON file are almost always short
-        # decimals; convert via the decimal literal to keep them exact.
-        return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            # Floats in a hand-written JSON file are almost always short
+            # decimals; convert via the decimal literal to keep them exact.
+            # Infinities and NaN have no exact value and are refused.
+            return Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"cannot parse coordinate {value!r}") from exc
     raise MalformedInput(f"cannot parse coordinate {value!r}")
+
+
+def parse_weights(raw) -> dict[int, Fraction]:
+    """The ``{"<face-id>": w}`` object of a curve or word document."""
+    if not isinstance(raw, dict):
+        raise MalformedInput("'weights' must be an object")
+    weights = {}
+    for key, val in raw.items():
+        try:
+            fid = int(key)
+        except ValueError as exc:
+            raise MalformedInput(f"bad face id {key!r}") from exc
+        w = to_fraction(val)
+        if w < 0:
+            raise MalformedInput(f"negative weight for face {fid}")
+        weights[fid] = w
+    return weights
 
 
 def fraction_str(q: Fraction) -> str:
@@ -92,29 +114,18 @@ def fraction_str(q: Fraction) -> str:
 # primitive geometry
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a: Point, b: Point) -> Fraction:
+def _cross(a: Point | Vector, b: Point | Vector) -> Fraction | int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    """Is p on the closed segment [a, b]?  Exact."""
-    if _cross(_sub(b, a), _sub(p, a)) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-
-
-def _half(w: Point) -> int:
+def _half(w: Vector) -> int:
     """0 for a direction angle in [0, pi), 1 for [pi, 2pi)."""
     if w[1] > 0 or (w[1] == 0 and w[0] > 0):
         return 0
     return 1
 
 
-def _ccw_cmp(u: Point, v: Point) -> int:
+def _ccw_cmp(u: Vector, v: Vector) -> int:
     """Compare two nonzero direction vectors by angle in [0, 2pi)."""
     hu, hv = _half(u), _half(v)
     if hu != hv:
@@ -146,10 +157,6 @@ class PlaneCurve:
             if self.points[i] == self.points[(i + 1) % n]:
                 raise DegenerateCurve(f"repeated consecutive point at index {i}")
 
-    def segments(self) -> list[tuple[Point, Point]]:
-        pts = self.points
-        return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-
 
 def parse_curve(doc) -> PlaneCurve:
     """Parse a curve document: a JSON string/bytes or an already-loaded dict.
@@ -173,20 +180,7 @@ def parse_curve(doc) -> PlaneCurve:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInput(f"bad point entry {entry!r}")
         pts.append((to_fraction(entry[0]), to_fraction(entry[1])))
-    weights = None
-    if "weights" in doc and doc["weights"] is not None:
-        if not isinstance(doc["weights"], dict):
-            raise MalformedInput("'weights' must be an object")
-        weights = {}
-        for key, val in doc["weights"].items():
-            try:
-                fid = int(key)
-            except ValueError as exc:
-                raise MalformedInput(f"bad face id {key!r}") from exc
-            w = to_fraction(val)
-            if w < 0:
-                raise MalformedInput(f"negative weight for face {fid}")
-            weights[fid] = w
+    weights = None if doc.get("weights") is None else parse_weights(doc["weights"])
     return PlaneCurve(points=tuple(pts), weights=weights)
 
 
@@ -212,15 +206,16 @@ class Edge:
     v_from: Optional[int]  # None only for the crossing-free loop
     v_to: Optional[int]
     geometry: tuple[Point, ...]  # oriented along the traversal
+    directions: tuple[Vector, ...]  # of the segment under each straight piece
     left_face: int = -1
     right_face: int = -1
 
-    def direction_out(self, fwd: bool) -> Point:
+    def direction_out(self, fwd: bool) -> Vector:
         """Direction leaving the tail of the (fwd?) dart."""
-        g = self.geometry
         if fwd:
-            return _sub(g[1], g[0])
-        return _sub(g[-2], g[-1])
+            return self.directions[0]
+        x, y = self.directions[-1]
+        return (-x, -y)
 
 
 @dataclass
@@ -285,15 +280,10 @@ class Arrangement:
             out[f.id] = Fraction(override.get(f.id, f.signed_area))
         return out
 
-    def pass_direction(self, vid: int, which: int) -> Point:
-        """Direction of motion at the given vertex on pass 0 or 1."""
-        k = self.vertex_passes[vid][which]
-        return self.edges[self.traversal[k].edge].direction_out(True)
-
     def crossing_sign(self, vid: int) -> int:
         """+1 if the second pass crosses the first from right to left."""
-        d1 = self.pass_direction(vid, 0)
-        d2 = self.pass_direction(vid, 1)
+        d1, d2 = (self.edges[self.traversal[k].edge].direction_out(True)
+                  for k in self.vertex_passes[vid])
         c = _cross(d1, d2)
         assert c != 0, "transverse crossing cannot have parallel strands"
         return 1 if c > 0 else -1
@@ -303,71 +293,79 @@ class Arrangement:
 # intersection finding
 
 
-def _segment_intersections(curve: PlaneCurve) -> dict[int, list[tuple[Fraction, Point]]]:
+def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[Vector]]:
+    """(D, corners, directions): the corners times D, the least common
+    denominator of their coordinates, and segment i's direction
+    corners[i + 1] - corners[i].  Scaling by D > 0 keeps every sign."""
+    D = 1
+    for p in points:
+        for q in p:
+            D *= Fraction(D, q.denominator).denominator
+    corners = [(x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
+               for x, y in points]
+    n = len(corners)
+    dirs = [(corners[(i + 1) % n][0] - x, corners[(i + 1) % n][1] - y)
+            for i, (x, y) in enumerate(corners)]
+    return D, corners, dirs
+
+
+def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vector]
+                           ) -> dict[int, list[tuple[Fraction, Point]]]:
     """Map segment index -> sorted (parameter, point) crossings on it.
 
-    Raises NonGenericCurve on any violation of general position.
+    Segment i runs from corners[i] along dirs[i] (``_integer_segments``).
+    A pair is judged by the signs of four integer cross products; the
+    parameters and the point, in the curve's coordinates, are computed only
+    where the segments meet.  Raises NonGenericCurve on non-general position.
     """
-    segs = curve.segments()
-    n = len(segs)
+    n = len(corners)
     hits: dict[int, list[tuple[Fraction, Point]]] = {i: [] for i in range(n)}
     point_owners: dict[Point, set[int]] = {}
 
     for i in range(n):
-        a, b = segs[i]
+        (ax, ay), (rx, ry) = corners[i], dirs[i]
         for j in range(i + 1, n):
-            c, d = segs[j]
+            (cx, cy), (sx, sy) = corners[j], dirs[j]
+            # sides of segment j's ends against the line of segment i
+            denom = rx * sy - ry * sx
+            o1 = rx * (cy - ay) - ry * (cx - ax)
+            o2 = o1 + denom
+            if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+                continue
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            r = _sub(b, a)
-            s = _sub(d, c)
-            denom = _cross(r, s)
-            if denom == 0:
-                # Parallel.  Collinear overlap is non-generic.
-                if _cross(_sub(c, a), r) == 0:
-                    if (_on_segment(c, a, b) or _on_segment(d, a, b)
-                            or _on_segment(a, c, d) or _on_segment(b, c, d)):
-                        if adjacent:
-                            # Sharing just the common endpoint is fine;
-                            # anything more means doubling back.
-                            shared = b if j == i + 1 else a
-                            other_c = d if c == shared else c
-                            if _on_segment(other_c, a, b) or _on_segment(
-                                    a if shared == b else b, c, d):
-                                raise NonGenericCurve(
-                                    f"segments {i} and {j} overlap along a line")
-                        else:
-                            raise NonGenericCurve(
-                                f"segments {i} and {j} overlap along a line")
+            if o1 == 0 and o2 == 0:
+                # Collinear.  Segments sharing a corner overlap only by
+                # doubling back; others whenever their spans meet.
+                dot = rx * sx + ry * sy
+                if adjacent:
+                    overlap = dot < 0
+                else:
+                    tc = rx * (cx - ax) + ry * (cy - ay)
+                    overlap = min(tc, tc + dot) <= rx * rx + ry * ry and max(tc, tc + dot) >= 0
+                if overlap:
+                    raise NonGenericCurve(f"segments {i} and {j} overlap along a line")
                 continue
-            t = _cross(_sub(c, a), s) / denom
-            u = _cross(_sub(c, a), r) / denom
-            if t < 0 or t > 1 or u < 0 or u > 1:
-                continue
-            boundary = t == 0 or t == 1 or u == 0 or u == 1
             if adjacent:
-                shared = b if j == i + 1 else a
-                p = (a[0] + t * r[0], a[1] + t * r[1])
-                if p == shared:
-                    continue
-                raise NonGenericCurve(
-                    f"adjacent segments {i} and {j} touch at {p} besides their corner")
-            if boundary:
-                p = (a[0] + t * r[0], a[1] + t * r[1])
+                continue  # two lines through the shared corner meet only there
+            # sides of segment i's ends against the line of segment j
+            o3 = sx * (ay - cy) - sy * (ax - cx)
+            o4 = o3 - denom
+            if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+                continue
+            # a + t r with t = o3 / denom, in the curve's coordinates
+            p = (Fraction(ax * denom + o3 * rx, denom * D), Fraction(ay * denom + o3 * ry, denom * D))
+            if not (o1 and o2 and o3 and o4):
                 raise NonGenericCurve(
                     f"endpoint contact between segments {i} and {j} at {p}")
-            p = (a[0] + t * r[0], a[1] + t * r[1])
             owners = point_owners.setdefault(p, set())
             owners.update((i, j))
             if len(owners) > 2:
                 raise NonGenericCurve(f"three or more segments meet at {p}")
-            hits[i].append((t, p))
-            hits[j].append((u, p))
+            hits[i].append((Fraction(o3, denom), p))
+            hits[j].append((Fraction(-o1, denom), p))
 
     for i in range(n):
         hits[i].sort(key=lambda pair: pair[0])
-        params = [t for t, _ in hits[i]]
-        if len(set(params)) != len(params):
-            raise NonGenericCurve(f"coincident crossings on segment {i}")
     return hits
 
 
@@ -376,23 +374,21 @@ def _segment_intersections(curve: PlaneCurve) -> dict[int, list[tuple[Fraction, 
 
 
 def build_arrangement(curve: PlaneCurve) -> Arrangement:
-    hits = _segment_intersections(curve)
+    D, corners, dirs = _integer_segments(curve.points)
+    hits = _segment_intersections(D, corners, dirs)
     pts = curve.points
     n = len(pts)
 
-    # Flatten the crossings into traversal order.
-    visits: list[tuple[int, Fraction, Point]] = []  # (segment, t, point)
-    for i in range(n):
-        for t, p in hits[i]:
-            visits.append((i, t, p))
+    # Flatten the crossings into traversal order: (segment, point).
+    visits = [(i, p) for i in range(n) for _, p in hits[i]]
 
     if not visits:
-        return _simple_loop_arrangement(curve)
+        return _simple_loop_arrangement(curve, dirs)
 
     # Vertex ids by first encounter along the traversal.
     vid_of: dict[Point, int] = {}
     vertices: list[Vertex] = []
-    for _, _, p in visits:
+    for _, p in visits:
         if p not in vid_of:
             vid_of[p] = len(vertices)
             vertices.append(Vertex(id=len(vertices), point=p))
@@ -401,23 +397,13 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     m = len(visits)
     edges: list[Edge] = []
     for k in range(m):
-        si, ti, pi = visits[k]
-        sj, tj, pj = visits[(k + 1) % m]
-        geom: list[Point] = [pi]
-        if k + 1 < m and sj == si:
-            pass  # same segment, no corners in between
-        else:
-            # walk the polyline corners from the end of segment si up to
-            # the start of segment sj (cyclically)
-            s = si
-            while True:
-                s_next = (s + 1) % n
-                geom.append(pts[s_next])
-                if s_next == sj:
-                    break
-                s = s_next
-        geom.append(pj)
-        edges.append(Edge(id=k, v_from=vid_of[pi], v_to=vid_of[pj], geometry=tuple(geom)))
+        si, pi = visits[k]
+        sj, pj = visits[(k + 1) % m]
+        # the segments after si up to sj, cyclically; each starts at a corner
+        passed = [s % n for s in range(si + 1, si + 1 + (sj - si) % n)]
+        edges.append(Edge(id=k, v_from=vid_of[pi], v_to=vid_of[pj],
+                          geometry=(pi, *(pts[s] for s in passed), pj),
+                          directions=(dirs[si], *(dirs[s] for s in passed))))
 
     traversal = tuple(Dart(k, True) for k in range(m))
 
@@ -439,10 +425,8 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
         darts = incident[v.id]
         assert len(darts) == 4, "crossing must have degree 4"
 
-        def keyed(d: Dart) -> Point:
-            return edges[d.edge].direction_out(d.fwd)
-
-        darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(keyed(p), keyed(q))))
+        darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(
+            edges[p.edge].direction_out(p.fwd), edges[q.edge].direction_out(q.fwd))))
         v.darts_ccw = tuple(darts)
 
     arr = Arrangement(
@@ -460,7 +444,7 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     return arr
 
 
-def _simple_loop_arrangement(curve: PlaneCurve) -> Arrangement:
+def _simple_loop_arrangement(curve: PlaneCurve, dirs: Sequence[Vector]) -> Arrangement:
     """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
     pts = curve.points
     geom = tuple(pts) + (pts[0],)
@@ -471,7 +455,7 @@ def _simple_loop_arrangement(curve: PlaneCurve) -> Arrangement:
     ccw = area2 > 0
     if area2 == 0:
         raise NonGenericCurve("closed polyline with zero signed area")
-    edge = Edge(id=0, v_from=None, v_to=None, geometry=geom)
+    edge = Edge(id=0, v_from=None, v_to=None, geometry=geom, directions=tuple(dirs))
     d = Dart(0, True)
     inner = Face(id=1, boundary=(d if ccw else d.twin,),
                  signed_area=abs(area2) / 2, unbounded=False,
@@ -624,12 +608,10 @@ def face_measures(arr: Arrangement) -> dict:
 
 def rotation_number(curve: PlaneCurve) -> int:
     """Total turning of the tangent, in full turns, counted exactly."""
-    pts = curve.points
-    n = len(pts)
-    return turning_of_directions([_sub(pts[(i + 1) % n], pts[i]) for i in range(n)])
+    return turning_of_directions(_integer_segments(curve.points)[2])
 
 
-def turning_of_directions(dirs: Sequence[Point]) -> int:
+def turning_of_directions(dirs: Sequence[Vector]) -> int:
     """Rotation number of a closed direction sequence (one entry per
     straight piece, in traversal order), counted exactly.
 

@@ -117,14 +117,9 @@ class Subcurve:
         """Turning number, exact; None when a cut arc hides the geometry."""
         if not self.geometric:
             return None
-        dirs = []
-        for e in self.entries:
-            geom = self.arr.dart_geometry(self.arr.traversal[e.dart])
-            for i in range(len(geom) - 1):
-                d = (geom[i + 1][0] - geom[i][0], geom[i + 1][1] - geom[i][1])
-                if d != (Fraction(0), Fraction(0)):
-                    dirs.append(d)
-        return turning_of_directions(dirs)
+        edges, traversal = self.arr.edges, self.arr.traversal
+        return turning_of_directions(
+            [w for e in self.entries for w in edges[traversal[e.dart].edge].directions])
 
 
 def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
@@ -371,19 +366,21 @@ class SelfOverlappingDecomposition:
     word: CyclicWord  # the whole curve's face word the pieces were cut from
 
 
-def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> list[tuple[int, ...]]:
-    """All pairwise non-crossing vertex subsets, smallest first."""
+def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """All pairwise non-crossing vertex subsets, smallest first and
+    lexicographic within a size.  Built level by level: a subset grows only
+    by a larger vertex unlinked from all of it, so none is built past the
+    one its caller stops at."""
     vs = sorted(chords)
-    compatible = {
-        (u, v): not chords_cross(chords[u], chords[v])
-        for u, v in itertools.combinations(vs, 2)
-    }
-    out: list[tuple[int, ...]] = []
-    for r in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, r):
-            if all(compatible[(u, v)] for u, v in itertools.combinations(combo, 2)):
-                out.append(combo)
-    return out
+    later = {u: {v for v in vs if v > u and not chords_cross(chords[u], chords[v])}
+             for u in vs}
+    # each subset with the larger vertices it may still take, ascending
+    level: list[tuple[tuple[int, ...], list[int]]] = [((), vs)]
+    while level:
+        for combo, _ in level:
+            yield combo
+        level = [(combo + (v,), [w for w in free if w in later[v]])
+                 for combo, free in level for v in free]
 
 
 def _decompositions(cables: CableSystem,

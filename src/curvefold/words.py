@@ -48,10 +48,10 @@ def letter_str(letter: Letter) -> str:
 
 
 def parse_letter(tok) -> Letter:
-    if isinstance(tok, int):
-        f = tok
-    else:
-        f = int(tok)
+    """A face letter from an integer or an integer string: "-3" -> (3, -1)."""
+    if isinstance(tok, bool) or not isinstance(tok, (int, str)):
+        raise ValueError(f"a letter is an integer or an integer string, not {tok!r}")
+    f = int(tok)
     if f == 0:
         raise ValueError("face id 0 is the unbounded face; letters use bounded faces")
     return (abs(f), 1 if f > 0 else -1)
@@ -184,22 +184,20 @@ def parse_word(doc) -> CyclicWord:
     """Parse a word document: {"word": ["2","-3",...], "weights": {...}}."""
     import json
 
-    from .arrangement import MalformedInput, to_fraction
+    from .arrangement import MalformedInput, parse_weights
 
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "word" not in doc:
-        raise MalformedInput("word document must be an object with a 'word' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("word"), list):
+        raise MalformedInput("word document must be an object with a 'word' list")
     try:
         letters = tuple(parse_letter(tok) for tok in doc["word"])
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    weights = {}
-    for key, val in (doc.get("weights") or {}).items():
-        weights[int(key)] = to_fraction(val)
+    weights = {} if doc.get("weights") is None else parse_weights(doc["weights"])
     return CyclicWord(letters, weights)
 
 

@@ -189,6 +189,22 @@ def test_non_generic_curve_is_input_error(tmp_path):
     assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "word", "norm", "selfoverlap", "decompose",
+                                 "homotopy", "render"])
+@pytest.mark.parametrize("doc", [
+    '{"points": [[0, 0], [1e400, 0], [1, 1]]}',
+    '{"points": [[0, 0], [1, NaN], [1, 1]]}',
+    '{"points": [[0, 0], [1, 0], [1, 1]], "weights": {"1": -Infinity}}',
+], ids=["overflow", "nan", "infinite-weight"])
+def test_non_finite_numbers_are_input_errors(tmp_path, cmd, doc):
+    # Python's JSON reader turns these literals into float inf and nan
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(doc)
+    res = run(cmd, "--input", str(bad))
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"]["code"] == "MalformedInput"
+
+
 def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
     # rotation 0, so the verdict is known before the arrangement is built
     bad = tmp_path / "touch.json"

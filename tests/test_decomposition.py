@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
-from curvefold.arrangement import rotation_number, tree_cotree
+from curvefold.arrangement import PlaneCurve, rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
                                      LinkedVertices, NotAStack, _occurrence_chord,
                                      blank_cut, certify_subcurve,
@@ -15,7 +15,7 @@ from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
                                      stack_decompose)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked)
-from curvefold.words import CyclicWord, build_cable_system, cyclic_equal
+from curvefold.words import CyclicWord, build_cable_system, cyclic_equal, face_word
 
 
 def full_piece(name):
@@ -179,6 +179,19 @@ def test_blank_cut_one_ear():
         ok, cert = certify_subcurve(piece)
         assert ok
     assert a.area_w() + b.area_w() == cancellation_norm(sc.word())[0]
+
+
+def test_cut_piece_whose_norm_exceeds_its_winding_area_is_rejected():
+    corners = [(-458896, -657964), (-467170, 806149), (804482, -770931),
+               (-852417, 241783), (407304, -730967), (122198, -968648),
+               (795946, 528408), (-842772, -727119), (336564, -210082)]
+    curve = PlaneCurve(tuple((Fraction(x), Fraction(y)) for x, y in corners))
+    cables, _ = face_word(curve)
+    long_side, short_side = sorted(blank_cut(curve_subcurve(cables.arr, cables), Pairing(0, 19)),
+                                   key=lambda piece: -len(piece.letters()))
+    assert cancellation_norm(long_side.word())[0] > long_side.area_w()
+    assert certify_subcurve(long_side) == (False, {"reason": "norm_exceeds_winding_area"})
+    assert certify_subcurve(short_side)[0]
 
 
 def test_blank_cut_rejects_non_inverse_positions():

@@ -18,6 +18,14 @@ arithmetic; their oracle records every letter's provenance (original
 position, or host letter, block and index) and finds each added
 letter's inverse twin through a lookup table.  Twisted letters and
 transported pairings must be identical.
+
+The arrangement judges segment pairs by the signs of integer cross
+products on scaled corners, and a piece's rotation turns over the segment
+directions its edges store.  Their oracles are the ``Fraction`` forms:
+the finder that divides out both parameters of every pair and tests each
+corner against each segment, and the walk over the pieces' geometry.  The
+unlinked vertex subsets, built level by level, are checked against the
+filter over every combination.
 """
 
 import functools
@@ -29,11 +37,14 @@ from typing import Optional
 
 import pytest
 
-from conftest import RANDOM_POLYGONS, random_generic_polygon
-from curvefold.arrangement import tree_cotree
-from curvefold.decomposition import ContractStep, CutStep, homotopy_trace
-from curvefold.folding import (Folding, Pairing, cancellation_norm, complete_to_maximal,
-                               is_linked, positively_foldable)
+from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
+from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve, _cross,
+                                   _integer_segments, _segment_intersections, tree_cotree,
+                                   turning_of_directions)
+from curvefold.decomposition import (ContractStep, CutStep, _unlinked_subsets, curve_subcurve,
+                                     homotopy_trace, smooth_at)
+from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
+                               complete_to_maximal, is_linked, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
 from curvefold.words import CyclicWord, blank_word, build_cable_system, invert_sequence
 
@@ -495,3 +506,158 @@ def test_twist_and_its_transports_match_the_provenance_oracle():
             kept = [s.orig is not None for s in _twist_slots(word, i, j, B)]
             seen["chain"] += any(kept[p.i] != kept[p.j] for p in folding.pairings)
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# geometry and the unlinked subsets
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _on_segment(p, a, b) -> bool:
+    if _cross(_sub(b, a), _sub(p, a)) != 0:
+        return False
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def segment_intersections_oracle(curve: PlaneCurve):
+    """Segment index -> sorted (parameter, point) crossings, in ``Fraction``
+    arithmetic: both parameters of every non-parallel pair, and every
+    corner tested against every segment of a collinear pair."""
+    pts = curve.points
+    n = len(pts)
+    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    hits = {i: [] for i in range(n)}
+    point_owners = {}
+    for i in range(n):
+        a, b = segs[i]
+        for j in range(i + 1, n):
+            c, d = segs[j]
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            r, s = _sub(b, a), _sub(d, c)
+            denom = _cross(r, s)
+            if denom == 0:
+                if _cross(_sub(c, a), r) == 0 and (
+                        _on_segment(c, a, b) or _on_segment(d, a, b)
+                        or _on_segment(a, c, d) or _on_segment(b, c, d)):
+                    shared = b if j == i + 1 else a
+                    if not adjacent or _on_segment(d if c == shared else c, a, b) or _on_segment(
+                            a if shared == b else b, c, d):
+                        raise NonGenericCurve(f"segments {i} and {j} overlap along a line")
+                continue
+            t = _cross(_sub(c, a), s) / denom
+            u = _cross(_sub(c, a), r) / denom
+            if t < 0 or t > 1 or u < 0 or u > 1:
+                continue
+            p = (a[0] + t * r[0], a[1] + t * r[1])
+            if adjacent:
+                # two lines through the shared corner meet only there
+                assert p == (b if j == i + 1 else a)
+                continue
+            if t in (0, 1) or u in (0, 1):
+                raise NonGenericCurve(f"endpoint contact between segments {i} and {j} at {p}")
+            owners = point_owners.setdefault(p, set())
+            owners.update((i, j))
+            if len(owners) > 2:
+                raise NonGenericCurve(f"three or more segments meet at {p}")
+            hits[i].append((t, p))
+            hits[j].append((u, p))
+    for i in range(n):
+        hits[i].sort(key=lambda pair: pair[0])
+        assert len({t for t, _ in hits[i]}) == len(hits[i]), "the triple-point check fires first"
+    return hits
+
+
+def rotation_oracle(piece) -> Optional[int]:
+    """The piece's turning number from the directions of its geometry."""
+    if not piece.geometric:
+        return None
+    dirs = []
+    for e in piece.entries:
+        geom = piece.arr.dart_geometry(piece.arr.traversal[e.dart])
+        for i in range(len(geom) - 1):
+            d = _sub(geom[i + 1], geom[i])
+            if d != (0, 0):
+                dirs.append(d)
+    return turning_of_directions(dirs)
+
+
+def unlinked_subsets_oracle(chords) -> list[tuple[int, ...]]:
+    """Every combination of vertices, smallest first, kept when no two of
+    its chords cross."""
+    vs = sorted(chords)
+    return [combo for r in range(len(vs) + 1) for combo in itertools.combinations(vs, r)
+            if not any(chords_cross(chords[u], chords[v])
+                       for u, v in itertools.combinations(combo, 2))]
+
+
+def _finder_outcome(find, curve):
+    try:
+        return find(curve)
+    except NonGenericCurve as exc:
+        return str(exc)
+
+
+def test_segment_finder_matches_the_fraction_oracle():
+    rng = random.Random(8808)
+    seen = {"crossing": 0, "collinear overlap": 0, "adjacent reversal": 0,
+            "endpoint contact": 0, "triple point": 0}
+    for _ in range(3000):
+        # small integer and rational coordinates, so that contacts,
+        # overlaps and triple points are common
+        q = rng.choice((1, 2, 3))
+        pts = tuple((Fraction(rng.randint(-3, 3), q), Fraction(rng.randint(-3, 3), rng.choice((1, q))))
+                    for _ in range(rng.randint(3, 7)))
+        try:
+            curve = PlaneCurve(pts)
+        except DegenerateCurve:
+            continue
+        found = _finder_outcome(lambda c: _segment_intersections(*_integer_segments(c.points)), curve)
+        assert found == _finder_outcome(segment_intersections_oracle, curve), pts
+        if not isinstance(found, str):
+            seen["crossing"] += any(found.values())
+        elif found.startswith("segments"):
+            i, j = (int(w) for w in found.split()[1:4:2])
+            adjacent = j == i + 1 or (i == 0 and j == len(pts) - 1)
+            seen["adjacent reversal" if adjacent else "collinear overlap"] += 1
+        elif found.startswith("endpoint"):
+            seen["endpoint contact"] += 1
+        else:
+            assert found.startswith("three or more segments meet")
+            seen["triple point"] += 1
+    assert all(seen.values()), seen
+
+
+def _smoothed_pieces():
+    """Every piece of every unlinked smoothing of the corpus, and of the
+    smoothings at one or two crossings of the random polygons."""
+    systems = [(pipeline(name)[3], None) for name in CORPUS]
+    for seed, corners in RANDOM_POLYGONS:
+        _, arr = random_generic_polygon(random.Random(seed), corners)
+        systems.append((build_cable_system(arr, tree_cotree(arr)), 2))
+    for cables, largest in systems:
+        full = curve_subcurve(cables.arr, cables)
+        for combo in _unlinked_subsets(cables.arr.vertex_passes):
+            if largest is not None and len(combo) > largest:
+                break
+            yield from smooth_at(full, combo)
+
+
+def test_piece_rotations_match_the_geometry_walk():
+    rotations = set()
+    for piece in _smoothed_pieces():
+        assert piece.rotation == rotation_oracle(piece)
+        rotations.add(piece.rotation)
+    assert {-1, 0, 1, 2} <= rotations, rotations
+
+
+def test_unlinked_subsets_match_the_filter():
+    rng = random.Random(9909)
+    for _ in range(300):
+        k = rng.randint(0, 9)
+        ends = rng.sample(range(2 * k), 2 * k)
+        ids = rng.sample(range(100), k)
+        chords = {v: (ends[2 * t], ends[2 * t + 1]) for t, v in enumerate(ids)}
+        assert list(_unlinked_subsets(chords)) == unlinked_subsets_oracle(chords)

@@ -14,7 +14,11 @@ from typing import Optional
 import pytest
 
 from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
-from curvefold.arrangement import Arrangement, Face, Point, _cross, _sub, tree_cotree
+from curvefold.arrangement import Arrangement, Face, Point, _cross, tree_cotree
+
+
+def _sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
 
 
 def _dot(a: Point, b: Point) -> Fraction:

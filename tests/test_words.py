@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pipeline, recursion_headroom, unit_weights
-from curvefold.arrangement import PlaneCurve, build_arrangement, tree_cotree
+from curvefold.arrangement import MalformedInput, PlaneCurve, build_arrangement, tree_cotree
 from curvefold.folding import cancellation_norm
 from curvefold.words import (CyclicWord, Flattening, InvalidFlattening,
                              blank_word, build_cable_system, combined_word,
@@ -236,6 +236,19 @@ def test_letter_parsing():
     assert letter_str((4, -1)) == "-4"
     with pytest.raises(ValueError):
         parse_letter("0")
+
+
+@pytest.mark.parametrize("doc", [
+    {"word": ["1", "-1"], "weights": {"one": "2"}},
+    {"word": ["1", "-1"], "weights": [["1", "2"]]},
+    {"word": ["1", "-1"], "weights": {"1": "-2"}},
+    {"word": "12"},
+    {"word": [1.5, -1]},
+], ids=["face-id-not-an-integer", "weights-not-an-object", "negative-weight",
+        "letters-not-a-list", "letter-not-integral"])
+def test_parse_word_rejects_malformed_documents(doc):
+    with pytest.raises(MalformedInput):
+        parse_word(doc)
 
 
 def test_weights_validation():
