@@ -97,12 +97,14 @@ def _command(fn):
     def wrapper(*args, **kwargs):
         try:
             fn(*args, **kwargs)
-        except (CliError,) as exc:
+        except CliError as exc:
             _fail(EXIT_INPUT_ERROR, exc.code, str(exc))
         except CurveError as exc:
             _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
         except AssertionError as exc:
             _fail(EXIT_INVARIANT_ERROR, "invariant_violation", str(exc))
+        except MemoryError:
+            _fail(EXIT_INVARIANT_ERROR, "out_of_memory", f"{fn.__name__} ran out of memory")
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
@@ -142,11 +144,8 @@ def word(path: str, weights_mode: str) -> None:
     _emit({
         "blank_word": word_to_json(bw),
         "nie_word": word_to_json(nw),
-        "combined_word": [
-            tok if isinstance(tok, str) else
-            (f"v{tok[1]}.{tok[2]}" if tok[0] == "v" else letter_str(tok))
-            for tok in cw.tokens
-        ],
+        "combined_word": [f"v{tok[1]}.{tok[2]}" if tok[0] == "v" else letter_str(tok)
+                          for tok in cw.tokens],
         "cable_order": list(cables.ordering),
     })
 

@@ -19,7 +19,6 @@ synthetic cut arc and expose word-level data only.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,54 +138,38 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
 # smoothing
 
 
-def _occurrence_chord(sc: Subcurve, v: int) -> tuple[int, int]:
-    hits = [i for i, e in enumerate(sc.entries) if e.tail_vertex == v]
-    if len(hits) != 2:
-        raise LinkedVertices(f"vertex {v} does not cross this piece twice")
-    return (hits[0], hits[1])
-
-
 def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
     """Split a piece at unlinked crossings, respecting orientation.
 
-    Every chord (the two passes through one vertex) cuts the cyclic entry
-    sequence in two; a non-crossing family yields len(vertices)+1 pieces,
-    each piece owning the entries whose innermost enclosing chord is the
-    same.
+    The two passes through a smoothed vertex bound a chord of the entry
+    sequence, and unlinked chords nest like brackets, so one pass over the
+    entries finds every piece.  A vertex's first pass opens its piece; its
+    second pass must close the innermost open piece, or the two vertices
+    are linked.  Each entry joins the piece innermost open after its own
+    bracket step.  Returns the outer piece, then one piece per vertex in
+    ascending order.
     """
-    vs = sorted(set(vertices))
-    chords = {v: _occurrence_chord(sc, v) for v in vs}
-    for u, v in itertools.combinations(vs, 2):
-        if chords_cross(chords[u], chords[v]):
-            raise LinkedVertices(f"vertices {u} and {v} are linked")
-
-    n = len(sc.entries)
-
-    def owner(i: int) -> Optional[int]:
-        best, length = None, n + 1
-        for v, (a, b) in chords.items():
-            if a <= i < b and b - a < length:
-                best, length = v, b - a
-        return best
-
-    groups: dict[Optional[int], list[int]] = {}
-    for i in range(n):
-        groups.setdefault(owner(i), []).append(i)
-
-    smoothed = set(vs)
-    pieces: list[Subcurve] = []
-    for key in [None] + vs:
-        idxs = groups.get(key, [])
-        entries = []
-        for i in idxs:
-            e = sc.entries[i]
-            if e.tail_vertex in smoothed:
-                e = SubcurveEntry(e.dart, None, e.letters, e.positions, e.partial)
-            entries.append(e)
-        if not entries:
-            continue
-        pieces.append(Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr))
-    return pieces
+    smoothed = set(vertices)
+    vs = sorted(smoothed)
+    groups: dict[Optional[int], list[SubcurveEntry]] = {key: [] for key in [None] + vs}
+    open_: list[Optional[int]] = [None]  # open pieces, innermost last
+    for e in sc.entries:
+        v = e.tail_vertex
+        if v in smoothed:
+            e = SubcurveEntry(e.dart, None, e.letters, e.positions, e.partial)
+            if v not in open_:
+                open_.append(v)
+            elif open_[-1] == v:
+                open_.pop()
+            else:
+                raise LinkedVertices("vertices {} and {} are linked".format(
+                    *sorted((open_[-1], v))))
+        groups[open_[-1]].append(e)
+    for v in vs:
+        if v in open_ or not groups[v]:
+            raise LinkedVertices(f"vertex {v} does not cross this piece twice")
+    return [Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr)
+            for entries in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +317,9 @@ def stack_decompose(sc: Subcurve) -> list[Subcurve]:
         assert ok, "a 1-stack must bound an immersed disk"
         return [sc]
     for v in sc.crossings():
-        try:
-            pieces = smooth_at(sc, [v])
-        except LinkedVertices:
-            continue
-        if len(pieces) != 2:
-            continue
+        pieces = smooth_at(sc, [v])
         rots = [p.rotation for p in pieces]
-        if None in rots or 0 in rots:
+        if 0 in rots:
             continue
         if (rots[0] > 0) != (rot > 0) or (rots[1] > 0) != (rot > 0):
             continue

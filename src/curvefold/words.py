@@ -68,11 +68,13 @@ class CyclicWord:
         object.__setattr__(self, "letters", tuple(self.letters))
         w = dict(self.weights)
         for f, _ in self.letters:
-            w.setdefault(f, Fraction(1))
+            if f not in w:
+                w[f] = Fraction(1)
         for f, q in w.items():
-            if q < 0:
+            if not isinstance(q, Fraction):
+                q = w[f] = Fraction(q)
+            if q.numerator < 0:
                 raise ValueError(f"negative weight for face {f}")
-            w[f] = Fraction(q)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:

@@ -141,6 +141,17 @@ def test_oracle_disagreement_is_an_invariant_violation(monkeypatch, cmd, name, t
     assert json.loads(res.output)["error"]["code"] == "invariant_violation"
 
 
+def test_out_of_memory_is_a_named_error(monkeypatch):
+    def exhausted(word):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cancellation_norm", exhausted)
+    res = run("norm", "--input", curve_path("one_ear"))
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"] == {
+        "code": "out_of_memory", "message": "norm ran out of memory"}
+
+
 def test_homotopy_totals():
     res = run("homotopy", "--input", curve_path("one_ear"))
     assert res.exit_code == 0

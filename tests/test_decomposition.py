@@ -7,8 +7,7 @@ import pytest
 from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
 from curvefold.arrangement import PlaneCurve, rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
-                                     LinkedVertices, NotAStack, _occurrence_chord,
-                                     blank_cut, certify_subcurve,
+                                     LinkedVertices, NotAStack, blank_cut, certify_subcurve,
                                      curve_subcurve, cut_along_folding,
                                      homotopy_trace, is_good, min_area_sod,
                                      smooth_at, sod_oracle, sod_to_folding,
@@ -21,6 +20,15 @@ from curvefold.words import CyclicWord, build_cable_system, cyclic_equal, face_w
 def full_piece(name):
     _, arr, _, cables, _ = pipeline(name)
     return curve_subcurve(arr, cables)
+
+
+def entry_passes(sc):
+    """Each crossing of the piece -> the entry indices of its two passes."""
+    chords = {}
+    for v in sc.crossings():
+        hits = [i for i, e in enumerate(sc.entries) if e.tail_vertex == v]
+        chords[v] = (hits[0], hits[1])
+    return chords
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +46,7 @@ def test_full_subcurve_matches_word(corpus_name):
         assert sc.unsigned_count(f.id) == f.depth
     assert sc.crossings() == sorted(v.id for v in arr.vertices)
     # each crossing's chord is the pair of passes the arrangement records
-    assert {v: _occurrence_chord(sc, v) for v in range(len(arr.vertices))} == arr.vertex_passes
+    assert entry_passes(sc) == arr.vertex_passes
 
 
 def test_full_subcurve_rotation(corpus_name):
@@ -53,7 +61,7 @@ def test_full_subcurve_rotation_on_random_polygons(seed, corners):
     cables = build_cable_system(arr, tree_cotree(arr))
     sc = curve_subcurve(arr, cables)
     assert sc.rotation == rotation_number(curve)
-    assert {v: _occurrence_chord(sc, v) for v in range(len(arr.vertices))} == arr.vertex_passes
+    assert entry_passes(sc) == arr.vertex_passes
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +88,7 @@ def test_smooth_bowtie_splits_into_loops():
 
 def test_smooth_linked_vertices_rejected():
     sc = full_piece("pentagram")
-    chords = {}
-    for v in sc.crossings():
-        hits = [i for i, e in enumerate(sc.entries) if e.tail_vertex == v]
-        chords[v] = (hits[0], hits[1])
+    chords = entry_passes(sc)
     linked = [(u, v) for u, v in itertools.combinations(sorted(chords), 2)
               if chords_cross(chords[u], chords[v])]
     assert linked  # the star polygon interleaves its crossings
@@ -264,10 +269,18 @@ def test_min_area_sod_matches_norm(corpus_name):
 
 
 def test_min_area_sod_agrees_with_oracle(corpus_name):
-    curve, arr, _, _, _ = pipeline(corpus_name)
-    if len(arr.vertices) > 4:
-        pytest.skip("oracle restricted to small curves")
+    curve, _, _, _, _ = pipeline(corpus_name)
     assert min_area_sod(curve).area == sod_oracle(curve).area
+
+
+def test_min_area_sod_agrees_with_oracle_on_random_polygons():
+    checked = 0
+    for seed, corners in RANDOM_POLYGONS:
+        curve, arr = random_generic_polygon(random.Random(seed), corners)
+        if len(arr.vertices) <= 11:
+            assert min_area_sod(curve).area == sod_oracle(curve).area, seed
+            checked += 1
+    assert checked == 13
 
 
 def test_sod_to_folding_round_trip(corpus_name):

@@ -26,6 +26,12 @@ the finder that divides out both parameters of every pair and tests each
 corner against each segment, and the walk over the pieces' geometry.  The
 unlinked vertex subsets, built level by level, are checked against the
 filter over every combination.
+
+Smoothing finds its pieces in one bracket pass over the entries.  Its
+oracle scans the entries for each vertex's two passes, tests every pair
+of chords for linking, and gives each entry to the shortest chord that
+encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
+must be identical.
 """
 
 import functools
@@ -41,8 +47,11 @@ from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
 from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve, _cross,
                                    _integer_segments, _segment_intersections, tree_cotree,
                                    turning_of_directions)
-from curvefold.decomposition import (ContractStep, CutStep, _unlinked_subsets, curve_subcurve,
-                                     homotopy_trace, smooth_at)
+from curvefold import decomposition
+from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices, Subcurve,
+                                     SubcurveEntry, _unlinked_subsets, curve_subcurve,
+                                     cut_along_folding, homotopy_trace, smooth_at,
+                                     stack_decompose)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
@@ -593,6 +602,44 @@ def unlinked_subsets_oracle(chords) -> list[tuple[int, ...]]:
                        for u, v in itertools.combinations(combo, 2))]
 
 
+def smooth_oracle(sc, vertices):
+    """Smoothing by chord scans, the pairwise link test and the innermost
+    enclosing chord of each entry."""
+    vs = sorted(set(vertices))
+    chords = {}
+    for v in vs:
+        hits = [i for i, e in enumerate(sc.entries) if e.tail_vertex == v]
+        if len(hits) != 2:
+            raise LinkedVertices(f"vertex {v} does not cross this piece twice")
+        chords[v] = (hits[0], hits[1])
+    for u, v in itertools.combinations(vs, 2):
+        if chords_cross(chords[u], chords[v]):
+            raise LinkedVertices(f"vertices {u} and {v} are linked")
+    n = len(sc.entries)
+
+    def owner(i):
+        best, length = None, n + 1
+        for v, (a, b) in chords.items():
+            if a <= i < b and b - a < length:
+                best, length = v, b - a
+        return best
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(owner(i), []).append(i)
+    pieces = []
+    for key in [None] + vs:
+        entries = []
+        for i in groups.get(key, []):
+            e = sc.entries[i]
+            if e.tail_vertex in chords:
+                e = SubcurveEntry(e.dart, None, e.letters, e.positions, e.partial)
+            entries.append(e)
+        if entries:
+            pieces.append(Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr))
+    return pieces
+
+
 def _finder_outcome(find, curve):
     try:
         return find(curve)
@@ -630,9 +677,9 @@ def test_segment_finder_matches_the_fraction_oracle():
     assert all(seen.values()), seen
 
 
-def _smoothed_pieces():
-    """Every piece of every unlinked smoothing of the corpus, and of the
-    smoothings at one or two crossings of the random polygons."""
+def _smoothings():
+    """(whole curve, vertices) of every unlinked smoothing of the corpus,
+    and of the smoothings at one or two crossings of the random polygons."""
     systems = [(pipeline(name)[3], None) for name in CORPUS]
     for seed, corners in RANDOM_POLYGONS:
         _, arr = random_generic_polygon(random.Random(seed), corners)
@@ -642,7 +689,12 @@ def _smoothed_pieces():
         for combo in _unlinked_subsets(cables.arr.vertex_passes):
             if largest is not None and len(combo) > largest:
                 break
-            yield from smooth_at(full, combo)
+            yield full, combo
+
+
+def _smoothed_pieces():
+    for full, combo in _smoothings():
+        yield from smooth_at(full, combo)
 
 
 def test_piece_rotations_match_the_geometry_walk():
@@ -661,3 +713,51 @@ def test_unlinked_subsets_match_the_filter():
         ids = rng.sample(range(100), k)
         chords = {v: (ends[2 * t], ends[2 * t + 1]) for t, v in enumerate(ids)}
         assert list(_unlinked_subsets(chords)) == unlinked_subsets_oracle(chords)
+
+
+def _smoothing_outcome(smooth, sc, vertices):
+    try:
+        return smooth(sc, vertices)
+    except LinkedVertices as exc:
+        return str(exc)
+
+
+def test_smoothing_matches_the_chord_oracle():
+    count = 0
+    for full, combo in _smoothings():
+        pieces = smooth_at(full, combo)
+        assert pieces == smooth_oracle(full, combo), combo
+        assert len(pieces) == len(combo) + 1
+        count += 1
+    assert count > 1000, count
+
+
+@pytest.mark.parametrize("name", ["square", "limacon", "trefoil", "spiral"])
+def test_stack_decompose_matches_with_the_chord_oracle(monkeypatch, name):
+    _, arr, _, cables, _ = pipeline(name)
+    full = curve_subcurve(arr, cables)
+    pieces = stack_decompose(full)
+    monkeypatch.setattr(decomposition, "smooth_at", smooth_oracle)
+    assert stack_decompose(full) == pieces
+
+
+def test_smoothing_rejects_as_the_chord_oracle():
+    seen = {"linked": 0, "unknown": 0, "once": 0}
+    for name in CORPUS:
+        _, arr, _, cables, word = pipeline(name)
+        full = curve_subcurve(arr, cables)
+        cases = [[len(arr.vertices)]]                         # an unknown vertex
+        cases += [list(pair) for pair in itertools.combinations(full.crossings(), 2)]
+        # pieces of a Blank cut along the norm witness cross some vertices once
+        for piece in cut_along_folding(full, cancellation_norm(word)[1]):
+            passes = [e.tail_vertex for e in piece.entries if e.tail_vertex is not None]
+            for v in sorted(set(passes)):
+                got = _smoothing_outcome(smooth_at, piece, [v])
+                assert got == _smoothing_outcome(smooth_oracle, piece, [v]), (name, v)
+                seen["once"] += passes.count(v) == 1
+        for vs in cases:
+            got = _smoothing_outcome(smooth_at, full, vs)
+            assert got == _smoothing_outcome(smooth_oracle, full, vs), (name, vs)
+            if isinstance(got, str):
+                seen["linked" if "linked" in got else "unknown"] += 1
+    assert all(seen.values()), seen

@@ -254,3 +254,7 @@ def test_parse_word_rejects_malformed_documents(doc):
 def test_weights_validation():
     with pytest.raises(ValueError):
         CyclicWord([(1, 1)], {1: Fraction(-1)})
+    with pytest.raises(ValueError):
+        CyclicWord([(1, 1)], {1: -1})
+    weights = CyclicWord([(1, 1)], {1: 2}).weights
+    assert weights == {1: 2} and isinstance(weights[1], Fraction)
