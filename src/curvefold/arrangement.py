@@ -28,7 +28,30 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
+
+
+class InvariantViolation(Exception):
+    """A library invariant failed at ``stage``: a result cannot be trusted.
+
+    ``stage`` names the module whose check failed (for a cross-check of
+    the command line, the command); the message is ``"<stage>: <detail>"``.
+    """
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"{stage}: {detail}")
+        self.stage = stage
+        self.detail = detail
+
+
+def check(ok, stage: str, detail: str, *args) -> None:
+    """Raise ``InvariantViolation(stage, detail % args)`` unless ``ok``.
+
+    The one path for every invariant of the library; unlike ``assert`` it
+    holds under ``python -O``, and ``detail`` is formatted only on failure.
+    """
+    if not ok:
+        raise InvariantViolation(stage, detail % args if args else detail)
 
 
 class CurveError(Exception):
@@ -285,7 +308,7 @@ class Arrangement:
         d1, d2 = (self.edges[self.traversal[k].edge].direction_out(True)
                   for k in self.vertex_passes[vid])
         c = _cross(d1, d2)
-        assert c != 0, "transverse crossing cannot have parallel strands"
+        check(c != 0, "arrangement", "transverse crossing cannot have parallel strands")
         return 1 if c > 0 else -1
 
 
@@ -293,14 +316,19 @@ class Arrangement:
 # intersection finding
 
 
+def common_denominator(fractions: Iterable[Fraction]) -> int:
+    """The least common denominator of ``fractions``; 1 when there are none."""
+    D = 1
+    for q in fractions:
+        D *= Fraction(D, q.denominator).denominator
+    return D
+
+
 def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[Vector]]:
     """(D, corners, directions): the corners times D, the least common
     denominator of their coordinates, and segment i's direction
     corners[i + 1] - corners[i].  Scaling by D > 0 keeps every sign."""
-    D = 1
-    for p in points:
-        for q in p:
-            D *= Fraction(D, q.denominator).denominator
+    D = common_denominator(q for p in points for q in p)
     corners = [(x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
                for x, y in points]
     n = len(corners)
@@ -423,7 +451,7 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
         incident[e.v_to].append(Dart(e.id, False))
     for v in vertices:
         darts = incident[v.id]
-        assert len(darts) == 4, "crossing must have degree 4"
+        check(len(darts) == 4, "arrangement", "crossing must have degree 4")
 
         darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(
             edges[p.edge].direction_out(p.fwd), edges[q.edge].direction_out(q.fwd))))
@@ -506,7 +534,8 @@ def _trace_faces(arr: Arrangement) -> None:
 
     areas2 = [cycle_area2(c) for c in cycles]
     negatives = [i for i, a in enumerate(areas2) if a < 0]
-    assert len(negatives) == 1, "exactly one boundary cycle bounds the unbounded face"
+    check(len(negatives) == 1, "arrangement",
+          "exactly one boundary cycle bounds the unbounded face")
     outer_idx = negatives[0]
 
     # Face ids by first encounter along the traversal (left, then right),
@@ -517,7 +546,7 @@ def _trace_faces(arr: Arrangement) -> None:
             ci = cycle_of[side]
             if ci not in order:
                 order.append(ci)
-    assert len(order) == len(cycles)
+    check(len(order) == len(cycles), "arrangement", "every boundary cycle must meet the curve")
 
     faces: list[Face] = []
     fid_of_cycle: dict[int, int] = {}
@@ -565,8 +594,8 @@ def _compute_windings_and_depths(arr: Arrangement) -> None:
                     nxt.append(nb)
         frontier = sorted(nxt)
     for e in edges:
-        assert faces[e.left_face].winding == faces[e.right_face].winding + 1, (
-            f"edge {e.id}: winding must drop by one from left to right")
+        check(faces[e.left_face].winding == faces[e.right_face].winding + 1, "arrangement",
+              "edge %d: winding must drop by one from left to right", e.id)
 
 
 def _check_invariants(arr: Arrangement) -> None:
@@ -574,11 +603,12 @@ def _check_invariants(arr: Arrangement) -> None:
     E = len(arr.edges)
     F = len(arr.faces)
     if V:  # the crossing-free loop is graph-theoretically special
-        assert V - E + F == 2, f"Euler relation failed: {V}-{E}+{F}"
+        check(V - E + F == 2, "arrangement", "Euler relation failed: %d-%d+%d", V, E, F)
     for face in arr.faces:
-        assert abs(face.winding) <= face.depth or face.unbounded, (
-            f"face {face.id}: |winding| {face.winding} exceeds depth {face.depth}")
-    assert arr.faces[0].depth == 0 and arr.faces[0].winding == 0
+        check(abs(face.winding) <= face.depth or face.unbounded, "arrangement",
+              "face %d: |winding| %d exceeds depth %d", face.id, face.winding, face.depth)
+    check(arr.faces[0].depth == 0 and arr.faces[0].winding == 0, "arrangement",
+          "the unbounded face must have depth 0 and winding 0")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import click
 
-from .arrangement import (Arrangement, CurveError, PlaneCurve, build_arrangement,
-                          face_measures, fraction_str, parse_curve, rotation_number)
+from .arrangement import (Arrangement, CurveError, InvariantViolation, PlaneCurve,
+                          build_arrangement, check, face_measures, fraction_str, parse_curve,
+                          rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable,
@@ -39,12 +40,6 @@ def _emit(doc) -> None:
 def _fail(exit_code: int, code: str, message: str) -> None:
     _emit({"error": {"code": code, "message": message}})
     sys.exit(exit_code)
-
-
-def _check(ok: bool, message: str) -> None:
-    """A cross-check that ``python -O`` keeps; failing it exits 3."""
-    if not ok:
-        raise AssertionError(message)
 
 
 def _load_curve(path: str, weights_mode: str) -> PlaneCurve:
@@ -101,7 +96,7 @@ def _command(fn):
             _fail(EXIT_INPUT_ERROR, exc.code, str(exc))
         except CurveError as exc:
             _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
-        except AssertionError as exc:
+        except InvariantViolation as exc:
             _fail(EXIT_INVARIANT_ERROR, "invariant_violation", str(exc))
         except MemoryError:
             _fail(EXIT_INVARIANT_ERROR, "out_of_memory", f"{fn.__name__} ran out of memory")
@@ -140,7 +135,7 @@ def word(path: str, weights_mode: str) -> None:
     cables, bw = face_word(curve)
     nw = nie_word(cables.arr, cables.tc, derive_flattening(cables))
     cw = combined_word(cables.arr, cables)
-    _check(cyclic_equal(bw, nw), "word constructions must agree")
+    check(cyclic_equal(bw, nw), "word", "word constructions must agree")
     _emit({
         "blank_word": word_to_json(bw),
         "nie_word": word_to_json(nw),
@@ -170,7 +165,7 @@ def norm(path: str, weights_mode: str, oracle: bool) -> None:
             brute = norm_bruteforce(w)
         except CapExceeded as exc:
             raise CliError("oracle_cap", str(exc))
-        _check(brute == value, "norm oracle disagrees with the DP")
+        check(brute == value, "norm", "norm oracle disagrees with the DP")
         doc["oracle"] = fraction_str(brute)
     _emit(doc)
 
@@ -202,7 +197,7 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
         except CapExceeded as exc:
             raise CliError("oracle_cap", str(exc))
         fast, _ = positively_foldable(w)
-        _check(ok == fast, "positive-foldability oracle disagrees")
+        check(ok == fast, "selfoverlap", "positive-foldability oracle disagrees")
         doc["oracle"] = ok
     _emit(doc)
 
@@ -234,7 +229,7 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
     }
     if oracle:
         other = sod_oracle(curve)
-        _check(other.area == sod.area, "decomposition oracle disagrees")
+        check(other.area == sod.area, "decompose", "decomposition oracle disagrees")
         doc["oracle_area"] = fraction_str(other.area)
     _emit(doc)
 
@@ -249,7 +244,7 @@ def homotopy(path: str, weights_mode: str) -> None:
     _, w = face_word(curve)
     value, witness = cancellation_norm(w)
     trace = homotopy_trace(witness)
-    _check(trace.total_area == value, "trace total must equal the norm")
+    check(trace.total_area == value, "homotopy", "trace total must equal the norm")
     steps = []
     for step in trace.steps:
         if isinstance(step, CutStep):

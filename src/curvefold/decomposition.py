@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .arrangement import Arrangement, PlaneCurve, turning_of_directions
+from .arrangement import Arrangement, PlaneCurve, check, turning_of_directions
 from .folding import Folding, Pairing, cancellation_norm, chords_cross, positively_foldable
 from .words import CableSystem, CyclicWord, Letter, face_word
 
@@ -229,12 +229,18 @@ def blank_cut(sc: Subcurve, p: Pairing) -> tuple[Subcurve, Subcurve]:
 
     cut1 = side((ei1, li1), (ei2, li2))
     cut2 = side((ei2, li2), (ei1, li1))
-    assert len(cut1.letters()) + len(cut2.letters()) == m - 2
+    check(len(cut1.letters()) + len(cut2.letters()) == m - 2, "decomposition",
+          "a Blank cut must keep every letter but the cut pair")
     return cut1, cut2
 
 
 def cut_along_folding(sc: Subcurve, folding: Folding) -> list[Subcurve]:
-    """Cut along every pairing, innermost first; returns all pieces."""
+    """Cut along every pairing, in ascending ``(i, j)`` order; returns all pieces.
+
+    An outer pairing may be cut before the pairings it encloses.  The
+    pairings do not link, so each lies in exactly one piece whenever it is
+    cut, and the order changes only the order of the returned list.
+    """
     remaining = sorted(folding.pairings, key=lambda p: (p.i, p.j))
     pieces = [(sc, list(range(len(sc.word()))))]  # piece, its global slots
     for p in remaining:
@@ -313,8 +319,7 @@ def stack_decompose(sc: Subcurve) -> list[Subcurve]:
         raise NotAStack(f"rotation {rot} inconsistent with windings")
     k = abs(rot)
     if k == 1:
-        ok, cert = certify_subcurve(sc)
-        assert ok, "a 1-stack must bound an immersed disk"
+        check(certify_subcurve(sc)[0], "decomposition", "a 1-stack must bound an immersed disk")
         return [sc]
     for v in sc.crossings():
         pieces = smooth_at(sc, [v])
@@ -382,10 +387,9 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
-    for sod in _decompositions(cables, word):
-        if sod.area == target:
-            return sod
-    raise AssertionError("search must reach the cancellation norm")
+    sod = next((sod for sod in _decompositions(cables, word) if sod.area == target), None)
+    check(sod is not None, "decomposition", "search must reach the cancellation norm")
+    return sod
 
 
 def sod_oracle(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -395,8 +399,7 @@ def sod_oracle(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     ``min_area_sod`` on small curves.  Ties go to the first found.
     """
     best = min(_decompositions(*face_word(curve)), key=lambda sod: sod.area, default=None)
-    if best is None:
-        raise AssertionError("every curve admits at least one decomposition")
+    check(best is not None, "decomposition", "every curve admits at least one decomposition")
     return best
 
 
@@ -422,7 +425,8 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
         slots = piece.positions()
         pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in witness.pairings)
     folding = Folding(sod.word, frozenset(pairings))
-    assert folding.area == sod.area
+    check(folding.area == sod.area, "decomposition",
+          "the folding's area must equal the decomposition's")
     return folding
 
 
@@ -482,7 +486,7 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
                 lo, hi = bisect_right(live, a), bisect_left(live, b)
                 length = hi - lo if a < b else len(live) - lo + hi
                 candidates.append((length, min(p.i, p.j), p, a, b, lo, hi))
-        assert candidates, "an unlinked family always has an innermost pairing"
+        check(candidates, "decomposition", "an unlinked family always has an innermost pairing")
         _, _, p, a, b, lo, hi = min(candidates, key=lambda c: (c[0], c[1]))
         if a < b:
             arc = live[lo:hi]
@@ -504,5 +508,6 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     steps.append(ContractStep(letters=tuple(word[x] for x in live), area=swept))
     total += swept
     trace = HomotopyTrace(steps=tuple(steps), total_area=total)
-    assert trace.total_area == folding.area
+    check(trace.total_area == folding.area, "decomposition",
+          "the trace total must equal the folding area")
     return trace

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arrangement import PlaneCurve, rotation_number
+from .arrangement import PlaneCurve, check, common_denominator, rotation_number
 from .words import CyclicWord, Letter, face_word
 
 
@@ -134,9 +134,7 @@ def _scaled_weights(letters: Sequence[Letter], weights) -> tuple[int, dict[int, 
     """(D, {face: weight * D}) for the faces of the word, D the least common
     denominator of their weights, so that the DP adds Python ints."""
     faces = {f for f, _ in letters}
-    D = 1
-    for f in faces:
-        D *= Fraction(D, weights[f].denominator).denominator
+    D = common_denominator(weights[f] for f in faces)
     return D, {f: weights[f].numerator * (D // weights[f].denominator) for f in faces}
 
 
@@ -202,7 +200,8 @@ def _linear_backtrack(w: Sequence[int], rows, inverses: list[list[int]], i: int,
                     row = rows[i]
                     break
             else:
-                assert row[j] == row[last] + w[last]
+                check(row[j] == row[last] + w[last], "folding",
+                      "backtrack leaves the DP table at row %d, column %d", i, j)
                 j = last
 
 
@@ -245,7 +244,7 @@ def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     pairings += [Pairing(a + 1, b + 1) for a, b in pairs]
     value = Fraction(best, D)
     witness = Folding(word, frozenset(pairings))
-    assert witness.area == value, "witness area must equal the DP value"
+    check(witness.area == value, "folding", "witness area must equal the DP value")
     return value, witness
 
 
@@ -322,7 +321,7 @@ def complete_to_maximal(word: CyclicWord, folding: Folding) -> Folding:
         current.add(p)
         taken.update(p.positions())
     result = Folding(word, frozenset(current))
-    assert result.area <= folding.area
+    check(result.area <= folding.area, "folding", "completing a folding must not grow its area")
     return result
 
 
@@ -404,7 +403,8 @@ def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:
     if pairs is None:
         return False, None
     witness = Folding(word, frozenset(Pairing(a, b) for a, b in pairs))
-    assert _positive_witness_ok(word, witness)
+    check(_positive_witness_ok(word, witness), "folding",
+          "a positive witness must pair every negative letter")
     return True, witness
 
 

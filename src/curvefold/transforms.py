@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
+from .arrangement import check
 from .folding import Folding, Pairing
 from .words import CyclicWord, Letter, invert_sequence
 
@@ -110,8 +111,8 @@ def transport_folding_switch(word: CyclicWord, word_switched: CyclicWord,
         raise NotAdjacent("a cable cannot switch with itself")
     normalized, where, inserted = _normalize_adjacent(word, f, g)
     switched, perm = _switch_blocks(normalized, f, g)
-    assert CyclicWord(switched, word.weights) == word_switched, \
-        "second word must be the switch of the first"
+    if CyclicWord(switched, word.weights) != word_switched:
+        raise ValueError("second word must be the switch of the first")
     n = len(normalized)
 
     # lift onto the normalized word: old pairings move, inserted pairs pair up
@@ -146,7 +147,7 @@ def transport_folding_switch(word: CyclicWord, word_switched: CyclicWord,
                                  max(perm[a], perm[partner[a]]))
                          for a in partner)
     result = Folding(word_switched, pairings)
-    assert result.area == folding.area
+    check(result.area == folding.area, "transforms", "a switch transport must keep the area")
     return result
 
 
@@ -200,8 +201,8 @@ def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
     are conjugate mirror images.
     """
     letters, centre = _twist_layout(word, i, j, B)
-    assert CyclicWord(letters, word.weights) == word_twisted, \
-        "second word must be the twist of the first"
+    if CyclicWord(letters, word.weights) != word_twisted:
+        raise ValueError("second word must be the twist of the first")
     pos_of = [p for p, c in enumerate(centre) if c == p]
     L = 2 * len(B) + 2
 
@@ -224,7 +225,7 @@ def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
             pairings.update(Pairing(c - 1 - t, d + 1 + t) for t in range(L))
 
     result = Folding(word_twisted, frozenset(pairings))
-    assert result.area == folding.area
+    check(result.area == folding.area, "transforms", "a twist transport must keep the area")
     return result
 
 
@@ -242,7 +243,8 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
     guards against malformed input.
     """
     letters, centre = _twist_layout(word, i, j, B)
-    assert CyclicWord(letters, word.weights) == word_twisted
+    if CyclicWord(letters, word.weights) != word_twisted:
+        raise ValueError("second word must be the twist of the first")
     orig = {q: k for k, q in enumerate(q for q, c in enumerate(centre) if c == q)}
     partner: dict[int, int] = {}
     for p in folding_twisted.pairings:
@@ -266,7 +268,7 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
             cur = added
             end: Optional[int] = None
             while True:
-                assert cur not in visited, "the alternating chain must not loop"
+                check(cur not in visited, "transforms", "the alternating chain must not loop")
                 visited.add(cur)
                 t = 2 * centre[cur] - cur
                 if t in visited:
@@ -284,7 +286,8 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
                 assigned.update((start, end))
 
     result = Folding(word, frozenset(pairings))
-    assert result.area <= folding_twisted.area
+    check(result.area <= folding_twisted.area, "transforms",
+          "a back transport must not grow the area")
     return result
 
 
@@ -302,5 +305,6 @@ def merge_face_cables(word: CyclicWord, alias: Mapping[int, int]) -> CyclicWord:
     letters = tuple((alias.get(f, f), s) for f, s in word)
     weights = {alias.get(f, f): w for f, w in word.weights.items()}
     for f, w in word.weights.items():
-        assert weights[alias.get(f, f)] == w, "aliased faces must share a weight"
+        if weights[alias.get(f, f)] != w:
+            raise ValueError("aliased faces must share a weight")
     return CyclicWord(letters, weights)

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .arrangement import Arrangement, PlaneCurve, TreeCotree, build_arrangement, tree_cotree
+from .arrangement import (Arrangement, PlaneCurve, TreeCotree, build_arrangement, check,
+                          tree_cotree)
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -292,8 +293,8 @@ def build_cable_system(arr: Arrangement, tc: TreeCotree,
             path.append(tc.parent_edge[g])
             g = tc.parent_face[g]
         cables[f] = tuple(path)
-        # shortest path assumption: crossings == depth
-        assert len(path) == arr.faces[f].depth
+        check(len(path) == arr.faces[f].depth, "words",
+              "cable of face %d must cross as many edges as its depth", f)
 
     ordering: list[int] = []
     for eid in _boundary_children(arr, tc, 0, None):

@@ -138,7 +138,18 @@ def test_oracle_disagreement_is_an_invariant_violation(monkeypatch, cmd, name, t
     monkeypatch.setattr(cli, target, wrong)
     res = run(cmd, "--input", curve_path(name), "--oracle")
     assert res.exit_code == 3
-    assert json.loads(res.output)["error"]["code"] == "invariant_violation"
+    error = json.loads(res.output)["error"]
+    assert error["code"] == "invariant_violation"
+    assert error["message"].startswith(f"{cmd}: ")
+
+
+def test_library_invariant_violation_names_its_stage(monkeypatch):
+    monkeypatch.setattr(folding, "_positive_witness_ok", lambda word, witness: False)
+    res = run("selfoverlap", "--input", curve_path("square"))
+    assert res.exit_code == 3
+    error = json.loads(res.output)["error"]
+    assert error["code"] == "invariant_violation"
+    assert error["message"].startswith("folding: ")
 
 
 def test_out_of_memory_is_a_named_error(monkeypatch):

@@ -86,6 +86,33 @@ def test_transport_switch_equal_area_seeded():
         assert moved.area == folding.area
 
 
+def _sign_flipped(word):
+    return CyclicWord([(f, -s) for f, s in word], word.weights)
+
+
+FLIP_BASE = W(1, 2, -1, -2, 1, -1)
+FLIP_SWITCHED = _sign_flipped(switch_adjacent(FLIP_BASE, 1, 2))
+FLIP_TWISTED = _sign_flipped(dehn_twist(FLIP_BASE, 1, 2, [(1, 1)]))
+
+
+@pytest.mark.parametrize("transport, message", [
+    (lambda: transport_folding_switch(FLIP_BASE, FLIP_SWITCHED,
+                                      cancellation_norm(FLIP_BASE)[1], 1, 2),
+     "second word must be the switch of the first"),
+    (lambda: transport_folding_twist(FLIP_BASE, FLIP_TWISTED,
+                                     cancellation_norm(FLIP_BASE)[1], 1, 2, [(1, 1)]),
+     "second word must be the twist of the first"),
+    (lambda: back_transport_twist(FLIP_BASE, FLIP_TWISTED,
+                                  cancellation_norm(FLIP_TWISTED)[1], 1, 2, [(1, 1)]),
+     "second word must be the twist of the first"),
+], ids=["switch", "twist", "back_twist"])
+def test_transports_reject_a_second_word_that_is_not_the_image(transport, message):
+    # caller input, so a ValueError that python -O keeps: the sign-flipped
+    # word has the image's faces and length, and a folding of the same area
+    with pytest.raises(ValueError, match=message):
+        transport()
+
+
 # ---------------------------------------------------------------------------
 # twist about two cable ends
 
@@ -191,3 +218,9 @@ def test_merge_preserves_norm_when_weights_match():
         out = merge_face_cables(w, {2: 1, 3: 1})
         # merging can only enable more cancellation
         assert cancellation_norm(out)[0] <= cancellation_norm(w)[0]
+
+
+def test_merge_rejects_aliases_of_different_weight():
+    w = CyclicWord(((1, 1), (2, -1)), {1: 1, 2: 3})
+    with pytest.raises(ValueError, match="aliased faces must share a weight"):
+        merge_face_cables(w, {2: 1})
