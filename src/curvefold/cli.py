@@ -18,8 +18,7 @@ from .arrangement import (Arrangement, CurveError, InvariantViolation, PlaneCurv
                           rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
-                      norm_bruteforce, positively_foldable,
-                      positively_foldable_bruteforce)
+                      norm_bruteforce, positively_foldable_bruteforce)
 from .words import (combined_word, cyclic_equal, derive_flattening, face_word,
                     letter_str, nie_word, word_to_json)
 
@@ -191,13 +190,11 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
         if "word" in cert:
             doc["word"] = word_to_json(cert["word"])
     if oracle and "word" in cert:
-        w = cert["word"]
         try:
-            ok = positively_foldable_bruteforce(w)
+            ok = positively_foldable_bruteforce(cert["word"])
         except CapExceeded as exc:
             raise CliError("oracle_cap", str(exc))
-        fast, _ = positively_foldable(w)
-        check(ok == fast, "selfoverlap", "positive-foldability oracle disagrees")
+        check(ok == verdict, "selfoverlap", "positive-foldability oracle disagrees")
         doc["oracle"] = ok
     _emit(doc)
 

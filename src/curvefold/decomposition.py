@@ -79,7 +79,8 @@ class Subcurve:
         return tuple(p for e in self.entries for p in e.positions)
 
     def word(self) -> CyclicWord:
-        return CyclicWord(self.letters(), self.weights)
+        letters = self.letters()
+        return CyclicWord(letters, {f: self.weights[f] for f, _ in letters})
 
     def signed_count(self, f: int) -> int:
         return sum(s for g, s in self.letters() if g == f)

@@ -7,17 +7,20 @@ cycle; its area is the total weight of the letters left unpaired.  The
 traced from a curve with face areas as weights it equals the minimum
 area swept by a null-homotopy of the curve.
 
-The norm is computed by an interval dynamic program over linear
-subwords, extended to the cyclic word by conditioning on the fate of
-position 0 — O(m^3) overall — and cross-checked in the tests against an
-exhaustive enumeration of all foldings (``norm_bruteforce``).  The
-weights are scaled once to Python ints by their least common
-denominator, so the table holds ints and only the result is a
-``Fraction``; the positions holding each letter's inverse are listed
-once, so a cell visits only real split points.  Rows are filled
-from the last to the first, and a row is dropped once filled unless a
-later row, the cyclic step or the backtrack reads it.  Backtracking
-keeps an explicit stack, so deep nesting needs no recursion.
+The norm is computed by one interval dynamic program over the linear
+word read from position 1 — O(m^3) overall — and cross-checked in the
+tests against an exhaustive enumeration of all foldings
+(``norm_bruteforce``).  Cut anywhere, unlinked pairings nest like
+brackets, so the linear norm of the word cut before position 0 is the
+cyclic norm; reading from position 1 puts position 0 last, where the
+backtrack settles it first.  The weights are scaled once to Python ints
+by their least common denominator, so the table holds ints and only the
+result is a ``Fraction``; the positions holding each letter's inverse
+are listed once, so a cell visits only real split points.  Rows are
+filled from the last to the first, and only the rows that are read:
+row 0 in full, and the row after each letter that has a later inverse,
+up to that inverse's last position.  Backtracking keeps an explicit
+stack, so deep nesting needs no recursion.
 
 A folding is validated in one pass: cut at position 0, its pairings
 must nest like brackets.
@@ -147,36 +150,38 @@ def _inverse_occurrences(letters: Sequence[Letter]) -> list[list[int]]:
     return [occurrences.get((f, -s), []) for f, s in letters]
 
 
-def _linear_norm_rows(w: Sequence[int], inverses: list[list[int]],
-                      keep: set[int]) -> list[Optional[list[int]]]:
-    """rows[i][j] = norm of the linear subword letters[i:j], in integer weights.
+def _linear_norm_rows(w: Sequence[int], inverses: list[list[int]]) -> list[Optional[list[int]]]:
+    """rows[i][j] = norm of the linear subword letters[i:j], in integer weights,
+    for the rows that are read.
 
     ``w[j]`` is the scaled weight of letters[j] and ``inverses[k]`` the
     positions holding the inverse of letters[k].  Rows are filled from the
-    last to the first; row i reads rows k + 1 for the split points k >= i,
-    so only those rows, plus the rows named in ``keep``, outlive their own
-    fill.  While row i is filled, ``active[j]`` holds the split points
-    k >= i of position j with row k + 1.
+    last to the first.  Row i + 1 is read, by the fill of earlier rows and
+    by the backtrack, only at columns up to the last inverse after letter
+    i, so it is filled that far and only if letter i has one; row 0 is
+    filled in full.  While row i is filled, ``active[j]`` holds the split
+    points k >= i of position j with row k + 1.
     """
     n = len(w)
-    keep = keep | {k + 1 for k in range(n) if inverses[k] and inverses[k][-1] > k}
     rows: list[Optional[list[int]]] = [None] * (n + 1)
     active: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
     for i in range(n, -1, -1):
-        row = [0] * (n + 1)
         if i < n:
             ks = inverses[i]
             for j in ks[bisect_right(ks, i):]:
                 active[j].append((i, rows[i + 1]))
-        for j in range(i, n):
+        end = n if i == 0 else (inverses[i - 1] or [0])[-1]
+        if end < i:
+            continue
+        row = [0] * (end + 1)
+        for j in range(i, end):
             best = row[j] + w[j]
             for k, below in active[j]:
                 cand = row[k] + below[j]
                 if cand < best:
                     best = cand
             row[j + 1] = best
-        if i in keep:
-            rows[i] = row
+        rows[i] = row
     return rows
 
 
@@ -208,42 +213,25 @@ def _linear_backtrack(w: Sequence[int], rows, inverses: list[list[int]], i: int,
 def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     """Minimum unpaired weight over all foldings, with a witness.
 
-    Position 0 is either unpaired or paired with some occurrence of its
-    inverse; both arcs strictly between are independent linear subwords,
-    all covered by one interval DP table on positions 1..m-1.
+    The pairings of a folding do not interleave, so cut anywhere they nest
+    like brackets and one linear interval DP over the whole word gives the
+    cyclic norm.  The word is read from position 1, so that position 0 is
+    the last letter and the backtrack settles it first: paired with its
+    smallest partner that reaches the minimum, else unpaired.
     """
     m = len(word)
     if m == 0:
         return Fraction(0), empty_folding(word)
-    letters = word.letters
+    letters = word.letters[1:] + word.letters[:1]
     D, scaled = _scaled_weights(letters, word.weights)
-    rest = letters[1:]
-    w = [scaled[f] for f, _ in rest]
-    inverses = _inverse_occurrences(rest)
-    f0, s0 = letters[0]
-    partners = [k for k in range(1, m) if letters[k] == (f0, -s0)]
-    # the cyclic step reads row 0 and the rows that start at a partner of 0
-    rows = _linear_norm_rows(w, inverses, {0, *partners})
-
-    best = rows[0][m - 1] + scaled[f0]
-    best_k: Optional[int] = None
-    for k in partners:
-        cand = rows[0][k - 1] + rows[k][m - 1]
-        if cand < best or (cand == best and best_k is None):
-            best = cand
-            best_k = k
-
+    w = [scaled[f] for f, _ in letters]
+    inverses = _inverse_occurrences(letters)
+    rows = _linear_norm_rows(w, inverses)
     pairs: list[tuple[int, int]] = []
-    pairings: list[Pairing] = []
-    if best_k is None:
-        _linear_backtrack(w, rows, inverses, 0, m - 1, pairs)
-    else:
-        _linear_backtrack(w, rows, inverses, 0, best_k - 1, pairs)
-        _linear_backtrack(w, rows, inverses, best_k, m - 1, pairs)
-        pairings.append(Pairing(0, best_k))
-    pairings += [Pairing(a + 1, b + 1) for a, b in pairs]
-    value = Fraction(best, D)
-    witness = Folding(word, frozenset(pairings))
+    _linear_backtrack(w, rows, inverses, 0, m, pairs)
+    value = Fraction(rows[0][m], D)
+    witness = Folding(word, frozenset(Pairing(*sorted(((a + 1) % m, (b + 1) % m)))
+                                      for a, b in pairs))
     check(witness.area == value, "folding", "witness area must equal the DP value")
     return value, witness
 

@@ -1,17 +1,23 @@
 """The norm DP, the homotopy trace and folding validation against the
 straightforward versions they replaced.
 
-The library computes the norm on integer-scaled weights over per-position
-candidate lists, replays foldings over bisected position lists, and
-validates foldings in one stack pass.  The oracles below are the direct
-forms of the same definitions: the interval DP over every split point in
-``Fraction`` arithmetic with a recursive backtrack, the trace that
-re-indexes the live positions for every pairing on every step, and the
-pairwise ``is_linked`` check; the positive-folding search is checked
-against its recursive form.  Norms, witness pairings, trace steps and
-accept/reject verdicts must be identical, on long seeded words with
-``p/q`` weights and on the words of random generic polygons, whose face
-areas have large denominators.
+The library computes the norm by one linear DP over the word read from
+position 1, on integer-scaled weights over per-position candidate lists,
+replays foldings over bisected position lists, and validates foldings in
+one stack pass.  The oracles below are the direct forms of the same
+definitions: the interval DP over every split point in ``Fraction``
+arithmetic with a recursive backtrack, closed over the cycle by
+conditioning on the fate of position 0, the trace that re-indexes the
+live positions for every pairing on every step, and the pairwise
+``is_linked`` check; the positive-folding search is checked against its
+recursive form.  The oracle's cyclic step thus cross-checks the cut: the
+linear norm of the rotated word must be the cyclic norm, and position
+0's partner must be the one the cyclic step picks.  Norms, witness
+pairings, trace steps and accept/reject verdicts must be identical, on
+long seeded words with ``p/q`` weights, on the words of random generic
+polygons, whose face areas have large denominators, and on short words
+over at most three faces with unit or whole weights, where position 0
+often ties.
 
 The twist and its two transports lay the twisted word out by position
 arithmetic; their oracle records every letter's provenance (original
@@ -374,6 +380,23 @@ def seeded_long_words():
 
 
 @functools.cache
+def tie_words():
+    """Short words over at most three faces with unit or whole weights, so
+    that position 0 often has several partners, or none, that reach the
+    minimum."""
+    rng = random.Random(4405)
+    words = []
+    for n in range(400):
+        length, faces = rng.randint(1, 16), rng.randint(1, 3)
+        letters = (nested_letters(rng, length, faces) if n % 2 else
+                   [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(length)])
+        weights = {} if n % 3 == 0 else {f: Fraction(rng.randint(1, 3))
+                                         for f in range(1, faces + 1)}
+        words.append(CyclicWord(letters, weights))
+    return words
+
+
+@functools.cache
 def polygon_words():
     # the small corpus of the winding tests, and three 22-gons whose words
     # run to 60-120 letters
@@ -419,7 +442,7 @@ def greedy_folding(rng, word):
     return Folding(word, frozenset(pairings))
 
 
-WORDS = {"seeded": seeded_long_words, "polygon": polygon_words}
+WORDS = {"seeded": seeded_long_words, "polygon": polygon_words, "ties": tie_words}
 
 
 @pytest.mark.parametrize("source", sorted(WORDS))
