@@ -303,14 +303,6 @@ class Arrangement:
             out[f.id] = Fraction(override.get(f.id, f.signed_area))
         return out
 
-    def crossing_sign(self, vid: int) -> int:
-        """+1 if the second pass crosses the first from right to left."""
-        d1, d2 = (self.edges[self.traversal[k].edge].direction_out(True)
-                  for k in self.vertex_passes[vid])
-        c = _cross(d1, d2)
-        check(c != 0, "arrangement", "transverse crossing cannot have parallel strands")
-        return 1 if c > 0 else -1
-
 
 # ---------------------------------------------------------------------------
 # intersection finding
@@ -540,12 +532,8 @@ def _trace_faces(arr: Arrangement) -> None:
 
     # Face ids by first encounter along the traversal (left, then right),
     # with the unbounded face pinned at id 0.
-    order: list[int] = [outer_idx]
-    for d in arr.traversal:
-        for side in (d, d.twin):
-            ci = cycle_of[side]
-            if ci not in order:
-                order.append(ci)
+    order = dict.fromkeys([outer_idx] + [cycle_of[side] for d in arr.traversal
+                                         for side in (d, d.twin)])
     check(len(order) == len(cycles), "arrangement", "every boundary cycle must meet the curve")
 
     faces: list[Face] = []

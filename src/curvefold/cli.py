@@ -19,8 +19,8 @@ from .arrangement import (Arrangement, CurveError, InvariantViolation, PlaneCurv
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable_bruteforce)
-from .words import (combined_word, cyclic_equal, derive_flattening, face_word,
-                    letter_str, nie_word, word_to_json)
+from .words import (combined_word, derive_flattening, face_word, letter_str, nie_word,
+                    word_to_json)
 
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT_ERROR = 3
@@ -134,7 +134,7 @@ def word(path: str, weights_mode: str) -> None:
     cables, bw = face_word(curve)
     nw = nie_word(cables.arr, cables.tc, derive_flattening(cables))
     cw = combined_word(cables.arr, cables)
-    check(cyclic_equal(bw, nw), "word", "word constructions must agree")
+    check(bw.letters == nw.letters, "word", "word constructions must agree")
     _emit({
         "blank_word": word_to_json(bw),
         "nie_word": word_to_json(nw),
@@ -225,7 +225,7 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
         "area": fraction_str(sod.area),
     }
     if oracle:
-        other = sod_oracle(curve)
+        other = sod_oracle(sod.cables, sod.word)
         check(other.area == sod.area, "decompose", "decomposition oracle disagrees")
         doc["oracle_area"] = fraction_str(other.area)
     _emit(doc)
@@ -380,10 +380,11 @@ def render(path: str, weights_mode: str, fmt: str,
            cables: bool, decomposition: bool) -> None:
     """Render the curve (SVG by default)."""
     curve = _load_curve(path, weights_mode)
-    cs, _ = face_word(curve)
-    pieces = None
     if decomposition:
-        pieces = min_area_sod(curve).subcurves
+        sod = min_area_sod(curve)
+        cs, pieces = sod.cables, sod.subcurves
+    else:
+        (cs, _), pieces = face_word(curve), None
     svg = render_svg(cs.arr, cables=cs if cables else None, pieces=pieces)
     if fmt == "svg":
         click.echo(svg, nl=False)

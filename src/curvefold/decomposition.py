@@ -82,12 +82,6 @@ class Subcurve:
         letters = self.letters()
         return CyclicWord(letters, {f: self.weights[f] for f, _ in letters})
 
-    def signed_count(self, f: int) -> int:
-        return sum(s for g, s in self.letters() if g == f)
-
-    def unsigned_count(self, f: int) -> int:
-        return sum(1 for g, _ in self.letters() if g == f)
-
     def windings(self) -> dict[int, int]:
         """Winding number at each face's puncture: signed letter count."""
         out: dict[int, int] = {}
@@ -347,7 +341,10 @@ class SelfOverlappingDecomposition:
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
     area: Fraction
-    word: CyclicWord  # the whole curve's face word the pieces were cut from
+    # the cable system the pieces were cut from (``cables.arr`` is every
+    # piece's arrangement) and its whole-curve face word
+    cables: CableSystem = field(compare=False, repr=False)
+    word: CyclicWord
 
 
 def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> Iterator[tuple[int, ...]]:
@@ -376,7 +373,8 @@ def _decompositions(cables: CableSystem,
         pieces = smooth_at(full, combo)
         if all(certify_subcurve(piece)[0] for piece in pieces):
             area = sum((piece.area_w() for piece in pieces), Fraction(0))
-            yield SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area, word)
+            yield SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area,
+                                               cables, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -393,13 +391,15 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     return sod
 
 
-def sod_oracle(curve: PlaneCurve) -> SelfOverlappingDecomposition:
+def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecomposition:
     """Exhaustive minimum over all unlinked vertex pairings.
 
     Ignores the cancellation norm entirely; the testing cross-check for
-    ``min_area_sod`` on small curves.  Ties go to the first found.
+    ``min_area_sod`` on small curves.  Reads the cable system and face word
+    a decomposition carries (``sod.cables``, ``sod.word``) and builds
+    nothing.  Ties go to the first found.
     """
-    best = min(_decompositions(*face_word(curve)), key=lambda sod: sod.area, default=None)
+    best = min(_decompositions(cables, word), key=lambda sod: sod.area, default=None)
     check(best is not None, "decomposition", "every curve admits at least one decomposition")
     return best
 
@@ -414,7 +414,7 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
     carries; ``curve`` only guards against a decomposition of another
     curve.
     """
-    if any(piece.arr is None or piece.arr.curve != curve for piece in sod.subcurves):
+    if sod.cables.arr.curve != curve:
         raise InvalidDecomposition("the decomposition is of another curve")
     pairings: list[Pairing] = []
     for piece in sod.subcurves:

@@ -112,68 +112,6 @@ def invert_sequence(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((f, -s) for (f, s) in reversed(letters))
 
 
-def reduce(word: CyclicWord) -> CyclicWord:
-    """Cancel adjacent inverse pairs, cyclically, until none remain."""
-    letters = list(word.letters)
-    changed = True
-    while changed and letters:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            j = (i + 1) % n
-            if letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
-                for k in sorted({i, j}, reverse=True):
-                    letters.pop(k)
-                changed = True
-                break
-    return CyclicWord(tuple(letters), word.weights)
-
-
-def cyclic_equal(a: CyclicWord, b: CyclicWord) -> bool:
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    for k in range(len(a)):
-        if a.rotate(k).letters == b.letters:
-            return True
-    return False
-
-
-def equal_up_to_relabeling(a: CyclicWord, b: CyclicWord) -> bool:
-    """Does some rotation plus face bijection carry a onto b, sign-exact?"""
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    for k in range(len(a)):
-        rot = a.rotate(k).letters
-        fwd: dict[int, int] = {}
-        bwd: dict[int, int] = {}
-        ok = True
-        for (fa, sa), (fb, sb) in zip(rot, b.letters):
-            if sa != sb:
-                ok = False
-                break
-            if fwd.setdefault(fa, fb) != fb or bwd.setdefault(fb, fa) != fa:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def face_counts(word: CyclicWord, f: int) -> tuple[int, int]:
-    """(signed, unsigned) occurrence counts of face f in the word."""
-    signed = 0
-    unsigned = 0
-    for (g, s) in word.letters:
-        if g == f:
-            signed += s
-            unsigned += 1
-    return signed, unsigned
-
-
 def word_to_json(word: CyclicWord) -> dict:
     from .arrangement import fraction_str
 
@@ -421,16 +359,9 @@ class CombinedWord:
     """Cyclic interleaving of vertex tokens and signed face letters."""
 
     tokens: tuple[object, ...]  # VertexToken or Letter
-    weights: Mapping[int, Fraction] = field(default_factory=dict)
 
     def face_letters(self) -> tuple[Letter, ...]:
         return tuple(t for t in self.tokens if not is_vertex_token(t))
-
-    def vertex_sequence(self) -> tuple[int, ...]:
-        return tuple(t[1] for t in self.tokens if is_vertex_token(t))
-
-    def word(self) -> CyclicWord:
-        return CyclicWord(self.face_letters(), self.weights)
 
 
 def is_vertex_token(tok) -> bool:
@@ -449,4 +380,4 @@ def combined_word(arr: Arrangement, cables: CableSystem) -> CombinedWord:
         if v is not None:
             tokens.append(("v", v, 1 if arr.vertex_passes[v][0] == t else 2))
         tokens.extend(cables.letters.get(d.edge, ()))
-    return CombinedWord(tuple(tokens), arr.face_weights())
+    return CombinedWord(tuple(tokens))

@@ -67,6 +67,33 @@ def unit_weights(word):
     return word.with_weights({f: Fraction(1) for f in word.weights})
 
 
+def cyclic_equal(a, b) -> bool:
+    """Are the letters of b a rotation of the letters of a?"""
+    return len(a) == len(b) and (len(a) == 0 or any(
+        a.rotate(k).letters == b.letters for k in range(len(a))))
+
+
+def equal_up_to_relabeling(a, b) -> bool:
+    """Does some rotation plus face bijection carry a onto b, sign-exact?"""
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    for k in range(len(a)):
+        fwd: dict = {}
+        bwd: dict = {}
+        if all(sa == sb and fwd.setdefault(fa, fb) == fb and bwd.setdefault(fb, fa) == fa
+               for (fa, sa), (fb, sb) in zip(a.rotate(k).letters, b.letters)):
+            return True
+    return False
+
+
+def face_counts(word, f: int) -> tuple[int, int]:
+    """(signed, unsigned) occurrence counts of face f in the word."""
+    signs = [s for g, s in word.letters if g == f]
+    return sum(signs), len(signs)
+
+
 @pytest.fixture(params=CORPUS)
 def corpus_name(request):
     return request.param

@@ -149,12 +149,21 @@ def test_tree_cotree_partition(corpus_name):
         assert len(path) == f.depth
 
 
+def crossing_sign(arr, vid):
+    """+1 if the second pass crosses the first from right to left."""
+    (x1, y1), (x2, y2) = (arr.edges[arr.traversal[k].edge].direction_out(True)
+                          for k in arr.vertex_passes[vid])
+    c = x1 * y2 - y1 * x2
+    assert c != 0, "a transverse crossing cannot have parallel strands"
+    return 1 if c > 0 else -1
+
+
 def test_crossing_signs():
     expected = {"bowtie": [1], "spiral": [-1, -1],
                 "pentagram": [1, -1, 1, -1, 1], "mouse": [1, 1, 1]}
     for name, signs in expected.items():
         _, arr, _, _, _ = pipeline(name)
-        assert [arr.crossing_sign(v.id) for v in arr.vertices] == signs
+        assert [crossing_sign(arr, v.id) for v in arr.vertices] == signs
 
 
 def test_vertex_passes(corpus_name):

@@ -131,7 +131,7 @@ def test_decompose_with_oracle():
     ("norm", "one_ear", "norm_bruteforce", lambda w: Fraction(-1)),
     ("selfoverlap", "hook", "positively_foldable_bruteforce", lambda w: True),
     ("decompose", "bowtie", "sod_oracle",
-     lambda curve: dataclasses.replace(sod_oracle(curve), area=Fraction(-1))),
+     lambda cables, word: dataclasses.replace(sod_oracle(cables, word), area=Fraction(-1))),
 ], ids=["norm", "selfoverlap", "decompose"])
 def test_oracle_disagreement_is_an_invariant_violation(monkeypatch, cmd, name, target, wrong):
     # an explicit check, so that it holds under python -O as well
@@ -262,15 +262,22 @@ def test_selfoverlap_builds_the_arrangement_once(builds, name):
 
 @pytest.mark.parametrize("weights_mode, count", [("area", 1), ("unit", 2)])
 @pytest.mark.parametrize("cmd", ["analyze", "word", "norm", "selfoverlap",
-                                 "decompose", "homotopy", "render"])
+                                 "decompose", "homotopy", "render",
+                                 "render --decomposition", "decompose --oracle"])
 def test_every_command_builds_the_arrangement_once(builds, cmd, weights_mode, count):
     # --weights unit builds one more arrangement, to learn the face ids
-    res = run(cmd, "--input", curve_path("one_ear"), "--weights", weights_mode)
+    res = run(*cmd.split(), "--input", curve_path("one_ear"), "--weights", weights_mode)
     assert res.exit_code == 0
     assert len(builds) == count
 
 
-@pytest.mark.parametrize("fn", [is_self_overlapping, min_area_sod, sod_oracle])
+def _decomposition_and_oracle(curve):
+    sod = min_area_sod(curve)
+    sod_oracle(sod.cables, sod.word)        # reads the decomposition's cables
+
+
+@pytest.mark.parametrize("fn", [is_self_overlapping, min_area_sod,
+                                pytest.param(_decomposition_and_oracle, id="sod_oracle")])
 def test_library_builds_the_arrangement_once(builds, fn):
     fn(load_curve("one_ear"))                  # rotation 1: the word is needed
     assert len(builds) == 1

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
+from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_curve, pipeline,
+                      random_generic_polygon)
 from curvefold.arrangement import PlaneCurve, rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
                                      LinkedVertices, NotAStack, blank_cut, certify_subcurve,
@@ -14,7 +15,7 @@ from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
                                      stack_decompose)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked)
-from curvefold.words import CyclicWord, build_cable_system, cyclic_equal, face_word
+from curvefold.words import CyclicWord, build_cable_system, face_word
 
 
 def full_piece(name):
@@ -42,8 +43,7 @@ def test_full_subcurve_matches_word(corpus_name):
     assert sc.positions() == tuple(range(len(word)))
     assert sc.geometric
     for f in arr.faces[1:]:
-        assert sc.signed_count(f.id) == f.winding
-        assert sc.unsigned_count(f.id) == f.depth
+        assert face_counts(sc.word(), f.id) == (f.winding, f.depth)
     assert sc.crossings() == sorted(v.id for v in arr.vertices)
     # each crossing's chord is the pair of passes the arrangement records
     assert entry_passes(sc) == arr.vertex_passes
@@ -270,7 +270,8 @@ def test_min_area_sod_matches_norm(corpus_name):
 
 def test_min_area_sod_agrees_with_oracle(corpus_name):
     curve, _, _, _, _ = pipeline(corpus_name)
-    assert min_area_sod(curve).area == sod_oracle(curve).area
+    sod = min_area_sod(curve)
+    assert sod.area == sod_oracle(sod.cables, sod.word).area
 
 
 def test_min_area_sod_agrees_with_oracle_on_random_polygons():
@@ -278,7 +279,8 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
     for seed, corners in RANDOM_POLYGONS:
         curve, arr = random_generic_polygon(random.Random(seed), corners)
         if len(arr.vertices) <= 11:
-            assert min_area_sod(curve).area == sod_oracle(curve).area, seed
+            sod = min_area_sod(curve)
+            assert sod.area == sod_oracle(sod.cables, sod.word).area, seed
             checked += 1
     assert checked == 13
 

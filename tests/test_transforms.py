@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cyclic_equal
 from curvefold.folding import (cancellation_norm, complete_to_maximal,
                                positively_foldable)
 from curvefold.transforms import (NotAdjacent, back_transport_twist, dehn_twist,
                                   merge_face_cables, switch_adjacent,
                                   transport_folding_switch,
                                   transport_folding_twist)
-from curvefold.words import CyclicWord, cyclic_equal
+from curvefold.words import CyclicWord
 
 
 def W(*tokens, weights=None):

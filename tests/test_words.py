@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pipeline, recursion_headroom, unit_weights
+from conftest import (cyclic_equal, equal_up_to_relabeling, face_counts, pipeline,
+                      recursion_headroom, unit_weights)
 from curvefold.arrangement import MalformedInput, PlaneCurve, build_arrangement, tree_cotree
 from curvefold.folding import cancellation_norm
-from curvefold.words import (CyclicWord, Flattening, InvalidFlattening,
-                             blank_word, build_cable_system, combined_word,
-                             cyclic_equal, derive_flattening, equal_up_to_relabeling,
-                             face_counts, invert_sequence, letter_str, nie_word,
-                             parse_letter, parse_word, reduce, word_to_json)
+from curvefold.words import (CyclicWord, Flattening, InvalidFlattening, blank_word,
+                             build_cable_system, combined_word, derive_flattening,
+                             invert_sequence, is_vertex_token, letter_str, nie_word,
+                             parse_letter, parse_word, word_to_json)
 
 # frozen face words (exact letters as produced by the canonical cable order)
 EXPECTED_WORDS = {
@@ -43,7 +43,7 @@ def test_frozen_blank_words(name):
 def test_blank_equals_nie_on_corpus(corpus_name):
     _, arr, tc, cables, word = pipeline(corpus_name)
     other = nie_word(arr, tc, derive_flattening(cables))
-    assert cyclic_equal(word, other)
+    assert word.letters == other.letters
 
 
 def test_all_flattenings_same_norm(corpus_name):
@@ -99,8 +99,8 @@ def test_cable_lengths_equal_depth(corpus_name):
 def test_combined_word_consistency(corpus_name):
     _, arr, _, cables, word = pipeline(corpus_name)
     cw = combined_word(arr, cables)
-    assert cyclic_equal(cw.word(), word)
-    seq = cw.vertex_sequence()
+    assert cyclic_equal(CyclicWord(cw.face_letters(), arr.face_weights()), word)
+    seq = [t[1] for t in cw.tokens if is_vertex_token(t)]
     assert len(seq) == 2 * len(arr.vertices)
     for v in range(len(arr.vertices)):
         assert seq.count(v) == 2
@@ -143,7 +143,7 @@ def test_insertion_choices_preserve_norm():
             w = blank_word(arr, cables)
             value, _ = cancellation_norm(w)
             assert value == base
-            assert cyclic_equal(w, nie_word(arr, tc, derive_flattening(cables)))
+            assert w.letters == nie_word(arr, tc, derive_flattening(cables)).letters
 
 
 def test_mouse_word_both_cable_orders():
@@ -163,29 +163,6 @@ def test_mouse_word_both_cable_orders():
 
 # ---------------------------------------------------------------------------
 # word utilities
-
-
-def test_reduce_examples():
-    w = CyclicWord([(1, 1), (2, 1), (2, -1), (1, -1)])
-    assert reduce(w).letters == ()
-    w = CyclicWord([(2, 1), (1, 1), (1, -1), (3, 1)])
-    assert reduce(w).letters in (((2, 1), (3, 1)), ((3, 1), (2, 1)))
-    # cyclic cancellation across the seam
-    w = CyclicWord([(1, -1), (2, 1), (2, -1), (3, 1), (1, 1)])
-    assert sorted(reduce(w).letters) == [(3, 1)]
-
-
-@given(letters_strategy())
-@settings(max_examples=200, deadline=None)
-def test_reduce_is_idempotent_and_cancellation_free(letters):
-    w = reduce(CyclicWord(letters))
-    assert reduce(w).letters == w.letters
-    n = len(w)
-    for k in range(n):
-        f, s = w[k]
-        g, t = w[(k + 1) % n]
-        if n > 1:
-            assert not (f == g and s == -t)
 
 
 @given(letters_strategy(), st.integers(0, 7))
