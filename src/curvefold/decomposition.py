@@ -364,14 +364,53 @@ def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> Iterator[tuple[int,
                  for combo, free in level for v in free]
 
 
+# a piece of a smoothing of the whole curve: its opening vertex (None for
+# the outer piece) and the smoothed vertices directly nested in it
+PieceKey = tuple[Optional[int], tuple[int, ...]]
+
+
+def _piece_keys(passes: dict[int, tuple[int, int]], combo: tuple[int, ...]) -> list[PieceKey]:
+    """Name each piece of smoothing the whole curve at ``combo``, in the
+    order of ``smooth_at``'s pieces, by one walk over the sorted passes.
+
+    A piece is the run of entries between its vertex's two passes minus
+    its children's runs, so equal names mean equal pieces."""
+    children: dict[Optional[int], list[int]] = {v: [] for v in (None,) + combo}
+    open_: list[Optional[int]] = [None]
+    for _, v in sorted((p, v) for v in combo for p in passes[v]):
+        if open_[-1] == v:
+            open_.pop()
+        else:
+            children[open_[-1]].append(v)
+            open_.append(v)
+    return [(v, tuple(nested)) for v, nested in children.items()]
+
+
 def _decompositions(cables: CableSystem,
                     word: CyclicWord) -> Iterator[SelfOverlappingDecomposition]:
     """Every self-overlapping decomposition by smoothing, fewest crossings
-    first; ``word`` is the face word of ``cables``."""
+    first; ``word`` is the face word of ``cables``.
+
+    Pieces repeat across vertex sets, so each distinct piece is certified
+    once: its verdict is kept under its name (``_piece_keys``) for the
+    rest of the search.  A vertex set holding a piece already known to
+    fail is skipped without smoothing; otherwise the pieces of unknown
+    verdict are certified in order until one fails."""
     full = curve_subcurve(cables.arr, cables)
-    for combo in _unlinked_subsets(cables.arr.vertex_passes):
+    passes = cables.arr.vertex_passes
+    verdicts: dict[PieceKey, bool] = {}
+
+    def certified(key: PieceKey, piece: Subcurve) -> bool:
+        if key not in verdicts:
+            verdicts[key] = certify_subcurve(piece)[0]
+        return verdicts[key]
+
+    for combo in _unlinked_subsets(passes):
+        keys = _piece_keys(passes, combo)
+        if any(verdicts.get(key) is False for key in keys):
+            continue
         pieces = smooth_at(full, combo)
-        if all(certify_subcurve(piece)[0] for piece in pieces):
+        if all(certified(key, piece) for key, piece in zip(keys, pieces)):
             area = sum((piece.area_w() for piece in pieces), Fraction(0))
             yield SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area,
                                                cables, word)
@@ -382,7 +421,9 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
 
     The cancellation norm of the face word (area weights) is the provable
     optimum; the search scans unlinked vertex subsets in increasing size
-    and returns the first decomposition achieving it.
+    and returns the first decomposition achieving it.  Each distinct piece
+    is certified once per search, and a subset holding a piece already
+    known to fail is skipped unsmoothed.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_curve, pipeline,
                       random_generic_polygon)
+from curvefold import decomposition
 from curvefold.arrangement import PlaneCurve, rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, InvalidPairing,
-                                     LinkedVertices, NotAStack, blank_cut, certify_subcurve,
-                                     curve_subcurve, cut_along_folding,
+                                     LinkedVertices, NotAStack, _unlinked_subsets, blank_cut,
+                                     certify_subcurve, curve_subcurve, cut_along_folding,
                                      homotopy_trace, is_good, min_area_sod,
                                      smooth_at, sod_oracle, sod_to_folding,
                                      stack_decompose)
@@ -277,12 +278,54 @@ def test_min_area_sod_agrees_with_oracle(corpus_name):
 def test_min_area_sod_agrees_with_oracle_on_random_polygons():
     checked = 0
     for seed, corners in RANDOM_POLYGONS:
-        curve, arr = random_generic_polygon(random.Random(seed), corners)
-        if len(arr.vertices) <= 11:
-            sod = min_area_sod(curve)
-            assert sod.area == sod_oracle(sod.cables, sod.word).area, seed
-            checked += 1
-    assert checked == 13
+        curve, _ = random_generic_polygon(random.Random(seed), corners)
+        sod = min_area_sod(curve)
+        assert sod.area == sod_oracle(sod.cables, sod.word).area, seed
+        checked += 1
+    assert checked == 24
+
+
+class _Recorder:
+    """Counts the smoothings of a search and records every certified piece."""
+
+    def __init__(self, monkeypatch):
+        self.smoothings, self.certified = 0, []
+        smooth, certify = decomposition.smooth_at, decomposition.certify_subcurve
+
+        def counted_smooth(sc, vertices):
+            self.smoothings += 1
+            return smooth(sc, vertices)
+
+        def recorded_certify(sc):
+            self.certified.append(sc.entries)
+            return certify(sc)
+
+        monkeypatch.setattr(decomposition, "smooth_at", counted_smooth)
+        monkeypatch.setattr(decomposition, "certify_subcurve", recorded_certify)
+
+
+def test_min_area_sod_certifies_each_piece_once(monkeypatch):
+    curves = [pipeline(name)[0] for name in CORPUS]
+    curves += [random_generic_polygon(random.Random(seed), corners)[0]
+               for seed, corners in RANDOM_POLYGONS]
+    calls = _Recorder(monkeypatch)
+    for curve in curves:
+        calls.certified.clear()
+        min_area_sod(curve)
+        assert len(set(calls.certified)) == len(calls.certified), curve
+
+
+def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
+    # the 15-gon with 25 crossings; its optimum smooths 9 of them
+    curve, arr = random_generic_polygon(random.Random(7), 15)
+    calls = _Recorder(monkeypatch)
+    sod = min_area_sod(curve)
+    answer = tuple(sorted(sod.vertex_pairs))
+    subsets = 1 + next(k for k, combo in enumerate(_unlinked_subsets(arr.vertex_passes))
+                       if combo == answer)
+    assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
+    assert calls.smoothings < subsets
+    assert (calls.smoothings, len(calls.certified)) == (489, 514)
 
 
 def test_sod_to_folding_round_trip(corpus_name):

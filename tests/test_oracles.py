@@ -38,6 +38,11 @@ oracle scans the entries for each vertex's two passes, tests every pair
 of chords for linking, and gives each entry to the shortest chord that
 encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
 must be identical.
+
+The decomposition search certifies each distinct piece once and skips a
+vertex set that holds a piece already known to fail.  Its oracle smooths
+every unlinked vertex set and certifies every piece.  The decompositions,
+their order, pieces and areas must be identical.
 """
 
 import functools
@@ -54,14 +59,15 @@ from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve,
                                    _integer_segments, _segment_intersections, tree_cotree,
                                    turning_of_directions)
 from curvefold import decomposition
-from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices, Subcurve,
-                                     SubcurveEntry, _unlinked_subsets, curve_subcurve,
-                                     cut_along_folding, homotopy_trace, smooth_at,
-                                     stack_decompose)
+from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
+                                     SelfOverlappingDecomposition, Subcurve, SubcurveEntry,
+                                     _decompositions, _unlinked_subsets, certify_subcurve,
+                                     curve_subcurve, cut_along_folding, homotopy_trace,
+                                     smooth_at, stack_decompose)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
-from curvefold.words import CyclicWord, blank_word, build_cable_system, invert_sequence
+from curvefold.words import CyclicWord, blank_word, build_cable_system, face_word, invert_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +669,20 @@ def smooth_oracle(sc, vertices):
     return pieces
 
 
+def decompositions_oracle(cables, word) -> list[SelfOverlappingDecomposition]:
+    """Every decomposition by smoothing, fewest crossings first: smooth
+    every unlinked vertex set and certify every piece."""
+    full = curve_subcurve(cables.arr, cables)
+    found = []
+    for combo in _unlinked_subsets(cables.arr.vertex_passes):
+        pieces = smooth_at(full, combo)
+        if all(certify_subcurve(piece)[0] for piece in pieces):
+            area = sum((piece.area_w() for piece in pieces), Fraction(0))
+            found.append(SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area,
+                                                      cables, word))
+    return found
+
+
 def _finder_outcome(find, curve):
     try:
         return find(curve)
@@ -784,3 +804,26 @@ def test_smoothing_rejects_as_the_chord_oracle():
             if isinstance(got, str):
                 seen["linked" if "linked" in got else "unknown"] += 1
     assert all(seen.values()), seen
+
+
+def _cable_systems():
+    """(label, cables, face word) of the corpus curves and the random polygons."""
+    for name in CORPUS:
+        _, _, _, cables, word = pipeline(name)
+        yield name, cables, word
+    for seed, corners in RANDOM_POLYGONS:
+        curve, _ = random_generic_polygon(random.Random(seed), corners)
+        cables, word = face_word(curve)
+        yield seed, cables, word
+
+
+def test_decomposition_search_matches_the_exhaustive_oracle():
+    found = 0
+    for label, cables, word in _cable_systems():
+        got, want = list(_decompositions(cables, word)), decompositions_oracle(cables, word)
+        assert len(got) == len(want), label
+        for a, b in zip(got, want):
+            assert a.vertex_pairs == b.vertex_pairs, label
+            assert (a.subcurves, a.area) == (b.subcurves, b.area), (label, a.vertex_pairs)
+        found += len(got)
+    assert found > 300, found
