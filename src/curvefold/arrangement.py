@@ -6,7 +6,11 @@ crossings are the edges, and the complement of the curve splits into faces.
 This module builds that graph with exact rational arithmetic and computes
 the per-face invariants everything downstream relies on:
 
-* signed area of every bounded face (shoelace over the boundary walk),
+* the rotation system: the four darts leaving each crossing in ccw order,
+  read off the sign of one cross product of the crossing's two pass
+  directions,
+* signed area of every face: each edge's shoelace sum counts once for the
+  face on its left and, negated, for the face on its right,
 * winding number, depth and cotree parent, all from one BFS over the
   dual graph from the unbounded face: the depth is the BFS level, the
   winding rises by one across every edge from its right face to its left
@@ -16,15 +20,14 @@ the per-face invariants everything downstream relies on:
 
 The input corners are ``fractions.Fraction``.  Each build scales them
 once to integers by the common denominator of their coordinates, and
-every predicate (which segments cross, the angular order around a
-crossing, the turning of the tangent) is the sign of an integer cross
-product.  Crossing points and areas stay ``Fraction``, in the curve's own
+every predicate (which segments cross, the ccw order around a crossing,
+the turning of the tangent) is the sign of an integer cross product.
+Crossing points and areas stay ``Fraction``, in the curve's own
 coordinates; no tolerances anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,6 +96,20 @@ def to_fraction(value) -> Fraction:
     raise MalformedInput(f"cannot parse coordinate {value!r}")
 
 
+def load_json(doc):
+    """The object a JSON str/bytes document holds; any other ``doc`` as is.
+
+    Undecodable bytes, bad syntax and nesting too deep to parse all raise
+    ``MalformedInput``.
+    """
+    if not isinstance(doc, (str, bytes)):
+        return doc
+    try:
+        return json.loads(doc)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
+
+
 def parse_weights(raw) -> dict[int, Fraction]:
     """The ``{"<face-id>": w}`` object of a curve or word document."""
     if not isinstance(raw, dict):
@@ -141,24 +158,16 @@ def _cross(a: Point | Vector, b: Point | Vector) -> Fraction | int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _shoelace2(path: Sequence[Point]) -> Fraction:
+    """Twice the signed area the polyline ``path`` sweeps about the origin."""
+    return sum((_cross(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
+
+
 def _half(w: Vector) -> int:
     """0 for a direction angle in [0, pi), 1 for [pi, 2pi)."""
     if w[1] > 0 or (w[1] == 0 and w[0] > 0):
         return 0
     return 1
-
-
-def _ccw_cmp(u: Vector, v: Vector) -> int:
-    """Compare two nonzero direction vectors by angle in [0, 2pi)."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = _cross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +197,7 @@ def parse_curve(doc) -> PlaneCurve:
     decimal strings, integers, or rational strings like "1/3"; optionally
     ``{"weights": {"<face-id>": w}}`` overriding geometric face areas.
     """
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON: {exc}") from exc
+    doc = load_json(doc)
     if not isinstance(doc, dict) or "points" not in doc:
         raise MalformedInput("curve document must be an object with a 'points' field")
     raw = doc["points"]
@@ -233,19 +238,13 @@ class Edge:
     left_face: int = -1
     right_face: int = -1
 
-    def direction_out(self, fwd: bool) -> Vector:
-        """Direction leaving the tail of the (fwd?) dart."""
-        if fwd:
-            return self.directions[0]
-        x, y = self.directions[-1]
-        return (-x, -y)
-
 
 @dataclass
 class Vertex:
     id: int
     point: Point
-    darts_ccw: tuple[Dart, ...] = ()  # outgoing darts in ccw angular order
+    # outgoing darts in ccw order, from the first pass's outgoing dart
+    darts_ccw: tuple[Dart, ...] = ()
 
 
 @dataclass
@@ -396,66 +395,66 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
 def build_arrangement(curve: PlaneCurve) -> Arrangement:
     D, corners, dirs = _integer_segments(curve.points)
     hits = _segment_intersections(D, corners, dirs)
+    # Flatten the crossings into traversal order: (segment, point).
+    visits = [(i, p) for i in range(len(dirs)) for _, p in hits[i]]
+    if visits:
+        arr = _crossing_arrangement(curve, dirs, visits)
+    else:
+        arr = _simple_loop_arrangement(curve, dirs)
+    unknown = sorted(set(curve.weights or ()) - set(range(1, len(arr.faces))))
+    if unknown:
+        raise MalformedInput(f"weights name faces the curve does not bound: {unknown}")
+    return arr
+
+
+def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
+                          visits: Sequence[tuple[int, Point]]) -> Arrangement:
     pts = curve.points
     n = len(pts)
+    m = len(visits)
 
-    # Flatten the crossings into traversal order: (segment, point).
-    visits = [(i, p) for i in range(n) for _, p in hits[i]]
-
-    if not visits:
-        return _simple_loop_arrangement(curve, dirs)
-
-    # Vertex ids by first encounter along the traversal.
+    # Vertex ids by first encounter along the traversal.  The pass "at"
+    # vertex v is the traversal index of the edge leaving v.
     vid_of: dict[Point, int] = {}
-    vertices: list[Vertex] = []
-    for _, p in visits:
-        if p not in vid_of:
-            vid_of[p] = len(vertices)
-            vertices.append(Vertex(id=len(vertices), point=p))
+    vids = [vid_of.setdefault(p, len(vid_of)) for _, p in visits]
+    vertices = [Vertex(id=v, point=p) for p, v in vid_of.items()]
+    passes: list[list[int]] = [[] for _ in vertices]
+    for k, v in enumerate(vids):
+        passes[v].append(k)
+    for v in vertices:
+        if len(passes[v.id]) != 2:
+            raise NonGenericCurve(f"vertex {v.point} not visited exactly twice")
 
     # Edges: arcs between consecutive crossings, carrying the corner points.
-    m = len(visits)
     edges: list[Edge] = []
     for k in range(m):
         si, pi = visits[k]
         sj, pj = visits[(k + 1) % m]
         # the segments after si up to sj, cyclically; each starts at a corner
         passed = [s % n for s in range(si + 1, si + 1 + (sj - si) % n)]
-        edges.append(Edge(id=k, v_from=vid_of[pi], v_to=vid_of[pj],
+        edges.append(Edge(id=k, v_from=vids[k], v_to=vids[(k + 1) % m],
                           geometry=(pi, *(pts[s] for s in passed), pj),
                           directions=(dirs[si], *(dirs[s] for s in passed))))
 
-    traversal = tuple(Dart(k, True) for k in range(m))
-
-    # Record the two traversal passes through each vertex (the pass "at"
-    # vertex v is the traversal index of the edge leaving v).
-    vertex_passes: dict[int, list[int]] = {v.id: [] for v in vertices}
-    for k, e in enumerate(edges):
-        vertex_passes[e.v_from].append(k)
-    for v in vertices:
-        if len(vertex_passes[v.id]) != 2:
-            raise NonGenericCurve(f"vertex {v.point} not visited exactly twice")
-
-    # Rotation system: outgoing darts sorted ccw around each vertex.
-    incident: dict[int, list[Dart]] = {v.id: [] for v in vertices}
-    for e in edges:
-        incident[e.v_from].append(Dart(e.id, True))
-        incident[e.v_to].append(Dart(e.id, False))
-    for v in vertices:
-        darts = incident[v.id]
-        check(len(darts) == 4, "arrangement", "crossing must have degree 4")
-
-        darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(
-            edges[p.edge].direction_out(p.fwd), edges[q.edge].direction_out(q.fwd))))
-        v.darts_ccw = tuple(darts)
+    # Rotation system.  A crossing lies inside one segment of each pass, so
+    # pass a leaves along u and arrives along u, and pass b along w; the
+    # outgoing darts turn ccw as u, w, -u, -w when u x w > 0, else as
+    # u, -w, -u, w.
+    for v, (a, b) in zip(vertices, passes):
+        a_out, a_back = Dart(a, True), Dart((a - 1) % m, False)
+        b_out, b_back = Dart(b, True), Dart((b - 1) % m, False)
+        if _cross(dirs[visits[a][0]], dirs[visits[b][0]]) > 0:
+            v.darts_ccw = (a_out, b_out, a_back, b_back)
+        else:
+            v.darts_ccw = (a_out, b_back, a_back, b_out)
 
     arr = Arrangement(
         curve=curve,
         vertices=vertices,
         edges=edges,
         faces=[],
-        traversal=traversal,
-        vertex_passes={v: (ps[0], ps[1]) for v, ps in vertex_passes.items()},
+        traversal=tuple(Dart(k, True) for k in range(m)),
+        vertex_passes={v: (a, b) for v, (a, b) in enumerate(passes)},
     )
 
     _trace_faces(arr)
@@ -468,10 +467,7 @@ def _simple_loop_arrangement(curve: PlaneCurve, dirs: Sequence[Vector]) -> Arran
     """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
     pts = curve.points
     geom = tuple(pts) + (pts[0],)
-    area2 = Fraction(0)
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        area2 += _cross(a, b)
+    area2 = _shoelace2(geom)
     ccw = area2 > 0
     if area2 == 0:
         raise NonGenericCurve("closed polyline with zero signed area")
@@ -516,15 +512,13 @@ def _trace_faces(arr: Arrangement) -> None:
             d = _next_left(arr, d)
         cycles.append(cyc)
 
-    def cycle_area2(cyc: Sequence[Dart]) -> Fraction:
-        total = Fraction(0)
-        for d in cyc:
-            g = arr.dart_geometry(d)
-            for i in range(len(g) - 1):
-                total += _cross(g[i], g[i + 1])
-        return total
-
-    areas2 = [cycle_area2(c) for c in cycles]
+    # Each edge's shoelace sum counts for the cycle on its left and,
+    # walked backwards, against the cycle on its right.
+    areas2 = [Fraction(0)] * len(cycles)
+    for e in edges:
+        s = _shoelace2(e.geometry)
+        areas2[cycle_of[Dart(e.id, True)]] += s
+        areas2[cycle_of[Dart(e.id, False)]] -= s
     negatives = [i for i, a in enumerate(areas2) if a < 0]
     check(len(negatives) == 1, "arrangement",
           "exactly one boundary cycle bounds the unbounded face")

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import click
 
-from .arrangement import (Arrangement, CurveError, InvariantViolation, PlaneCurve,
-                          build_arrangement, check, face_measures, fraction_str, parse_curve,
-                          rotation_number)
+from .arrangement import (Arrangement, CurveError, InvariantViolation, MalformedInput,
+                          PlaneCurve, build_arrangement, check, face_measures, fraction_str,
+                          load_json, parse_curve, rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable_bruteforce)
@@ -44,10 +44,12 @@ def _fail(exit_code: int, code: str, message: str) -> None:
 def _load_curve(path: str, weights_mode: str) -> PlaneCurve:
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read())
+            raw = fh.read()
     except OSError as exc:
         raise CliError("unreadable_input", str(exc))
-    except json.JSONDecodeError as exc:
+    try:
+        doc = load_json(raw)
+    except MalformedInput as exc:
         raise CliError("invalid_json", str(exc))
     curve = parse_curve(doc)
     if weights_mode == "file":

@@ -62,6 +62,9 @@ class Pairing:
 
 
 def _check_pairing(word: CyclicWord, p: Pairing) -> None:
+    m = len(word)
+    if not (0 <= p.i < m and 0 <= p.j < m):
+        raise ValueError(f"pairing {p} names a position outside 0..{m - 1}")
     if p.i == p.j:
         raise ValueError("a pairing needs two distinct positions")
     fi, si = word[p.i]
@@ -78,8 +81,7 @@ def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 def is_linked(p1: Pairing, p2: Pairing, word: CyclicWord) -> bool:
     """Do two position-disjoint pairings interleave in cyclic order?"""
-    m = len(word)
-    return chords_cross((p1.i % m, p1.j % m), (p2.i % m, p2.j % m))
+    return chords_cross(p1.positions(), p2.positions())
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,9 @@ class Folding:
         for p in self.pairings:
             _check_pairing(self.word, p)
             for x in p.positions():
-                if owner[x % m] is not None:
+                if owner[x] is not None:
                     raise ValueError(f"position {x} used twice")
-                owner[x % m] = p
+                owner[x] = p
         # Cut at position 0, two pairings interleave on the cycle exactly
         # when their intervals interleave, so the pairings must nest like
         # brackets: each one closes on top of the stack of open ones.
@@ -107,7 +109,7 @@ class Folding:
         for x, p in enumerate(owner):
             if p is None:
                 continue
-            if x != max(p.i % m, p.j % m):
+            if x != max(p.i, p.j):
                 open_.append(p)
             elif open_[-1] is not p:
                 raise ValueError(f"linked pairings {open_[-1]} and {p}")

@@ -123,15 +123,9 @@ def word_to_json(word: CyclicWord) -> dict:
 
 def parse_word(doc) -> CyclicWord:
     """Parse a word document: {"word": ["2","-3",...], "weights": {...}}."""
-    import json
+    from .arrangement import MalformedInput, load_json, parse_weights
 
-    from .arrangement import MalformedInput, parse_weights
-
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON: {exc}") from exc
+    doc = load_json(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("word"), list):
         raise MalformedInput("word document must be an object with a 'word' list")
     try:

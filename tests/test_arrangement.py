@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS, CURVES_DIR, load_curve, pipeline
-from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve,
-                                   build_arrangement, fraction_str, parse_curve,
+from curvefold.arrangement import (DegenerateCurve, MalformedInput, NonGenericCurve,
+                                   PlaneCurve, build_arrangement, fraction_str, parse_curve,
                                    rotation_number, to_fraction, tree_cotree,
                                    turning_of_directions)
+from curvefold.words import parse_word
 
 # frozen per-curve facts: rotation, vertex count, {face: (area, winding, depth)}
 EXPECTED = {
@@ -151,7 +152,7 @@ def test_tree_cotree_partition(corpus_name):
 
 def crossing_sign(arr, vid):
     """+1 if the second pass crosses the first from right to left."""
-    (x1, y1), (x2, y2) = (arr.edges[arr.traversal[k].edge].direction_out(True)
+    (x1, y1), (x2, y2) = (arr.edges[arr.traversal[k].edge].directions[0]
                           for k in arr.vertex_passes[vid])
     c = x1 * y2 - y1 * x2
     assert c != 0, "a transverse crossing cannot have parallel strands"
@@ -196,6 +197,25 @@ def test_rejects_overlapping_segments():
         build_arrangement(parse_curve(
             {"points": [[0, 0], [10, 0], [5, 5], [5, 0], [5, -5], [2, 0],
                         [1, -5]]}))
+
+
+@pytest.mark.parametrize("parse", [parse_curve, parse_word])
+@pytest.mark.parametrize("doc", [b"\xff\xff", "[" * 100_000, "{not json"],
+                         ids=["undecodable-bytes", "nested-too-deep", "bad-syntax"])
+def test_unreadable_json_is_malformed_input(parse, doc):
+    with pytest.raises(MalformedInput, match="invalid JSON"):
+        parse(doc)
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [4, 0], [0, 4]],
+                                    [[0, 0], [2, 0], [0, 2], [2, 2]]],
+                         ids=["crossing-free", "bowtie"])
+def test_weights_may_name_only_bounded_faces(points):
+    with pytest.raises(MalformedInput, match=r"\[0, 9\]"):
+        build_arrangement(parse_curve({"points": points,
+                                       "weights": {"1": "7/2", "9": "5", "0": "3"}}))
+    arr = build_arrangement(parse_curve({"points": points, "weights": {"1": "7/2"}}))
+    assert arr.face_weights()[1] == Fraction(7, 2)
 
 
 def test_rational_parsing_and_printing():

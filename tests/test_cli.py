@@ -194,6 +194,16 @@ def test_invalid_json_is_input_error(tmp_path):
     assert json.loads(res.output)["error"]["code"] == "invalid_json"
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xff", b"[" * 100_000],
+                         ids=["undecodable-bytes", "nested-too-deep"])
+def test_unparseable_json_is_input_error(tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    res = run("analyze", "--input", str(bad))
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"]["code"] == "invalid_json"
+
+
 def test_degenerate_curve_is_input_error(tmp_path):
     bad = tmp_path / "degenerate.json"
     bad.write_text(json.dumps({"points": [[0, 0], [1, 1]]}))
@@ -344,3 +354,14 @@ def test_svg_numbers_exact():
     assert _svg_num(Fraction(-5, 4)) == "-1.25"
     assert _svg_num(Fraction(2)) == "2"
     assert _svg_num(Fraction(1, 2000)) == "0.001"  # round half away from zero
+
+
+def test_weights_file_mode_rejects_faces_the_curve_lacks(tmp_path):
+    # face 0 is the unbounded face and the triangle has no face 9
+    doc = {"points": [[0, 0], [4, 0], [0, 4]], "weights": {"1": "7/2", "9": "5", "0": "3"}}
+    p = tmp_path / "weighted.json"
+    p.write_text(json.dumps(doc))
+    res = run("norm", "--input", str(p), "--weights", "file")
+    assert res.exit_code == 2, res.output
+    error = json.loads(res.output)["error"]
+    assert error["code"] == "MalformedInput" and "[0, 9]" in error["message"]

@@ -98,6 +98,15 @@ def test_position_used_twice_across_pairings():
         Folding(W(-1, 2, 1, 1), frozenset({Pairing(2, 0), Pairing(0, 3)}))
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 3), (2, 1)])
+def test_pairing_positions_must_lie_in_the_word(i, j):
+    # each pair is 0 and 1 modulo 2, but the area reads the positions as given
+    w = W(1, -1)
+    assert Folding(w, frozenset({Pairing(0, 1)})).area == 0
+    with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+        Folding(w, frozenset({Pairing(i, j)}))
+
+
 def test_area_counts_unpaired_weight():
     w = W(1, 2, -1, weights={1: Fraction(3), 2: Fraction(5)})
     assert empty_folding(w).area == Fraction(11)

@@ -33,6 +33,13 @@ corner against each segment, and the walk over the pieces' geometry.  The
 unlinked vertex subsets, built level by level, are checked against the
 filter over every combination.
 
+The arrangement orders the four darts at a crossing by the sign of one
+cross product of its two pass directions, and sums each edge's shoelace
+once into the faces on its two sides.  Their oracles sort the darts by
+angle with a comparator and walk every face's boundary dart by dart.  The
+orders must agree up to rotation and the areas exactly, on the corpus and
+on random polygons of 5 to 100 corners.
+
 Smoothing finds its pieces in one bracket pass over the entries.  Its
 oracle scans the entries for each vertex's two passes, tests every pair
 of chords for linking, and gives each entry to the shortest chord that
@@ -55,7 +62,7 @@ from typing import Optional
 import pytest
 
 from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
-from curvefold.arrangement import (DegenerateCurve, NonGenericCurve, PlaneCurve, _cross,
+from curvefold.arrangement import (DegenerateCurve, Dart, NonGenericCurve, PlaneCurve, _cross,
                                    _integer_segments, _segment_intersections, tree_cotree,
                                    turning_of_directions)
 from curvefold import decomposition
@@ -608,6 +615,43 @@ def segment_intersections_oracle(curve: PlaneCurve):
     return hits
 
 
+def _ccw_cmp(u, v) -> int:
+    """Compare two nonzero directions by their angle in [0, 2pi)."""
+    hu, hv = (0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1 for w in (u, v))
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = _cross(u, v)
+    return -1 if c > 0 else 1 if c < 0 else 0
+
+
+def rotation_system_oracle(arr) -> dict[int, list[Dart]]:
+    """Vertex id -> its outgoing darts sorted by the angle they leave at."""
+    def leaving(d):
+        dirs = arr.edges[d.edge].directions
+        return dirs[0] if d.fwd else (-dirs[-1][0], -dirs[-1][1])
+
+    if not arr.vertices:
+        return {}
+    incident = {v.id: [] for v in arr.vertices}
+    for e in arr.edges:
+        incident[e.v_from].append(Dart(e.id, True))
+        incident[e.v_to].append(Dart(e.id, False))
+    for darts in incident.values():
+        assert len(darts) == 4
+        darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(leaving(p), leaving(q))))
+    return incident
+
+
+def face_area_oracle(arr, face) -> Fraction:
+    """Half the shoelace sum along the face's boundary, dart by dart."""
+    total = Fraction(0)
+    for d in face.boundary:
+        g = arr.dart_geometry(d)
+        for i in range(len(g) - 1):
+            total += _cross(g[i], g[i + 1])
+    return total / 2
+
+
 def rotation_oracle(piece) -> Optional[int]:
     """The piece's turning number from the directions of its geometry."""
     if not piece.geometric:
@@ -718,6 +762,35 @@ def test_segment_finder_matches_the_fraction_oracle():
             assert found.startswith("three or more segments meet")
             seen["triple point"] += 1
     assert all(seen.values()), seen
+
+
+def _oracle_arrangements():
+    """The corpus, the random polygons, 216 seeded polygons of 5 to 40
+    corners, and the 100-gon the bench draws as
+    ``draw_curve(random.Random("x-100"), 100)`` (the same draws)."""
+    for name in CORPUS:
+        yield pipeline(name)[1]
+    for seed, corners in RANDOM_POLYGONS:
+        yield random_generic_polygon(random.Random(seed), corners)[1]
+    for k in range(216):
+        yield random_generic_polygon(random.Random(f"arr-{k}"), 5 + k % 36)[1]
+    yield random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)[1]
+
+
+def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
+    arrangements = crossings = faces = 0
+    for arr in _oracle_arrangements():
+        for v, expected in rotation_system_oracle(arr).items():
+            darts = list(arr.vertices[v].darts_ccw)
+            k = expected.index(darts[0])
+            assert darts == expected[k:] + expected[:k], (arr.curve.points, v)
+        for f in arr.faces:
+            assert f.signed_area == face_area_oracle(arr, f), (arr.curve.points, f.id)
+        arrangements += 1
+        crossings += len(arr.vertices)
+        faces += len(arr.faces)
+    assert arrangements == 9 + 24 + 216 + 1
+    assert crossings > 10_000 and faces > 10_000, (crossings, faces)
 
 
 def _smoothings():
