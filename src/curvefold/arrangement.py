@@ -2,7 +2,8 @@
 
 A closed curve with only transverse self-crossings induces a 4-regular
 plane graph: the crossings are the vertices, the arcs between consecutive
-crossings are the edges, and the complement of the curve splits into faces.
+crossings are the edges, and the complement of the curve splits into faces;
+a curve without crossings is one closed edge between two faces.
 This module builds that graph with exact rational arithmetic and computes
 the per-face invariants everything downstream relies on:
 
@@ -29,6 +30,7 @@ coordinates; no tolerances anywhere.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -78,7 +80,9 @@ Vector = tuple[int, int]  # a direction on the integer-scaled corners
 
 
 def to_fraction(value) -> Fraction:
-    """Convert a JSON scalar (int, decimal string, or float) exactly."""
+    """Convert a JSON scalar (int, decimal string, or float) exactly.  An
+    exponent beyond ``sys.get_int_max_str_digits()`` (its default when that
+    is unlimited) is refused: "1e100000000" would need 10^8 digits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -86,11 +90,16 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (float, str)):
+        # Floats in a hand-written JSON file are almost always short
+        # decimals; convert via the decimal literal to keep them exact.
+        # Infinities and NaN have no exact value and are refused.
+        text = repr(value) if isinstance(value, float) else value
         try:
-            # Floats in a hand-written JSON file are almost always short
-            # decimals; convert via the decimal literal to keep them exact.
-            # Infinities and NaN have no exact value and are refused.
-            return Fraction(repr(value) if isinstance(value, float) else value)
+            exponent = text.upper().partition("E")[2]
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            if exponent and abs(int(exponent)) > limit:
+                raise MalformedInput(f"exponent of {value!r} exceeds {limit} in magnitude")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"cannot parse coordinate {value!r}") from exc
     raise MalformedInput(f"cannot parse coordinate {value!r}")
@@ -127,6 +136,21 @@ def parse_weights(raw) -> dict[int, Fraction]:
     return weights
 
 
+_CHUNK = 10 ** 600
+
+
+def int_str(n: int) -> str:
+    """The decimal digits of ``n`` at any length.  ``str`` refuses more than
+    ``sys.get_int_max_str_digits()`` digits, never fewer than 640, so longer
+    integers are printed in chunks of 600 digits."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(600))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def fraction_str(q: Fraction) -> str:
     """Serialize exactly: plain decimal when finite, else 'p/q'."""
     q = Fraction(q)
@@ -137,15 +161,15 @@ def fraction_str(q: Fraction) -> str:
         while n % p == 0:
             n //= p
     if n != 1:
-        return f"{q.numerator}/{q.denominator}"
+        return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
     if d == 1:
-        return str(q.numerator)
+        return int_str(q.numerator)
     exp = 0
     scaled = q
     while scaled.denominator != 1:
         scaled *= 10
         exp += 1
-    digits = str(abs(scaled.numerator)).rjust(exp + 1, "0")
+    digits = int_str(abs(scaled.numerator)).rjust(exp + 1, "0")
     sign = "-" if q < 0 else ""
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
@@ -397,10 +421,7 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     hits = _segment_intersections(D, corners, dirs)
     # Flatten the crossings into traversal order: (segment, point).
     visits = [(i, p) for i in range(len(dirs)) for _, p in hits[i]]
-    if visits:
-        arr = _crossing_arrangement(curve, dirs, visits)
-    else:
-        arr = _simple_loop_arrangement(curve, dirs)
+    arr = _crossing_arrangement(curve, dirs, visits)
     unknown = sorted(set(curve.weights or ()) - set(range(1, len(arr.faces))))
     if unknown:
         raise MalformedInput(f"weights name faces the curve does not bound: {unknown}")
@@ -425,8 +446,10 @@ def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
         if len(passes[v.id]) != 2:
             raise NonGenericCurve(f"vertex {v.point} not visited exactly twice")
 
-    # Edges: arcs between consecutive crossings, carrying the corner points.
-    edges: list[Edge] = []
+    # Edges: arcs between consecutive crossings, carrying the corner points;
+    # a crossing-free curve is one closed edge.
+    edges = [] if m else [Edge(id=0, v_from=None, v_to=None, geometry=(*pts, pts[0]),
+                               directions=tuple(dirs))]
     for k in range(m):
         si, pi = visits[k]
         sj, pj = visits[(k + 1) % m]
@@ -453,7 +476,7 @@ def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
         vertices=vertices,
         edges=edges,
         faces=[],
-        traversal=tuple(Dart(k, True) for k in range(m)),
+        traversal=tuple(Dart(e.id, True) for e in edges),
         vertex_passes={v: (a, b) for v, (a, b) in enumerate(passes)},
     )
 
@@ -463,31 +486,11 @@ def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
     return arr
 
 
-def _simple_loop_arrangement(curve: PlaneCurve, dirs: Sequence[Vector]) -> Arrangement:
-    """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
-    pts = curve.points
-    geom = tuple(pts) + (pts[0],)
-    area2 = _shoelace2(geom)
-    ccw = area2 > 0
-    if area2 == 0:
-        raise NonGenericCurve("closed polyline with zero signed area")
-    edge = Edge(id=0, v_from=None, v_to=None, geometry=geom, directions=tuple(dirs))
-    d = Dart(0, True)
-    inner = Face(id=1, boundary=(d if ccw else d.twin,),
-                 signed_area=abs(area2) / 2, unbounded=False,
-                 winding=1 if ccw else -1, depth=1, parent=(0, 0))
-    outer = Face(id=0, boundary=(d.twin if ccw else d,),
-                 signed_area=-abs(area2) / 2, unbounded=True, winding=0, depth=0)
-    edge.left_face = 1 if ccw else 0
-    edge.right_face = 0 if ccw else 1
-    return Arrangement(curve=curve, vertices=[], edges=[edge],
-                       faces=[outer, inner], traversal=(d,), vertex_passes={},
-                       dual=[[(1, 0)], [(0, 0)]])
-
-
 def _next_left(arr: Arrangement, d: Dart) -> Dart:
     """Next dart along the boundary of the face to the left of d."""
     head = arr.dart_head(d)
+    if head is None:  # the crossing-free loop bounds each face alone
+        return d
     v = arr.vertices[head]
     back = d.twin  # outgoing at head
     i = v.darts_ccw.index(back)

@@ -15,7 +15,7 @@ import click
 
 from .arrangement import (Arrangement, CurveError, InvariantViolation, MalformedInput,
                           PlaneCurve, build_arrangement, check, face_measures, fraction_str,
-                          load_json, parse_curve, rotation_number)
+                          int_str, load_json, parse_curve, rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable_bruteforce)
@@ -273,8 +273,8 @@ def _svg_num(q: Fraction) -> str:
     n = abs(n)
     whole, frac = divmod(n, 1000)
     if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).rjust(3, '0').rstrip('0')}"
+        return f"{sign}{int_str(whole)}"
+    return f"{sign}{int_str(whole)}.{str(frac).rjust(3, '0').rstrip('0')}"
 
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad",

@@ -30,9 +30,15 @@ between the paired letters, innermost pairings first, so that every
 deleted arc and the surviving residue consist of positive letters only.
 Cutting the cycle anywhere turns unlinked pairings into nested linear
 intervals, so such a folding exists exactly when the pairings cover
-every negative letter.  A curve is self-overlapping — the boundary of an
-immersed disk — exactly when its rotation number is 1 and its word
-admits a positive folding.
+every negative letter.  Whether letters[i:j] folds positively is one
+bit of a reachability table of Python ints, filled from the last row to
+the first: bit j of ``ok[i]`` is set when j = i, or when letter i is
+positive and bit j of ``ok[i+1]`` is set, or when a partner k of letter
+i has bit k set in ``ok[i+1]`` and bit j set in ``ok[k+1]``.  Each
+partner costs one bit test and, when it passes, one or of two n-bit
+ints; the table holds n^2 bits.  A curve is self-overlapping — the
+boundary of an immersed disk — exactly when its rotation number is 1
+and its word admits a positive folding.
 """
 
 from __future__ import annotations
@@ -127,10 +133,6 @@ class Folding:
                     if i not in used), Fraction(0))
 
 
-def empty_folding(word: CyclicWord) -> Folding:
-    return Folding(word, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # the norm
 
@@ -222,8 +224,6 @@ def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     smallest partner that reaches the minimum, else unpaired.
     """
     m = len(word)
-    if m == 0:
-        return Fraction(0), empty_folding(word)
     letters = word.letters[1:] + word.letters[:1]
     D, scaled = _scaled_weights(letters, word.weights)
     w = [scaled[f] for f, _ in letters]
@@ -328,57 +328,50 @@ def _positive_linear(letters: Sequence[Letter]) -> Optional[list[tuple[int, int]
     letter: survivors are then all positive, and reading the circle from
     any cut makes the deleted spans laminar.  (Demanding a letter-wise
     positive arc instead would break the invariance of positive
-    foldability under cable switches.)  The DP finds a non-crossing
-    matching covering the negative letters.
+    foldability under cable switches.)
+
+    Bit j of ``ok[i]`` is set when letters[i:j] folds positively: it is
+    empty (j = i), or its first letter is positive and letters[i+1:j]
+    folds, or the first letter pairs with a partner k such that
+    letters[i+1:k] and letters[k+1:j] fold.  So, filled from the last
+    row to the first, ``ok[i]`` is ``1 << i``, or'ed with ``ok[i+1]`` when
+    letter i is positive and with ``ok[k+1]`` for each partner k > i whose
+    bit is set in ``ok[i+1]``.  The backtrack settles each interval's
+    first letter: unpaired when it is positive and the rest folds, else
+    paired with its smallest partner that splits the interval into two
+    folding parts.
     """
     n = len(letters)
-    if n == 0:
-        return []
     inverses = _inverse_occurrences(letters)
-    memo: dict[tuple[int, int], Optional[list[tuple[int, int]]]] = {}
-    # Frames [i, j, t, inner] of the intervals letters[i:j] being solved,
-    # innermost last; ``result`` hands the last solution down to the frame
-    # below.  t is -2 before a frame starts and -1 while a positive letter i
-    # is tried unpaired.  Then partner k = inverses[i][t] is tried: first
-    # letters[i+1:k] is solved (inner is None), then letters[k+1:j] (inner
-    # holds the first solution).  Partners go in ascending order from i + 1
-    # and the first success is kept, as in the recursive form.
-    stack: list[list] = [[0, n, -2, None]]
-    result: Optional[list[tuple[int, int]]] = None
+    ok = [0] * n + [1 << n]
+    for i in range(n - 1, -1, -1):
+        below = ok[i + 1]
+        row = 1 << i | (below if letters[i][1] > 0 else 0)
+        ks = inverses[i]
+        for k in ks[bisect_right(ks, i):]:
+            if below >> k & 1:
+                row |= ok[k + 1]
+        ok[i] = row
+    if not ok[0] >> n & 1:
+        return None
+    pairs: list[tuple[int, int]] = []
+    stack = [(0, n)]
     while stack:
-        frame = stack[-1]
-        i, j, t, inner = frame
-        need: Optional[tuple[int, int]] = None
-        if t == -2:
-            if letters[i][1] > 0:
-                frame[2] = -1
-                need = (i + 1, j)
-        elif result is not None and (t == -1 or inner is not None):
-            if t >= 0:
-                result = [(i, inverses[i][t])] + inner + result
-            memo[(i, j)] = result
-            stack.pop()
-            continue
-        elif result is not None:
-            frame[3] = result
-            need = (inverses[i][t] + 1, j)
-        if need is None:
-            # the current try failed: go on to the next partner
-            ks = inverses[i]
-            t = bisect_right(ks, i) if t < 0 else t + 1
-            frame[2:] = [t, None]
-            if t == len(ks) or ks[t] >= j:
-                memo[(i, j)] = result = None
-                stack.pop()
+        i, j = stack.pop()
+        while i < j:
+            below = ok[i + 1]
+            if letters[i][1] > 0 and below >> j & 1:
+                i += 1
                 continue
-            need = (i + 1, ks[t])
-        if need[0] == need[1]:
-            result = []
-        elif need in memo:
-            result = memo[need]
-        else:
-            stack.append([need[0], need[1], -2, None])
-    return memo[(0, n)]
+            ks = inverses[i]
+            k = next((k for k in ks[bisect_right(ks, i):bisect_left(ks, j)]
+                      if below >> k & 1 and ok[k + 1] >> j & 1), None)
+            check(k is not None, "folding",
+                  "backtrack leaves the reachability table at row %d, column %d", i, j)
+            pairs.append((i, k))
+            stack.append((k + 1, j))
+            i, j = i + 1, k
+    return pairs
 
 
 def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:
@@ -387,8 +380,6 @@ def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:
     Because unlinked pairings never cross a fixed cut of the cycle, a
     single linear scan from position 0 is complete.
     """
-    if len(word) == 0:
-        return True, empty_folding(word)
     pairs = _positive_linear(word.letters)
     if pairs is None:
         return False, None

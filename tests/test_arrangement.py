@@ -4,8 +4,8 @@ import pytest
 
 from conftest import CORPUS, CURVES_DIR, load_curve, pipeline
 from curvefold.arrangement import (DegenerateCurve, MalformedInput, NonGenericCurve,
-                                   PlaneCurve, build_arrangement, fraction_str, parse_curve,
-                                   rotation_number, to_fraction, tree_cotree,
+                                   PlaneCurve, build_arrangement, fraction_str, int_str,
+                                   parse_curve, rotation_number, to_fraction, tree_cotree,
                                    turning_of_directions)
 from curvefold.words import parse_word
 
@@ -226,6 +226,17 @@ def test_rational_parsing_and_printing():
     assert fraction_str(Fraction(-5, 4)) == "-1.25"
     assert fraction_str(Fraction(1, 3)) == "1/3"
     assert fraction_str(Fraction(4)) == "4"
+
+
+def test_printing_has_no_digit_limit():
+    # str(int) refuses more than 4300 digits by default; int_str prints
+    # in chunks of 600
+    for k in (599, 600, 601, 1200, 5000):
+        assert int_str(10 ** k) == "1" + "0" * k
+        assert int_str(10 ** k + 1) == "1" + "0" * (k - 1) + "1"
+        assert int_str(-(10 ** k - 1) // 9 * 7) == "-" + "7" * k
+    assert fraction_str(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert fraction_str(Fraction(-1, 10 ** 5000)) == "-0." + "0" * 4999 + "1"
 
 
 def test_exact_rational_coordinates_work():

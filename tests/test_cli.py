@@ -237,6 +237,31 @@ def test_non_finite_numbers_are_input_errors(tmp_path, cmd, doc):
     assert json.loads(res.output)["error"]["code"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": [[0, 0], ["1e100000000", 0], [0, 1]]},
+    {"points": [[0, 0], [1, 0], [0, 1]], "weights": {"1": "1e-100000000"}},
+], ids=["coordinate", "weight"])
+def test_huge_decimal_exponent_is_input_error(tmp_path, doc):
+    # read as written, the exponent alone would make a 10^8-digit integer
+    bad = tmp_path / "huge_exponent.json"
+    bad.write_text(json.dumps(doc))
+    res = run("analyze", "--input", str(bad))
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"]["code"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("command", ["analyze", "norm"])
+def test_exact_output_has_no_digit_limit(tmp_path, command):
+    # the area, 10^4400 / 2, has more digits than str(int) prints by default
+    path = tmp_path / "huge_triangle.json"
+    path.write_text(json.dumps({"points": [[0, 0], ["1e2200", 0], [0, "1e2200"]]}))
+    res = run(command, "--input", str(path))
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    area = doc["faces"][0]["area"] if command == "analyze" else doc["norm"]
+    assert area == "5" + "0" * 4399
+
+
 def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
     # rotation 0, so the verdict is known before the arrangement is built
     bad = tmp_path / "touch.json"
@@ -347,6 +372,11 @@ def test_render_json_wraps_svg():
               "--no-cables")
     doc = json.loads(res.output)
     assert doc["svg"].startswith("<svg ")
+
+
+def test_svg_numbers_have_no_digit_limit():
+    assert _svg_num(Fraction(10 ** 5000)) == "1" + "0" * 5000
+    assert _svg_num(Fraction(-10 ** 5000 - 1, 4)) == "-25" + "0" * 4998 + ".25"
 
 
 def test_svg_numbers_exact():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import load_curve, pipeline, recursion_headroom, unit_weights
 from curvefold.folding import (CapExceeded, Folding, Pairing, cancellation_norm,
-                               complete_to_maximal, empty_folding, is_linked,
+                               complete_to_maximal, is_linked,
                                is_self_overlapping, norm_bruteforce,
                                positively_foldable, positively_foldable_bruteforce)
 from curvefold.words import CyclicWord
@@ -109,7 +110,7 @@ def test_pairing_positions_must_lie_in_the_word(i, j):
 
 def test_area_counts_unpaired_weight():
     w = W(1, 2, -1, weights={1: Fraction(3), 2: Fraction(5)})
-    assert empty_folding(w).area == Fraction(11)
+    assert Folding(w, frozenset()).area == Fraction(11)
     assert Folding(w, frozenset({Pairing(0, 2)})).area == Fraction(5)
 
 
@@ -248,6 +249,20 @@ def test_positive_foldability_against_oracle():
 def test_positive_folding_of_a_long_positive_word():
     ok, witness = positively_foldable(CyclicWord(((1, 1),) * 1200))
     assert ok and witness.pairings == frozenset()
+
+
+def test_positive_folding_of_a_dense_word_stays_small():
+    """400 random letters over two faces give each letter about 100
+    partners; the reachability table holds one int of 401 bits per row."""
+    rng = random.Random("dense")
+    w = CyclicWord([(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(400)], {})
+    tracemalloc.start()
+    try:
+        positively_foldable(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 def test_deeply_nested_word_needs_no_recursion():

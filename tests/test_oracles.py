@@ -17,7 +17,8 @@ pairings, trace steps and accept/reject verdicts must be identical, on
 long seeded words with ``p/q`` weights, on the words of random generic
 polygons, whose face areas have large denominators, and on short words
 over at most three faces with unit or whole weights, where position 0
-often ties.
+often ties, and on dense words over one or two faces, where every letter
+has many partners.
 
 The twist and its two transports lay the twisted word out by position
 arithmetic; their oracle records every letter's provenance (original
@@ -38,7 +39,10 @@ cross product of its two pass directions, and sums each edge's shoelace
 once into the faces on its two sides.  Their oracles sort the darts by
 angle with a comparator and walk every face's boundary dart by dart.  The
 orders must agree up to rotation and the areas exactly, on the corpus and
-on random polygons of 5 to 100 corners.
+on random polygons of 5 to 100 corners.  A crossing-free curve goes
+through the same construction as one closed edge; its oracle builds the
+edge and its two faces by hand.  The arrangements must be equal field
+for field.
 
 Smoothing finds its pieces in one bracket pass over the entries.  Its
 oracle scans the entries for each vertex's two passes, tests every pair
@@ -54,6 +58,7 @@ their order, pieces and areas must be identical.
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,10 +66,11 @@ from typing import Optional
 
 import pytest
 
-from conftest import CORPUS, RANDOM_POLYGONS, pipeline, random_generic_polygon
-from curvefold.arrangement import (DegenerateCurve, Dart, NonGenericCurve, PlaneCurve, _cross,
-                                   _integer_segments, _segment_intersections, tree_cotree,
-                                   turning_of_directions)
+from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
+from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Face,
+                                   NonGenericCurve, PlaneCurve, _cross, _integer_segments,
+                                   _segment_intersections, _shoelace2, build_arrangement,
+                                   tree_cotree, turning_of_directions)
 from curvefold import decomposition
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve, SubcurveEntry,
@@ -455,7 +461,23 @@ def greedy_folding(rng, word):
     return Folding(word, frozenset(pairings))
 
 
-WORDS = {"seeded": seeded_long_words, "polygon": polygon_words, "ties": tie_words}
+@functools.cache
+def dense_words():
+    """Random words of 20 to 60 letters over one or two faces, so that each
+    letter has many partners and the positive search many splits."""
+    rng = random.Random(4406)
+    words = []
+    for n in range(60):
+        length, faces = rng.randint(20, 60), 1 + n % 2
+        letters = [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(length)]
+        weights = {} if n % 3 == 0 else {f: Fraction(rng.randint(1, 3))
+                                         for f in range(1, faces + 1)}
+        words.append(CyclicWord(letters, weights))
+    return words
+
+
+WORDS = {"seeded": seeded_long_words, "polygon": polygon_words, "ties": tie_words,
+         "dense": dense_words}
 
 
 @pytest.mark.parametrize("source", sorted(WORDS))
@@ -652,6 +674,27 @@ def face_area_oracle(arr, face) -> Fraction:
     return total / 2
 
 
+def simple_loop_oracle(curve: PlaneCurve) -> Arrangement:
+    """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
+    pts = curve.points
+    geom = tuple(pts) + (pts[0],)
+    area2 = _shoelace2(geom)
+    ccw = area2 > 0
+    edge = Edge(id=0, v_from=None, v_to=None, geometry=geom,
+                directions=tuple(_integer_segments(pts)[2]))
+    d = Dart(0, True)
+    inner = Face(id=1, boundary=(d if ccw else d.twin,),
+                 signed_area=abs(area2) / 2, unbounded=False,
+                 winding=1 if ccw else -1, depth=1, parent=(0, 0))
+    outer = Face(id=0, boundary=(d.twin if ccw else d,),
+                 signed_area=-abs(area2) / 2, unbounded=True, winding=0, depth=0)
+    edge.left_face = 1 if ccw else 0
+    edge.right_face = 0 if ccw else 1
+    return Arrangement(curve=curve, vertices=[], edges=[edge],
+                       faces=[outer, inner], traversal=(d,), vertex_passes={},
+                       dual=[[(1, 0)], [(0, 0)]])
+
+
 def rotation_oracle(piece) -> Optional[int]:
     """The piece's turning number from the directions of its geometry."""
     if not piece.geometric:
@@ -791,6 +834,45 @@ def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
         faces += len(arr.faces)
     assert arrangements == 9 + 24 + 216 + 1
     assert crossings > 10_000 and faces > 10_000, (crossings, faces)
+
+
+def _crossing_free_curves():
+    """``square``, and star-shaped polygons: integer corners sorted by angle
+    about the origin, each less than half a turn after the one before, some
+    with a corner inserted halfway along a side.  Both orientations."""
+    rng = random.Random(8809)
+    polygons = [load_curve("square").points]
+    while len(polygons) < 60:
+        dirs = {}
+        for _ in range(rng.randint(3, 12)):
+            x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+            if (x, y) != (0, 0):
+                g = math.gcd(x, y)
+                dirs.setdefault((x // g, y // g), (x, y))
+        pts = sorted(dirs.values(), key=functools.cmp_to_key(_ccw_cmp))
+        if len(pts) < 3 or any(_cross(p, q) <= 0 for p, q in zip(pts, pts[1:] + pts[:1])):
+            continue
+        corners = []
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            corners.append(p)
+            if rng.random() < 0.3:
+                corners.append((Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2)))
+        polygons.append(tuple((Fraction(x), Fraction(y)) for x, y in corners))
+    for pts in polygons:
+        yield PlaneCurve(pts)
+        yield PlaneCurve(pts[::-1])
+
+
+def test_crossing_free_loop_matches_the_hand_built_arrangement():
+    windings = set()
+    collinear = 0
+    for curve in _crossing_free_curves():
+        arr = build_arrangement(curve)
+        assert arr == simple_loop_oracle(curve), curve.points
+        windings.add(arr.faces[1].winding)
+        dirs = _integer_segments(curve.points)[2]
+        collinear += any(_cross(u, w) == 0 for u, w in zip(dirs, dirs[1:]))
+    assert windings == {1, -1} and collinear > 10, (windings, collinear)
 
 
 def _smoothings():
