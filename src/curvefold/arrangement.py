@@ -129,7 +129,10 @@ def parse_weights(raw) -> dict[int, Fraction]:
             fid = int(key)
         except ValueError as exc:
             raise MalformedInput(f"bad face id {key!r}") from exc
-        w = to_fraction(val)
+        try:
+            w = to_fraction(val)
+        except MalformedInput as exc:
+            raise MalformedInput(f"bad weight {val!r} for face {fid}") from exc
         if w < 0:
             raise MalformedInput(f"negative weight for face {fid}")
         weights[fid] = w
@@ -174,6 +177,11 @@ def fraction_str(q: Fraction) -> str:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
+def point_str(p: Point) -> str:
+    """A point as '(x, y)', each coordinate through ``fraction_str``."""
+    return f"({fraction_str(p[0])}, {fraction_str(p[1])})"
+
+
 # ---------------------------------------------------------------------------
 # primitive geometry
 
@@ -198,12 +206,25 @@ def _half(w: Vector) -> int:
 # curve ingestion
 
 
+class _UnitWeights:
+    """``PlaneCurve.weights`` that weighs every bounded face 1, whatever its id."""
+
+    def __repr__(self) -> str:
+        return "UNIT_WEIGHTS"
+
+
+UNIT_WEIGHTS = _UnitWeights()
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
-    """A closed polyline, traversed in point order, closed implicitly."""
+    """A closed polyline, traversed in point order, closed implicitly.
+
+    ``weights`` overrides the area of the faces it names, or is
+    ``UNIT_WEIGHTS``; None keeps every face's area."""
 
     points: tuple[Point, ...]
-    weights: Optional[Mapping[int, Fraction]] = None
+    weights: Optional[Mapping[int, Fraction] | _UnitWeights] = None
 
     def __post_init__(self):
         n = len(self.points)
@@ -319,12 +340,13 @@ class Arrangement:
         return g if d.fwd else tuple(reversed(g))
 
     def face_weights(self) -> dict[int, Fraction]:
-        """Per bounded face: the override weight if given, else the area."""
-        out = {}
-        override = self.curve.weights or {}
-        for f in self.faces[1:]:
-            out[f.id] = Fraction(override.get(f.id, f.signed_area))
-        return out
+        """Per bounded face: 1 under unit weights, else the override weight
+        if given, else the area."""
+        weights = self.curve.weights
+        if weights is UNIT_WEIGHTS:
+            return {f.id: Fraction(1) for f in self.faces[1:]}
+        override = weights or {}
+        return {f.id: Fraction(override.get(f.id, f.signed_area)) for f in self.faces[1:]}
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +421,11 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
             p = (Fraction(ax * denom + o3 * rx, denom * D), Fraction(ay * denom + o3 * ry, denom * D))
             if not (o1 and o2 and o3 and o4):
                 raise NonGenericCurve(
-                    f"endpoint contact between segments {i} and {j} at {p}")
+                    f"endpoint contact between segments {i} and {j} at {point_str(p)}")
             owners = point_owners.setdefault(p, set())
             owners.update((i, j))
             if len(owners) > 2:
-                raise NonGenericCurve(f"three or more segments meet at {p}")
+                raise NonGenericCurve(f"three or more segments meet at {point_str(p)}")
             hits[i].append((Fraction(o3, denom), p))
             hits[j].append((Fraction(-o1, denom), p))
 
@@ -422,7 +444,8 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     # Flatten the crossings into traversal order: (segment, point).
     visits = [(i, p) for i in range(len(dirs)) for _, p in hits[i]]
     arr = _crossing_arrangement(curve, dirs, visits)
-    unknown = sorted(set(curve.weights or ()) - set(range(1, len(arr.faces))))
+    named = () if curve.weights is UNIT_WEIGHTS else curve.weights or ()
+    unknown = sorted(set(named) - set(range(1, len(arr.faces))))
     if unknown:
         raise MalformedInput(f"weights name faces the curve does not bound: {unknown}")
     return arr
@@ -444,7 +467,7 @@ def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
         passes[v].append(k)
     for v in vertices:
         if len(passes[v.id]) != 2:
-            raise NonGenericCurve(f"vertex {v.point} not visited exactly twice")
+            raise NonGenericCurve(f"vertex {point_str(v.point)} not visited exactly twice")
 
     # Edges: arcs between consecutive crossings, carrying the corner points;
     # a crossing-free curve is one closed edge.

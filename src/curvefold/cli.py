@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import click
 
-from .arrangement import (Arrangement, CurveError, InvariantViolation, MalformedInput,
-                          PlaneCurve, build_arrangement, check, face_measures, fraction_str,
-                          int_str, load_json, parse_curve, rotation_number)
+from .arrangement import (UNIT_WEIGHTS, Arrangement, CurveError, InvariantViolation,
+                          MalformedInput, PlaneCurve, build_arrangement, check, face_measures,
+                          fraction_str, int_str, load_json, parse_curve, rotation_number)
 from .decomposition import CutStep, homotopy_trace, min_area_sod, sod_oracle
 from .folding import (CapExceeded, Folding, cancellation_norm, is_self_overlapping,
                       norm_bruteforce, positively_foldable_bruteforce)
@@ -58,9 +58,7 @@ def _load_curve(path: str, weights_mode: str) -> PlaneCurve:
                            "--weights file needs a 'weights' object in the input")
         return curve
     if weights_mode == "unit":
-        probe = build_arrangement(PlaneCurve(curve.points))
-        unit = {f.id: Fraction(1) for f in probe.faces[1:]}
-        return PlaneCurve(curve.points, unit)
+        return PlaneCurve(curve.points, UNIT_WEIGHTS)
     return PlaneCurve(curve.points)      # "area": geometric face areas
 
 
@@ -317,8 +315,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
     """Deterministic SVG for a curve with optional overlays.
 
     Draws the curve, labels each bounded face with its winding and depth,
-    and optionally cable polylines and colored decomposition pieces with
-    dashed cut arcs.
+    and optionally cable polylines and colored decomposition pieces.
     """
     x0, y0, x1, y1 = _bbox(arr)
     pad = max(x1 - x0, y1 - y0) / 10 + 1
@@ -351,13 +348,10 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
         for idx, piece in enumerate(pieces):
             color = _PALETTE[idx % len(_PALETTE)]
             for entry in piece.entries:
-                if entry.dart is None:
-                    continue
                 g = arr.dart_geometry(arr.traversal[entry.dart])
-                dash = ' stroke-dasharray="0.8 0.4"' if entry.partial else ""
                 out.append(f'<polyline points="{_poly_points(g, flip)}" '
                            f'fill="none" stroke="{color}" '
-                           f'stroke-width="0.6" opacity="0.55"{dash}/>')
+                           'stroke-width="0.6" opacity="0.55"/>')
 
     for f in arr.faces[1:]:
         ax, ay = _face_anchor(arr, f.id)

@@ -1,4 +1,4 @@
-"""Vertex decompositions, Blank cuts, and minimum-area analysis.
+"""Vertex decompositions and minimum-area analysis.
 
 A closed curve can be split at a self-crossing into two closed subcurves
 by reconnecting the strands the orientation-respecting way.  A *vertex
@@ -11,10 +11,11 @@ of the curve's word with face areas as weights, which in turn equals the
 minimum area swept by a null-homotopy.
 
 Pieces are represented combinatorially as runs of the original traversal
-darts together with the face letters each dart carries.  Pieces produced
-only by smoothings keep exact geometry, so their rotation numbers are
-computed from turning angles; pieces produced by a Blank cut contain a
-synthetic cut arc and expose word-level data only.
+darts together with the face letters each dart carries.  Smoothing keeps
+every dart whole, so a piece's rotation number is computed exactly from
+the turning of its darts' directions.  ``homotopy_trace`` replays a
+folding as Blank's induction, one cut along an innermost pairing at a
+time, on the word alone.
 """
 
 from __future__ import annotations
@@ -27,14 +28,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .arrangement import Arrangement, PlaneCurve, check, turning_of_directions
 from .folding import Folding, Pairing, cancellation_norm, chords_cross, positively_foldable
 from .words import CableSystem, CyclicWord, Letter, face_word
-
-
-class InvalidPairing(Exception):
-    """Pairing does not name inverse letters of the word."""
-
-
-class NotAStack(Exception):
-    """Subcurve fails the stack preconditions."""
 
 
 class InvalidDecomposition(Exception):
@@ -51,26 +44,25 @@ class LinkedVertices(Exception):
 
 @dataclass(frozen=True)
 class SubcurveEntry:
-    """One step of a subcurve: a traversal dart or a synthetic cut arc.
+    """One step of a subcurve: a traversal dart and the letters it carries.
 
-    ``positions`` are the global face-word indices of ``letters``; cut
-    arcs carry no letters (cables are rerouted off the cut face first).
+    ``positions`` are the global face-word indices of ``letters``.
     """
 
-    dart: Optional[int]            # traversal index; None for a cut arc
-    tail_vertex: Optional[int]     # crossing at the step's start, if any
+    dart: int                      # traversal index
+    tail_vertex: Optional[int]     # crossing the dart leaves, if any
     letters: tuple[Letter, ...]
     positions: tuple[int, ...]
-    partial: bool = False          # dart truncated by a cut
+    partial: bool = False          # dart truncated by a cut; smoothing never truncates
 
 
 @dataclass(frozen=True)
 class Subcurve:
-    """A closed piece of a curve, tracked through cuts and smoothings."""
+    """A closed piece of a curve, tracked through smoothings."""
 
     entries: tuple[SubcurveEntry, ...]
-    weights: Mapping[int, Fraction] = field(default_factory=dict, compare=False)
-    arr: Optional[Arrangement] = field(default=None, compare=False, repr=False)
+    weights: Mapping[int, Fraction] = field(compare=False)
+    arr: Arrangement = field(compare=False, repr=False)
 
     def letters(self) -> tuple[Letter, ...]:
         return tuple(l for e in self.entries for l in e.letters)
@@ -102,15 +94,8 @@ class Subcurve:
         return sorted(v for v, c in seen.items() if c == 2)
 
     @property
-    def geometric(self) -> bool:
-        return self.arr is not None and all(
-            e.dart is not None and not e.partial for e in self.entries)
-
-    @property
-    def rotation(self) -> Optional[int]:
-        """Turning number, exact; None when a cut arc hides the geometry."""
-        if not self.geometric:
-            return None
+    def rotation(self) -> int:
+        """Turning number, exact, over the directions of the piece's darts."""
         edges, traversal = self.arr.edges, self.arr.traversal
         return turning_of_directions(
             [w for e in self.entries for w in edges[traversal[e.dart].edge].directions])
@@ -141,8 +126,9 @@ def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
     entries finds every piece.  A vertex's first pass opens its piece; its
     second pass must close the innermost open piece, or the two vertices
     are linked.  Each entry joins the piece innermost open after its own
-    bracket step.  Returns the outer piece, then one piece per vertex in
-    ascending order.
+    bracket step, unchanged: the two passes of a smoothed vertex land in
+    different pieces, so no piece counts it among its crossings.  Returns
+    the outer piece, then one piece per vertex in ascending order.
     """
     smoothed = set(vertices)
     vs = sorted(smoothed)
@@ -151,7 +137,6 @@ def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
     for e in sc.entries:
         v = e.tail_vertex
         if v in smoothed:
-            e = SubcurveEntry(e.dart, None, e.letters, e.positions, e.partial)
             if v not in open_:
                 open_.append(v)
             elif open_[-1] == v:
@@ -168,106 +153,7 @@ def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
 
 
 # ---------------------------------------------------------------------------
-# Blank cuts
-
-
-def blank_cut(sc: Subcurve, p: Pairing) -> tuple[Subcurve, Subcurve]:
-    """Cut along the cable path between the two crossings of a pairing.
-
-    The paired letters are consumed; each side closes up with a cut-arc
-    entry.  Cut arcs cross no cables (they are rerouted along face
-    boundaries first), so they carry no letters and hide the geometry.
-    """
-    word = sc.word()
-    m = len(word)
-    i, j = p.i % m, p.j % m
-    if i == j:
-        raise InvalidPairing("a pairing needs two distinct positions")
-    fi, si = word[i]
-    fj, sj = word[j]
-    if fi != fj or si != -sj:
-        raise InvalidPairing(f"positions {i},{j} are not inverse letters")
-
-    # locate the two letters inside the entry stream
-    flat: list[tuple[int, int]] = []  # (entry index, index within entry)
-    for ei, e in enumerate(sc.entries):
-        for li in range(len(e.letters)):
-            flat.append((ei, li))
-    (ei1, li1), (ei2, li2) = flat[i], flat[j]
-
-    def side(start: tuple[int, int], stop: tuple[int, int]) -> Subcurve:
-        """Entries strictly between two letter slots, cyclically."""
-        (sa, sl), (sb, bl) = start, stop
-        entries: list[SubcurveEntry] = []
-
-        def partial(e: SubcurveEntry, lo: int, hi: int, cut: bool) -> SubcurveEntry:
-            return SubcurveEntry(dart=e.dart, tail_vertex=None if cut else e.tail_vertex,
-                                 letters=e.letters[lo:hi], positions=e.positions[lo:hi],
-                                 partial=e.dart is not None)
-
-        ea = sc.entries[sa]
-        if sa == sb and sl < bl:
-            # both cut letters sit on one dart; keep the stretch between
-            entries = [partial(ea, sl + 1, bl, cut=True)]
-        else:
-            # tail of the entry holding the first cut letter, the entries
-            # strictly between, then the head of the entry holding the second
-            entries.append(partial(ea, sl + 1, len(ea.letters), cut=True))
-            k = (sa + 1) % len(sc.entries)
-            while k != sb:
-                entries.append(sc.entries[k])
-                k = (k + 1) % len(sc.entries)
-            entries.append(partial(sc.entries[sb], 0, bl, cut=False))
-        entries.append(SubcurveEntry(dart=None, tail_vertex=None,
-                                     letters=(), positions=()))  # cut arc
-        return Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr)
-
-    cut1 = side((ei1, li1), (ei2, li2))
-    cut2 = side((ei2, li2), (ei1, li1))
-    check(len(cut1.letters()) + len(cut2.letters()) == m - 2, "decomposition",
-          "a Blank cut must keep every letter but the cut pair")
-    return cut1, cut2
-
-
-def cut_along_folding(sc: Subcurve, folding: Folding) -> list[Subcurve]:
-    """Cut along every pairing, in ascending ``(i, j)`` order; returns all pieces.
-
-    An outer pairing may be cut before the pairings it encloses.  The
-    pairings do not link, so each lies in exactly one piece whenever it is
-    cut, and the order changes only the order of the returned list.
-    """
-    remaining = sorted(folding.pairings, key=lambda p: (p.i, p.j))
-    pieces = [(sc, list(range(len(sc.word()))))]  # piece, its global slots
-    for p in remaining:
-        for idx, (piece, slots) in enumerate(pieces):
-            if p.i in slots and p.j in slots:
-                local = Pairing(slots.index(p.i), slots.index(p.j))
-                a, b = blank_cut(piece, local)
-                slots_a = [s for s in a.positions()]
-                slots_b = [s for s in b.positions()]
-                # keep global numbering via stored positions
-                pieces[idx:idx + 1] = [(a, slots_a), (b, slots_b)]
-                break
-        else:
-            raise InvalidPairing(f"pairing {p} spans two pieces")
-    return [piece for piece, _ in pieces]
-
-
-# ---------------------------------------------------------------------------
-# goodness and stacks
-
-
-def is_good(sc: Subcurve) -> bool:
-    """All occurrences of each face letter share one sign.
-
-    Equivalent to |winding| == depth on each face once cables are merged,
-    since the unsigned count measures depth and the signed count winding.
-    """
-    signs: dict[int, int] = {}
-    for f, s in sc.letters():
-        if signs.setdefault(f, s) != s:
-            return False
-    return True
+# certification
 
 
 def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
@@ -275,61 +161,15 @@ def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
 
     Accepts rotation +1 with a positively foldable word, or rotation -1
     with a positively foldable inverse word (the piece read backwards).
-    A cut piece hides its rotation; it is accepted when its minimum
-    contraction cost equals its winding area and either orientation
-    folds positively, which is a necessary-condition certificate.
     """
     rot = sc.rotation
-    if rot not in (None, 1, -1):
+    if rot not in (1, -1):
         return False, {"reason": f"rotation_number={rot}"}
     word = sc.word()
-    if rot is None:
-        value, _ = cancellation_norm(word)
-        if value != sc.area_w():
-            return False, {"reason": "norm_exceeds_winding_area"}
-    for sign in ((1, -1) if rot is None else (rot,)):
-        ok, witness = positively_foldable(word if sign == 1 else word.inverse())
-        if ok:
-            return True, {"rotation": rot, "witness": witness, "reversed": sign == -1}
-    fail = {"reason": "not_positively_foldable"}
-    return False, fail if rot is None else {**fail, "rotation": rot}
-
-
-def stack_decompose(sc: Subcurve) -> list[Subcurve]:
-    """Split a k-stack into k immersed-disk boundaries by smoothings.
-
-    Searches for a crossing whose smoothing yields two stacks whose
-    rotations add up; recursion bottoms out at |rotation| = 1.
-    """
-    wind = {f: w for f, w in sc.windings().items() if w != 0}
-    if not is_good(sc):
-        raise NotAStack("mixed letter signs")
-    signs = {1 if w > 0 else -1 for w in wind.values()}
-    if len(signs) > 1:
-        raise NotAStack("winding numbers of both signs")
-    rot = sc.rotation
-    if rot is None:
-        raise NotAStack("rotation unavailable (cut piece)")
-    if rot == 0 or (signs and (rot > 0) != (next(iter(signs)) > 0)):
-        raise NotAStack(f"rotation {rot} inconsistent with windings")
-    k = abs(rot)
-    if k == 1:
-        check(certify_subcurve(sc)[0], "decomposition", "a 1-stack must bound an immersed disk")
-        return [sc]
-    for v in sc.crossings():
-        pieces = smooth_at(sc, [v])
-        rots = [p.rotation for p in pieces]
-        if 0 in rots:
-            continue
-        if (rots[0] > 0) != (rot > 0) or (rots[1] > 0) != (rot > 0):
-            continue
-        if abs(rots[0]) + abs(rots[1]) != k:
-            continue
-        try:
-            return stack_decompose(pieces[0]) + stack_decompose(pieces[1])
-        except NotAStack:
-            continue
-    raise NotAStack(f"no smoothing splits this {k}-stack")
+    ok, witness = positively_foldable(word if rot == 1 else word.inverse())
+    if ok:
+        return True, {"rotation": rot, "witness": witness, "reversed": rot == -1}
+    return False, {"reason": "not_positively_foldable", "rotation": rot}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +181,7 @@ class SelfOverlappingDecomposition:
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
     area: Fraction
-    # the cable system the pieces were cut from (``cables.arr`` is every
+    # the cable system the pieces were smoothed from (``cables.arr`` is every
     # piece's arrangement) and its whole-curve face word
     cables: CableSystem = field(compare=False, repr=False)
     word: CyclicWord

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS, CURVES_DIR, load_curve, pipeline
-from curvefold.arrangement import (DegenerateCurve, MalformedInput, NonGenericCurve,
-                                   PlaneCurve, build_arrangement, fraction_str, int_str,
-                                   parse_curve, rotation_number, to_fraction, tree_cotree,
-                                   turning_of_directions)
+from curvefold.arrangement import (UNIT_WEIGHTS, DegenerateCurve, MalformedInput,
+                                   NonGenericCurve, PlaneCurve, build_arrangement, fraction_str,
+                                   int_str, parse_curve, rotation_number, to_fraction,
+                                   tree_cotree, turning_of_directions)
 from curvefold.words import parse_word
 
 # frozen per-curve facts: rotation, vertex count, {face: (area, winding, depth)}
@@ -216,6 +216,21 @@ def test_weights_may_name_only_bounded_faces(points):
                                        "weights": {"1": "7/2", "9": "5", "0": "3"}}))
     arr = build_arrangement(parse_curve({"points": points, "weights": {"1": "7/2"}}))
     assert arr.face_weights()[1] == Fraction(7, 2)
+
+
+def test_unit_weights_weigh_every_bounded_face_one(corpus_name):
+    curve = load_curve(corpus_name)
+    arr = build_arrangement(PlaneCurve(curve.points, UNIT_WEIGHTS))
+    assert arr.face_weights() == {f.id: 1 for f in arr.faces[1:]}
+
+
+@pytest.mark.parametrize("parse, doc", [
+    (parse_curve, {"points": [[0, 0], [4, 0], [0, 4]], "weights": {"1": "1/0"}}),
+    (parse_word, {"word": ["1", "-1"], "weights": {"1": "1/0"}}),
+], ids=["curve", "word"])
+def test_bad_weight_is_named_with_its_face(parse, doc):
+    with pytest.raises(MalformedInput, match=r"^bad weight '1/0' for face 1$"):
+        parse(doc)
 
 
 def test_rational_parsing_and_printing():

@@ -262,6 +262,21 @@ def test_exact_output_has_no_digit_limit(tmp_path, command):
     assert area == "5" + "0" * 4399
 
 
+def test_non_generic_curve_with_a_huge_point_is_input_error(tmp_path):
+    # the corner (M, M) lies on the segment from (M2, 0) to (0, M2); the
+    # message names it with more digits than str(int) prints by default
+    M = "1." + "0" * 98 + "1e4300"
+    M2 = "2." + "0" * 98 + "2e4300"
+    bad = tmp_path / "huge_touch.json"
+    bad.write_text(json.dumps({"points": [[0, 0], [M2, M2], [M2, 0], [M, M], [0, M2]]}))
+    res = run("analyze", "--input", str(bad))
+    assert res.exit_code == 2, res.output
+    error = json.loads(res.output)["error"]
+    m = "1" + "0" * 98 + "1" + "0" * 4201          # M, exactly, in 4301 digits
+    assert error == {"code": "NonGenericCurve",
+                     "message": f"endpoint contact between segments 0 and 2 at ({m}, {m})"}
+
+
 def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
     # rotation 0, so the verdict is known before the arrangement is built
     bad = tmp_path / "touch.json"
@@ -295,12 +310,11 @@ def test_selfoverlap_builds_the_arrangement_once(builds, name):
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("weights_mode, count", [("area", 1), ("unit", 2)])
+@pytest.mark.parametrize("weights_mode, count", [("area", 1), ("unit", 1)])
 @pytest.mark.parametrize("cmd", ["analyze", "word", "norm", "selfoverlap",
                                  "decompose", "homotopy", "render",
                                  "render --decomposition", "decompose --oracle"])
 def test_every_command_builds_the_arrangement_once(builds, cmd, weights_mode, count):
-    # --weights unit builds one more arrangement, to learn the face ids
     res = run(*cmd.split(), "--input", curve_path("one_ear"), "--weights", weights_mode)
     assert res.exit_code == 0
     assert len(builds) == count

@@ -54,6 +54,14 @@ The decomposition search certifies each distinct piece once and skips a
 vertex set that holds a piece already known to fail.  Its oracle smooths
 every unlinked vertex set and certifies every piece.  The decompositions,
 their order, pieces and areas must be identical.
+
+The homotopy trace replays a folding on the word alone.  Its geometric
+oracle is Blank's induction itself (``blank_cuts``): the whole curve is
+cut at each cut step's two letters, one side must hold exactly the
+letters the next step contracts and no letter of a pairing still to be
+cut, and the other side goes on, until the piece left holds the last
+step's letters up to rotation; on the norm witnesses of the corpus, the
+random polygons and 40 seeded 5- to 20-gons.
 """
 
 import functools
@@ -66,17 +74,18 @@ from typing import Optional
 
 import pytest
 
-from conftest import CORPUS, RANDOM_POLYGONS, load_curve, pipeline, random_generic_polygon
+import blank_cuts
+from blank_cuts import cut_along_folding, cut_at, stack_decompose
+from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipeline,
+                      random_generic_polygon)
 from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Face,
                                    NonGenericCurve, PlaneCurve, _cross, _integer_segments,
                                    _segment_intersections, _shoelace2, build_arrangement,
-                                   tree_cotree, turning_of_directions)
-from curvefold import decomposition
+                                   point_str, tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
-                                     SelfOverlappingDecomposition, Subcurve, SubcurveEntry,
+                                     SelfOverlappingDecomposition, Subcurve,
                                      _decompositions, _unlinked_subsets, certify_subcurve,
-                                     curve_subcurve, cut_along_folding, homotopy_trace,
-                                     smooth_at, stack_decompose)
+                                     curve_subcurve, homotopy_trace, smooth_at)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, is_linked, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
@@ -624,11 +633,12 @@ def segment_intersections_oracle(curve: PlaneCurve):
                 assert p == (b if j == i + 1 else a)
                 continue
             if t in (0, 1) or u in (0, 1):
-                raise NonGenericCurve(f"endpoint contact between segments {i} and {j} at {p}")
+                raise NonGenericCurve(
+                    f"endpoint contact between segments {i} and {j} at {point_str(p)}")
             owners = point_owners.setdefault(p, set())
             owners.update((i, j))
             if len(owners) > 2:
-                raise NonGenericCurve(f"three or more segments meet at {p}")
+                raise NonGenericCurve(f"three or more segments meet at {point_str(p)}")
             hits[i].append((t, p))
             hits[j].append((u, p))
     for i in range(n):
@@ -695,10 +705,8 @@ def simple_loop_oracle(curve: PlaneCurve) -> Arrangement:
                        dual=[[(1, 0)], [(0, 0)]])
 
 
-def rotation_oracle(piece) -> Optional[int]:
+def rotation_oracle(piece) -> int:
     """The piece's turning number from the directions of its geometry."""
-    if not piece.geometric:
-        return None
     dirs = []
     for e in piece.entries:
         geom = piece.arr.dart_geometry(piece.arr.traversal[e.dart])
@@ -745,14 +753,9 @@ def smooth_oracle(sc, vertices):
         groups.setdefault(owner(i), []).append(i)
     pieces = []
     for key in [None] + vs:
-        entries = []
-        for i in groups.get(key, []):
-            e = sc.entries[i]
-            if e.tail_vertex in chords:
-                e = SubcurveEntry(e.dart, None, e.letters, e.positions, e.partial)
-            entries.append(e)
+        entries = tuple(sc.entries[i] for i in groups.get(key, []))
         if entries:
-            pieces.append(Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr))
+            pieces.append(Subcurve(entries=entries, weights=sc.weights, arr=sc.arr))
     return pieces
 
 
@@ -935,7 +938,7 @@ def test_stack_decompose_matches_with_the_chord_oracle(monkeypatch, name):
     _, arr, _, cables, _ = pipeline(name)
     full = curve_subcurve(arr, cables)
     pieces = stack_decompose(full)
-    monkeypatch.setattr(decomposition, "smooth_at", smooth_oracle)
+    monkeypatch.setattr(blank_cuts, "smooth_at", smooth_oracle)
     assert stack_decompose(full) == pieces
 
 
@@ -982,3 +985,42 @@ def test_decomposition_search_matches_the_exhaustive_oracle():
             assert (a.subcurves, a.area) == (b.subcurves, b.area), (label, a.vertex_pairs)
         found += len(got)
     assert found > 300, found
+
+
+def blank_cut_trace_oracle(full: Subcurve, folding: Folding) -> int:
+    """Replay ``homotopy_trace(folding)`` by Blank cuts of the whole curve.
+
+    At each cut step the current piece is cut at the step's two letters:
+    one side must hold exactly the letters the next step contracts and no
+    letter of a pairing still to be cut, and the other side goes on.  The
+    piece left at the end must hold the last step's letters, up to
+    rotation.  Returns the number of cuts."""
+    steps = homotopy_trace(folding).steps
+    uncut = set(folding.pairings)
+    piece = full
+    for cut, contract in zip(steps[:-1:2], steps[1::2]):
+        assert isinstance(cut, CutStep) and isinstance(contract, ContractStep)
+        uncut.remove(Pairing(*cut.positions))
+        held = {x for p in uncut for x in (p.i, p.j)}
+        sides = cut_at(piece, *cut.positions)
+        swept = [k for k, side in enumerate(sides)
+                 if side.letters() == contract.letters and held.isdisjoint(side.positions())]
+        assert swept, (cut, contract)
+        piece = sides[1 - swept[0]]
+    assert not uncut and isinstance(steps[-1], ContractStep)
+    assert cyclic_equal(piece.word(), CyclicWord(steps[-1].letters))
+    return len(steps) // 2
+
+
+def test_trace_matches_the_blank_cuts():
+    # the norm witnesses of the corpus and the random polygons, and of 40
+    # seeded 5- to 20-gons
+    systems = [cables for _, cables, _ in _cable_systems()]
+    for k in range(40):
+        _, arr = random_generic_polygon(random.Random(f"trace-{k}"), 5 + k % 16)
+        systems.append(build_cable_system(arr, tree_cotree(arr)))
+    cuts = 0
+    for cables in systems:
+        full = curve_subcurve(cables.arr, cables)
+        cuts += blank_cut_trace_oracle(full, cancellation_norm(full.word())[1])
+    assert cuts == 192, cuts
