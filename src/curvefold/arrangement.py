@@ -20,11 +20,26 @@ the per-face invariants everything downstream relies on:
   spanning tree of the dual graph rooted at the unbounded face.
 
 The input corners are ``fractions.Fraction``.  Each build scales them
-once to integers by the common denominator of their coordinates, and
-every predicate (which segments cross, the ccw order around a crossing,
-the turning of the tangent) is the sign of an integer cross product.
-Crossing points and areas stay ``Fraction``, in the curve's own
-coordinates; no tolerances anywhere.
+once to integers by the least common denominator D of their
+coordinates, and every predicate (which segments cross, the ccw order
+around a crossing, the turning of the tangent) is the sign of an integer
+cross product.  The construction itself runs on Python ints; no
+tolerances anywhere:
+
+* a crossing is named by its segment pair (i, j) and located by an
+  integer triple (X, Y, q), q > 0, standing for (X / (q D), Y / (q D));
+  its parameter on each of the two segments is a ``Fraction``, which
+  orders the crossings along the segment and, as a pair of ints, finds
+  three segments through one point,
+* darts have integer ids, 2e for edge e walked forwards and 2e + 1 for it
+  walked backwards, and the faces are traced over those ids,
+* each edge's shoelace sum is one integer over the scaled corners and its
+  two end crossings, q1 q2 D^2 times twice its signed area.
+
+Beyond the parameters, a ``Fraction`` is made only where a value leaves
+the construction: once per crossing for ``Vertex.point``, once per edge for its area, which is
+added to its left face's ``Face.signed_area`` and subtracted from its
+right face's, and in the message of a ``NonGenericCurve``.
 """
 
 from __future__ import annotations
@@ -190,11 +205,6 @@ def _cross(a: Point | Vector, b: Point | Vector) -> Fraction | int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _shoelace2(path: Sequence[Point]) -> Fraction:
-    """Twice the signed area the polyline ``path`` sweeps about the origin."""
-    return sum((_cross(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
-
-
 def _half(w: Vector) -> int:
     """0 for a direction angle in [0, pi), 1 for [pi, 2pi)."""
     if w[1] > 0 or (w[1] == 0 and w[0] > 0):
@@ -357,7 +367,8 @@ def common_denominator(fractions: Iterable[Fraction]) -> int:
     """The least common denominator of ``fractions``; 1 when there are none."""
     D = 1
     for q in fractions:
-        D *= Fraction(D, q.denominator).denominator
+        if D % q.denominator:
+            D *= Fraction(D, q.denominator).denominator
     return D
 
 
@@ -374,18 +385,33 @@ def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[
     return D, corners, dirs
 
 
+# a crossing point (X, Y, q), q > 0, stands for (X / (q D), Y / (q D))
+Scaled = tuple[int, int, int]
+# (parameter on the segment, (i, j) of the two segments i < j, point)
+Hit = tuple[Fraction, tuple[int, int], Scaled]
+
+
+def _point(P: Scaled, D: int) -> Point:
+    """The crossing point ``P`` in the curve's coordinates."""
+    X, Y, q = P
+    return Fraction(X, q * D), Fraction(Y, q * D)
+
+
 def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vector]
-                           ) -> dict[int, list[tuple[Fraction, Point]]]:
-    """Map segment index -> sorted (parameter, point) crossings on it.
+                           ) -> list[list[Hit]]:
+    """Per segment index, its crossings sorted by parameter.
 
     Segment i runs from corners[i] along dirs[i] (``_integer_segments``).
-    A pair is judged by the signs of four integer cross products; the
-    parameters and the point, in the curve's coordinates, are computed only
-    where the segments meet.  Raises NonGenericCurve on non-general position.
+    A pair is judged by the signs of four integer cross products; the two
+    parameters and the scaled point are computed only where the segments
+    meet, and both segments' hits share the pair and the point.  Three
+    segments through one point give one of them two hits at the same
+    parameter.  Raises NonGenericCurve on non-general position.
     """
     n = len(corners)
-    hits: dict[int, list[tuple[Fraction, Point]]] = {i: [] for i in range(n)}
-    point_owners: dict[Point, set[int]] = {}
+    hits: list[list[Hit]] = [[] for _ in range(n)]
+    # per segment: the (numerator, denominator) of every parameter hit so far
+    params: list[set[tuple[int, int]]] = [set() for _ in range(n)]
 
     for i in range(n):
         (ax, ay), (rx, ry) = corners[i], dirs[i]
@@ -417,20 +443,24 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
             o4 = o3 - denom
             if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
                 continue
-            # a + t r with t = o3 / denom, in the curve's coordinates
-            p = (Fraction(ax * denom + o3 * rx, denom * D), Fraction(ay * denom + o3 * ry, denom * D))
+            # a + t r with t = o3 / denom
+            sign = 1 if denom > 0 else -1
+            P = (sign * (ax * denom + o3 * rx), sign * (ay * denom + o3 * ry), sign * denom)
             if not (o1 and o2 and o3 and o4):
                 raise NonGenericCurve(
-                    f"endpoint contact between segments {i} and {j} at {point_str(p)}")
-            owners = point_owners.setdefault(p, set())
-            owners.update((i, j))
-            if len(owners) > 2:
-                raise NonGenericCurve(f"three or more segments meet at {point_str(p)}")
-            hits[i].append((Fraction(o3, denom), p))
-            hits[j].append((Fraction(-o1, denom), p))
+                    f"endpoint contact between segments {i} and {j} at {point_str(_point(P, D))}")
+            t, u = Fraction(o3, denom), Fraction(-o1, denom)
+            tk, uk = (t.numerator, t.denominator), (u.numerator, u.denominator)
+            if tk in params[i] or uk in params[j]:
+                raise NonGenericCurve(f"three or more segments meet at {point_str(_point(P, D))}")
+            params[i].add(tk)
+            params[j].add(uk)
+            pair = (i, j)
+            hits[i].append((t, pair, P))
+            hits[j].append((u, pair, P))
 
-    for i in range(n):
-        hits[i].sort(key=lambda pair: pair[0])
+    for h in hits:
+        h.sort(key=lambda hit: hit[0])
     return hits
 
 
@@ -441,9 +471,9 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
 def build_arrangement(curve: PlaneCurve) -> Arrangement:
     D, corners, dirs = _integer_segments(curve.points)
     hits = _segment_intersections(D, corners, dirs)
-    # Flatten the crossings into traversal order: (segment, point).
-    visits = [(i, p) for i in range(len(dirs)) for _, p in hits[i]]
-    arr = _crossing_arrangement(curve, dirs, visits)
+    # Flatten the crossings into traversal order: (segment, pair, point).
+    visits = [(i, pair, P) for i, h in enumerate(hits) for _, pair, P in h]
+    arr = _crossing_arrangement(curve, D, corners, dirs, visits)
     named = () if curve.weights is UNIT_WEIGHTS else curve.weights or ()
     unknown = sorted(set(named) - set(range(1, len(arr.faces))))
     if unknown:
@@ -451,126 +481,135 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     return arr
 
 
-def _crossing_arrangement(curve: PlaneCurve, dirs: Sequence[Vector],
-                          visits: Sequence[tuple[int, Point]]) -> Arrangement:
+def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
+                          dirs: Sequence[Vector],
+                          visits: Sequence[tuple[int, tuple[int, int], Scaled]]) -> Arrangement:
     pts = curve.points
     n = len(pts)
     m = len(visits)
+    # cross(corner s, corner s + 1): the shoelace term of segment s
+    spans = [_cross(corners[s], corners[(s + 1) % n]) for s in range(n)]
 
     # Vertex ids by first encounter along the traversal.  The pass "at"
-    # vertex v is the traversal index of the edge leaving v.
-    vid_of: dict[Point, int] = {}
-    vids = [vid_of.setdefault(p, len(vid_of)) for _, p in visits]
-    vertices = [Vertex(id=v, point=p) for p, v in vid_of.items()]
-    passes: list[list[int]] = [[] for _ in vertices]
+    # vertex v is the traversal index of the edge leaving v; each segment
+    # pair is visited once from each of its segments.
+    vid_of: dict[tuple[int, int], int] = {}
+    vids = [vid_of.setdefault(pair, len(vid_of)) for _, pair, _ in visits]
+    passes: list[list[int]] = [[] for _ in vid_of]
     for k, v in enumerate(vids):
         passes[v].append(k)
-    for v in vertices:
-        if len(passes[v.id]) != 2:
-            raise NonGenericCurve(f"vertex {point_str(v.point)} not visited exactly twice")
+    vertices = [Vertex(id=v, point=_point(visits[a][2], D)) for v, (a, _) in enumerate(passes)]
 
     # Edges: arcs between consecutive crossings, carrying the corner points;
-    # a crossing-free curve is one closed edge.
+    # a crossing-free curve is one closed edge.  Each edge's signed area
+    # about the origin is one integer shoelace sum over the scaled points:
+    # q1 q2 D^2 times twice the area, for crossings P1 and P2 at its ends.
     edges = [] if m else [Edge(id=0, v_from=None, v_to=None, geometry=(*pts, pts[0]),
                                directions=tuple(dirs))]
+    edge_areas = [] if m else [Fraction(sum(spans), 2 * D * D)]
     for k in range(m):
-        si, pi = visits[k]
-        sj, pj = visits[(k + 1) % m]
+        si, _, (x1, y1, q1) = visits[k]
+        sj, _, (x2, y2, q2) = visits[(k + 1) % m]
         # the segments after si up to sj, cyclically; each starts at a corner
         passed = [s % n for s in range(si + 1, si + 1 + (sj - si) % n)]
+        if passed:
+            (ax, ay), (bx, by) = corners[passed[0]], corners[passed[-1]]
+            num = ((x1 * ay - y1 * ax) * q2 + (bx * y2 - by * x2) * q1
+                   + sum(spans[s] for s in passed[:-1]) * q1 * q2)
+        else:
+            num = x1 * y2 - y1 * x2
+        edge_areas.append(Fraction(num, 2 * q1 * q2 * D * D))
         edges.append(Edge(id=k, v_from=vids[k], v_to=vids[(k + 1) % m],
-                          geometry=(pi, *(pts[s] for s in passed), pj),
+                          geometry=(vertices[vids[k]].point, *(pts[s] for s in passed),
+                                    vertices[vids[(k + 1) % m]].point),
                           directions=(dirs[si], *(dirs[s] for s in passed))))
 
-    # Rotation system.  A crossing lies inside one segment of each pass, so
-    # pass a leaves along u and arrives along u, and pass b along w; the
-    # outgoing darts turn ccw as u, w, -u, -w when u x w > 0, else as
-    # u, -w, -u, w.
+    # Dart (e, fwd) has the integer id 2e + (0 if fwd else 1), its index
+    # here, so its twin's id is id ^ 1.
+    darts = [Dart(e.id, fwd) for e in edges for fwd in (True, False)]
+
+    # Rotation system, over dart ids.  A crossing lies inside one segment
+    # of each pass, so pass a leaves along u and arrives along u, and pass
+    # b along w; the outgoing darts turn ccw as u, w, -u, -w when
+    # u x w > 0, else as u, -w, -u, w.
+    rotation = []
     for v, (a, b) in zip(vertices, passes):
-        a_out, a_back = Dart(a, True), Dart((a - 1) % m, False)
-        b_out, b_back = Dart(b, True), Dart((b - 1) % m, False)
+        a_out, a_back = 2 * a, 2 * ((a - 1) % m) + 1
+        b_out, b_back = 2 * b, 2 * ((b - 1) % m) + 1
         if _cross(dirs[visits[a][0]], dirs[visits[b][0]]) > 0:
-            v.darts_ccw = (a_out, b_out, a_back, b_back)
+            ccw = (a_out, b_out, a_back, b_back)
         else:
-            v.darts_ccw = (a_out, b_back, a_back, b_out)
+            ccw = (a_out, b_back, a_back, b_out)
+        v.darts_ccw = tuple(darts[d] for d in ccw)
+        rotation.append(ccw)
 
     arr = Arrangement(
         curve=curve,
         vertices=vertices,
         edges=edges,
         faces=[],
-        traversal=tuple(Dart(e.id, True) for e in edges),
+        traversal=tuple(darts[0::2]),
         vertex_passes={v: (a, b) for v, (a, b) in enumerate(passes)},
     )
 
-    _trace_faces(arr)
+    _trace_faces(arr, darts, rotation, edge_areas)
     _compute_windings_and_depths(arr)
     _check_invariants(arr)
     return arr
 
 
-def _next_left(arr: Arrangement, d: Dart) -> Dart:
-    """Next dart along the boundary of the face to the left of d."""
-    head = arr.dart_head(d)
-    if head is None:  # the crossing-free loop bounds each face alone
-        return d
-    v = arr.vertices[head]
-    back = d.twin  # outgoing at head
-    i = v.darts_ccw.index(back)
-    return v.darts_ccw[(i - 1) % 4]
-
-
-def _trace_faces(arr: Arrangement) -> None:
+def _trace_faces(arr: Arrangement, darts: Sequence[Dart],
+                 rotation: Sequence[tuple[int, int, int, int]],
+                 edge_areas: Sequence[Fraction]) -> None:
+    """Faces from the boundary cycles of the darts, by integer dart id
+    (the index in ``darts``); ``rotation`` holds each vertex's outgoing
+    dart ids in ccw order."""
     edges = arr.edges
-    all_darts = [Dart(e.id, True) for e in edges] + [Dart(e.id, False) for e in edges]
-    seen: set[Dart] = set()
-    cycles: list[list[Dart]] = []
-    cycle_of: dict[Dart, int] = {}
-    for d0 in all_darts:
-        if d0 in seen:
+    # next_left[d]: the next dart along the face to the left of d; the
+    # crossing-free loop bounds each face alone
+    next_left = list(range(len(darts)))
+    for ccw in rotation:
+        for k in range(4):
+            next_left[ccw[k] ^ 1] = ccw[k - 1]
+    cycles: list[list[int]] = []
+    cycle_of = [-1] * len(next_left)
+    for d0 in (*range(0, len(next_left), 2), *range(1, len(next_left), 2)):
+        if cycle_of[d0] >= 0:
             continue
         cyc = []
         d = d0
-        while d not in seen:
-            seen.add(d)
+        while cycle_of[d] < 0:
             cycle_of[d] = len(cycles)
             cyc.append(d)
-            d = _next_left(arr, d)
+            d = next_left[d]
         cycles.append(cyc)
 
-    # Each edge's shoelace sum counts for the cycle on its left and,
-    # walked backwards, against the cycle on its right.
-    areas2 = [Fraction(0)] * len(cycles)
-    for e in edges:
-        s = _shoelace2(e.geometry)
-        areas2[cycle_of[Dart(e.id, True)]] += s
-        areas2[cycle_of[Dart(e.id, False)]] -= s
-    negatives = [i for i, a in enumerate(areas2) if a < 0]
+    # Each edge's area counts for the cycle on its left and, walked
+    # backwards, against the cycle on its right.
+    areas = [Fraction(0)] * len(cycles)
+    for e, s in enumerate(edge_areas):
+        areas[cycle_of[2 * e]] += s
+        areas[cycle_of[2 * e + 1]] -= s
+    negatives = [i for i, a in enumerate(areas) if a < 0]
     check(len(negatives) == 1, "arrangement",
           "exactly one boundary cycle bounds the unbounded face")
-    outer_idx = negatives[0]
 
-    # Face ids by first encounter along the traversal (left, then right),
-    # with the unbounded face pinned at id 0.
-    order = dict.fromkeys([outer_idx] + [cycle_of[side] for d in arr.traversal
-                                         for side in (d, d.twin)])
+    # Face ids by first encounter along the traversal (left, then right:
+    # dart ids in order), with the unbounded face pinned at id 0.
+    order = dict.fromkeys([negatives[0], *cycle_of])
     check(len(order) == len(cycles), "arrangement", "every boundary cycle must meet the curve")
 
+    fid_of_cycle = [0] * len(cycles)
     faces: list[Face] = []
-    fid_of_cycle: dict[int, int] = {}
     for fid, ci in enumerate(order):
         fid_of_cycle[ci] = fid
-        faces.append(Face(id=fid, boundary=tuple(cycles[ci]),
-                          signed_area=areas2[ci] / 2, unbounded=(fid == 0)))
-    for d, ci in cycle_of.items():
-        e = arr.edges[d.edge]
-        if d.fwd:
-            e.left_face = fid_of_cycle[ci]
-        else:
-            e.right_face = fid_of_cycle[ci]
+        faces.append(Face(id=fid, boundary=tuple(darts[d] for d in cycles[ci]),
+                          signed_area=areas[ci], unbounded=(fid == 0)))
     arr.faces = faces
     arr.dual = [[] for _ in faces]
-    for e in arr.edges:
+    for e in edges:
+        e.left_face = fid_of_cycle[cycle_of[2 * e.id]]
+        e.right_face = fid_of_cycle[cycle_of[2 * e.id + 1]]
         arr.dual[e.left_face].append((e.right_face, e.id))
         arr.dual[e.right_face].append((e.left_face, e.id))
 

@@ -20,7 +20,7 @@ time, on the word alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
@@ -342,50 +342,64 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     once per letter), and continue on the remainder; the leftover closed
     curve contracts through its depth cycles at the end.  The swept total
     is exactly the folding's unpaired weight.
+
+    The shortest free arc goes first, ties to the pairing with the smaller
+    position; when one pairing is left, both its arcs are free and the one
+    from ``p.i`` to ``p.j`` is cut.  A free arc holds only unpaired live
+    positions, so its length is fixed until it is cut, and a cut frees at
+    most one arc: the gap between the paired positions it makes
+    neighbours.  So the free arcs wait in a heap, and the live and paired
+    positions are two linked cycles: O(m + k log k) for k pairings.
     """
     word = folding.word
-    live = list(range(len(word)))
-    remaining = set(folding.pairings)
-    # both sorted, so that an arc's ends are found by bisection
-    paired = sorted(x for p in remaining for x in (p.i, p.j))
+    m = len(word)
+    # the live positions, as a cycle linked forwards and backwards
+    nxt = [(x + 1) % m for x in range(m)]
+    prv = [(x - 1) % m for x in range(m)]
+    alive = [True] * m
+    pairing_at: list[Optional[Pairing]] = [None] * m
+    for p in folding.pairings:
+        pairing_at[p.i] = pairing_at[p.j] = p
+    # the paired positions, as a cycle, with the live count of each gap
+    paired = [x for x in range(m) if pairing_at[x] is not None]
+    after = [0] * m
+    before = [0] * m
+    gap = [0] * m
+    free: list[tuple[int, int, int, int]] = []  # (length, smaller position, a, b)
+
+    def link(a: int, b: int, length: int) -> None:
+        """Make b the paired position after a, with ``length`` live between."""
+        after[a], before[b], gap[a] = b, a, length
+        if pairing_at[a] is pairing_at[b]:
+            heapq.heappush(free, (length, min(a, b), a, b))
+
+    for a, b in zip(paired, paired[1:] + paired[:1]):
+        link(a, b, (b - a - 1) % m)
+
     steps: list[object] = []
     total = Fraction(0)
-
-    def free_arc(p: Pairing) -> Optional[tuple[int, int]]:
-        for a, b in ((p.i, p.j), (p.j, p.i)):
-            # free when b is the next paired position after a, cyclically
-            if paired[bisect_right(paired, a) % len(paired)] == b:
-                return a, b
-        return None
-
-    while remaining:
-        candidates = []
-        for p in remaining:
-            ends = free_arc(p)
-            if ends is not None:
-                a, b = ends
-                # live[lo - 1] is a and live[hi] is b; the arc lies strictly between
-                lo, hi = bisect_right(live, a), bisect_left(live, b)
-                length = hi - lo if a < b else len(live) - lo + hi
-                candidates.append((length, min(p.i, p.j), p, a, b, lo, hi))
-        check(candidates, "decomposition", "an unlinked family always has an innermost pairing")
-        _, _, p, a, b, lo, hi = min(candidates, key=lambda c: (c[0], c[1]))
-        if a < b:
-            arc = live[lo:hi]
-            del live[lo - 1:hi + 1]
-        else:
-            arc = live[lo:] + live[:hi]
-            del live[lo - 1:]
-            del live[:hi + 1]
-        f, _ = word[p.i]
-        steps.append(CutStep(face=f, positions=(p.i, p.j)))
+    for left in range(len(folding.pairings), 0, -1):
+        check(free, "decomposition", "an unlinked family always has an innermost pairing")
+        _, _, a, b = heapq.heappop(free)
+        p = pairing_at[a]
+        if left == 1:
+            a, b = p.i, p.j
+        arc = []
+        x = nxt[a]
+        while x != b:
+            arc.append(x)
+            x = nxt[x]
+        for x in (a, b, *arc):
+            alive[x] = False
+        nxt[prv[a]], prv[nxt[b]] = nxt[b], prv[a]
+        if left > 1:
+            link(before[a], after[b], gap[before[a]] + gap[b])
+        steps.append(CutStep(face=word[p.i][0], positions=(p.i, p.j)))
         swept = sum((word.weight(x) for x in arc), Fraction(0))
         steps.append(ContractStep(letters=tuple(word[x] for x in arc), area=swept))
         total += swept
-        remaining.discard(p)
-        for x in (p.i, p.j):
-            del paired[bisect_left(paired, x)]
 
+    live = [x for x in range(m) if alive[x]]
     swept = sum((word.weight(x) for x in live), Fraction(0))
     steps.append(ContractStep(letters=tuple(word[x] for x in live), area=swept))
     total += swept

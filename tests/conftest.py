@@ -31,12 +31,17 @@ def pipeline(name: str):
     return _cache[name]
 
 
-def random_generic_polygon(rng, corners: int, span: int = 10 ** 4):
-    """(curve, arrangement) of a random integer polygon, drawn again until
-    it is generic (only transverse crossings, no corner on another segment)."""
+def random_generic_polygon(rng, corners: int, span: int = 10 ** 4, q: int = 1):
+    """(curve, arrangement) of a random polygon, drawn again until it is
+    generic (only transverse crossings, no corner on another segment).
+    Each coordinate is an integer in [-span, span], divided, when q > 1,
+    by its own denominator drawn from 1..q."""
+    def coordinate():
+        p = rng.randint(-span, span)
+        return Fraction(p, rng.randint(1, q)) if q > 1 else Fraction(p)
+
     while True:
-        pts = tuple((Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span)))
-                    for _ in range(corners))
+        pts = tuple((coordinate(), coordinate()) for _ in range(corners))
         try:
             curve = PlaneCurve(pts)
             return curve, build_arrangement(curve)

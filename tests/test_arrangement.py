@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, CURVES_DIR, load_curve, pipeline
+from conftest import CORPUS, CURVES_DIR, load_curve, pipeline, random_generic_polygon
 from curvefold.arrangement import (UNIT_WEIGHTS, DegenerateCurve, MalformedInput,
                                    NonGenericCurve, PlaneCurve, build_arrangement, fraction_str,
                                    int_str, parse_curve, rotation_number, to_fraction,
@@ -84,6 +85,31 @@ def test_euler_formula(corpus_name):
         assert v - e + f == 2
         assert all(len(vert.darts_ccw) == 4 for vert in arr.vertices)
         assert e == 2 * v
+
+
+def test_build_hashes_no_fraction_and_sums_each_edge_into_two_faces(monkeypatch):
+    """Crossings are keyed by segment pair and faces traced over integer
+    dart ids; each edge's area enters its left and its right face once."""
+    # the 100-gon the bench draws as draw_curve(random.Random("x-100"), 100)
+    curve, _ = random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)
+    calls = {"hash": 0, "add": 0}
+
+    def count(name, kind):
+        original = getattr(Fraction, name)
+
+        def counted(*args):
+            calls[kind] += 1
+            return original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    count("__hash__", "hash")
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        count(name, "add")
+    arr = build_arrangement(curve)
+    monkeypatch.undo()
+    assert len(arr.vertices) == 1185
+    assert calls["hash"] == 0
+    assert calls["add"] <= 2 * len(arr.edges), calls
 
 
 def test_traversal_covers_each_edge_once(corpus_name):

@@ -35,11 +35,13 @@ unlinked vertex subsets, built level by level, are checked against the
 filter over every combination.
 
 The arrangement orders the four darts at a crossing by the sign of one
-cross product of its two pass directions, and sums each edge's shoelace
-once into the faces on its two sides.  Their oracles sort the darts by
-angle with a comparator and walk every face's boundary dart by dart.  The
-orders must agree up to rotation and the areas exactly, on the corpus and
-on random polygons of 5 to 100 corners.  A crossing-free curve goes
+cross product of its two pass directions, and sums each edge's integer
+shoelace sum, over the corners scaled by their common denominator, once
+into the faces on its two sides.  Their oracles sort the darts by angle
+with a comparator and walk every face's boundary dart by dart in
+``Fraction`` arithmetic.  The orders must agree up to rotation, the areas
+and the crossings found exactly, on the corpus and on random polygons of
+5 to 100 corners, integer and ``p/q``.  A crossing-free curve goes
 through the same construction as one closed edge; its oracle builds the
 edge and its two faces by hand.  The arrangements must be equal field
 for field.
@@ -80,8 +82,8 @@ from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipelin
                       random_generic_polygon)
 from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Face,
                                    NonGenericCurve, PlaneCurve, _cross, _integer_segments,
-                                   _segment_intersections, _shoelace2, build_arrangement,
-                                   point_str, tree_cotree, turning_of_directions)
+                                   _segment_intersections, build_arrangement, point_str,
+                                   tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve,
                                      _decompositions, _unlinked_subsets, certify_subcurve,
@@ -674,6 +676,11 @@ def rotation_system_oracle(arr) -> dict[int, list[Dart]]:
     return incident
 
 
+def _shoelace2(path) -> Fraction:
+    """Twice the signed area the polyline ``path`` sweeps about the origin."""
+    return sum((_cross(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
+
+
 def face_area_oracle(arr, face) -> Fraction:
     """Half the shoelace sum along the face's boundary, dart by dart."""
     total = Fraction(0)
@@ -780,6 +787,14 @@ def _finder_outcome(find, curve):
         return str(exc)
 
 
+def _finder_hits(curve):
+    """``_segment_intersections`` in the oracle's shape: segment index ->
+    (parameter, point) in the curve's coordinates."""
+    D, corners, dirs = _integer_segments(curve.points)
+    return {i: [(t, (Fraction(X, q * D), Fraction(Y, q * D))) for t, _, (X, Y, q) in h]
+            for i, h in enumerate(_segment_intersections(D, corners, dirs))}
+
+
 def test_segment_finder_matches_the_fraction_oracle():
     rng = random.Random(8808)
     seen = {"crossing": 0, "collinear overlap": 0, "adjacent reversal": 0,
@@ -794,7 +809,7 @@ def test_segment_finder_matches_the_fraction_oracle():
             curve = PlaneCurve(pts)
         except DegenerateCurve:
             continue
-        found = _finder_outcome(lambda c: _segment_intersections(*_integer_segments(c.points)), curve)
+        found = _finder_outcome(_finder_hits, curve)
         assert found == _finder_outcome(segment_intersections_oracle, curve), pts
         if not isinstance(found, str):
             seen["crossing"] += any(found.values())
@@ -812,20 +827,26 @@ def test_segment_finder_matches_the_fraction_oracle():
 
 def _oracle_arrangements():
     """The corpus, the random polygons, 216 seeded polygons of 5 to 40
-    corners, and the 100-gon the bench draws as
-    ``draw_curve(random.Random("x-100"), 100)`` (the same draws)."""
+    corners, 60 of 5 to 34 corners whose coordinates are p/q with q up to
+    2 to 13 (so the corners scale by a common denominator D > 1), and the
+    100-gon the bench draws as ``draw_curve(random.Random("x-100"), 100)``
+    (the same draws)."""
     for name in CORPUS:
         yield pipeline(name)[1]
     for seed, corners in RANDOM_POLYGONS:
         yield random_generic_polygon(random.Random(seed), corners)[1]
     for k in range(216):
         yield random_generic_polygon(random.Random(f"arr-{k}"), 5 + k % 36)[1]
+    for k in range(60):
+        yield random_generic_polygon(random.Random(f"arr-q-{k}"), 5 + k % 30, q=2 + k % 12)[1]
     yield random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)[1]
 
 
 def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
-    arrangements = crossings = faces = 0
+    arrangements = crossings = faces = scaled = 0
     for arr in _oracle_arrangements():
+        scaled += _integer_segments(arr.curve.points)[0] > 1
+        assert _finder_hits(arr.curve) == segment_intersections_oracle(arr.curve)
         for v, expected in rotation_system_oracle(arr).items():
             darts = list(arr.vertices[v].darts_ccw)
             k = expected.index(darts[0])
@@ -835,7 +856,8 @@ def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
         arrangements += 1
         crossings += len(arr.vertices)
         faces += len(arr.faces)
-    assert arrangements == 9 + 24 + 216 + 1
+    assert arrangements == 9 + 24 + 216 + 60 + 1
+    assert scaled == 60, scaled
     assert crossings > 10_000 and faces > 10_000, (crossings, faces)
 
 
