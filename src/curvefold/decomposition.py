@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arrangement import Arrangement, PlaneCurve, check, turning_of_directions
 from .folding import Folding, Pairing, cancellation_norm, chords_cross, positively_foldable
@@ -118,38 +118,62 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
 # smoothing
 
 
+# a piece of a smoothing: its opening vertex (None for the outer piece)
+# and the smoothed vertices directly nested in it
+PieceKey = tuple[Optional[int], tuple[int, ...]]
+
+
+def _piece_keys(passes: Mapping[int, Sequence[int]], combo: tuple[int, ...]) -> list[PieceKey]:
+    """Name each piece of smoothing at ``combo``: the outer piece, then one
+    per vertex in the order of ``combo``, by one bracket walk over the
+    sorted passes (each vertex's two entry indices, ascending).
+
+    Unlinked chords nest like brackets, so a vertex's second pass must
+    close the innermost open piece, or the two vertices are linked."""
+    children: dict[Optional[int], list[int]] = {v: [] for v in (None,) + combo}
+    open_: list[Optional[int]] = [None]
+    for p, v in sorted((p, v) for v in combo for p in passes[v]):
+        if open_[-1] == v:
+            open_.pop()
+        elif p == passes[v][1]:
+            raise LinkedVertices("vertices {} and {} are linked".format(
+                *sorted((open_[-1], v))))
+        else:
+            children[open_[-1]].append(v)
+            open_.append(v)
+    return [(v, tuple(nested)) for v, nested in children.items()]
+
+
+def _piece(sc: Subcurve, passes: Mapping[int, Sequence[int]], key: PieceKey) -> Subcurve:
+    """Cut the piece named ``key`` from ``sc``: the entries from its
+    vertex's first pass up to its second (all of them for the outer
+    piece), less the run of each vertex directly nested in it.  Equal
+    names cut equal pieces."""
+    v, nested = key
+    start, end = (0, len(sc.entries)) if v is None else passes[v]
+    cuts = (start, *(p for u in nested for p in passes[u]), end)
+    entries = sum((sc.entries[a:b] for a, b in zip(cuts[::2], cuts[1::2])), ())
+    return Subcurve(entries=entries, weights=sc.weights, arr=sc.arr)
+
+
 def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
     """Split a piece at unlinked crossings, respecting orientation.
 
     The two passes through a smoothed vertex bound a chord of the entry
-    sequence, and unlinked chords nest like brackets, so one pass over the
-    entries finds every piece.  A vertex's first pass opens its piece; its
-    second pass must close the innermost open piece, or the two vertices
-    are linked.  Each entry joins the piece innermost open after its own
-    bracket step, unchanged: the two passes of a smoothed vertex land in
-    different pieces, so no piece counts it among its crossings.  Returns
-    the outer piece, then one piece per vertex in ascending order.
+    sequence; ``_piece_keys`` names the pieces from the chords, or finds
+    two vertices linked, and ``_piece`` cuts each piece from its name.
+    The two passes of a smoothed vertex land in different pieces, so no
+    piece counts it among its crossings.  Returns the outer piece, then
+    one piece per vertex in ascending order.
     """
-    smoothed = set(vertices)
-    vs = sorted(smoothed)
-    groups: dict[Optional[int], list[SubcurveEntry]] = {key: [] for key in [None] + vs}
-    open_: list[Optional[int]] = [None]  # open pieces, innermost last
-    for e in sc.entries:
-        v = e.tail_vertex
-        if v in smoothed:
-            if v not in open_:
-                open_.append(v)
-            elif open_[-1] == v:
-                open_.pop()
-            else:
-                raise LinkedVertices("vertices {} and {} are linked".format(
-                    *sorted((open_[-1], v))))
-        groups[open_[-1]].append(e)
-    for v in vs:
-        if v in open_ or not groups[v]:
+    passes: dict[int, list[int]] = {v: [] for v in sorted(set(vertices))}
+    for i, e in enumerate(sc.entries):
+        if e.tail_vertex in passes:
+            passes[e.tail_vertex].append(i)
+    for v, hits in passes.items():
+        if len(hits) != 2:
             raise LinkedVertices(f"vertex {v} does not cross this piece twice")
-    return [Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr)
-            for entries in groups.values()]
+    return [_piece(sc, passes, key) for key in _piece_keys(passes, tuple(passes))]
 
 
 # ---------------------------------------------------------------------------
@@ -204,56 +228,34 @@ def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> Iterator[tuple[int,
                  for combo, free in level for v in free]
 
 
-# a piece of a smoothing of the whole curve: its opening vertex (None for
-# the outer piece) and the smoothed vertices directly nested in it
-PieceKey = tuple[Optional[int], tuple[int, ...]]
-
-
-def _piece_keys(passes: dict[int, tuple[int, int]], combo: tuple[int, ...]) -> list[PieceKey]:
-    """Name each piece of smoothing the whole curve at ``combo``, in the
-    order of ``smooth_at``'s pieces, by one walk over the sorted passes.
-
-    A piece is the run of entries between its vertex's two passes minus
-    its children's runs, so equal names mean equal pieces."""
-    children: dict[Optional[int], list[int]] = {v: [] for v in (None,) + combo}
-    open_: list[Optional[int]] = [None]
-    for _, v in sorted((p, v) for v in combo for p in passes[v]):
-        if open_[-1] == v:
-            open_.pop()
-        else:
-            children[open_[-1]].append(v)
-            open_.append(v)
-    return [(v, tuple(nested)) for v, nested in children.items()]
-
-
 def _decompositions(cables: CableSystem,
                     word: CyclicWord) -> Iterator[SelfOverlappingDecomposition]:
     """Every self-overlapping decomposition by smoothing, fewest crossings
     first; ``word`` is the face word of ``cables``.
 
-    Pieces repeat across vertex sets, so each distinct piece is certified
-    once: its verdict is kept under its name (``_piece_keys``) for the
-    rest of the search.  A vertex set holding a piece already known to
-    fail is skipped without smoothing; otherwise the pieces of unknown
-    verdict are certified in order until one fails."""
+    Pieces repeat across vertex sets, so each distinct piece is cut and
+    certified once: its verdict is kept under its name (``_piece_keys``)
+    for the rest of the search.  A vertex set holding a piece already
+    known to fail is skipped; otherwise the pieces of unknown verdict are
+    certified in order until one fails.  Only a set that decomposes has
+    all its pieces cut; no set is smoothed whole."""
     full = curve_subcurve(cables.arr, cables)
     passes = cables.arr.vertex_passes
     verdicts: dict[PieceKey, bool] = {}
 
-    def certified(key: PieceKey, piece: Subcurve) -> bool:
+    def certified(key: PieceKey) -> bool:
         if key not in verdicts:
-            verdicts[key] = certify_subcurve(piece)[0]
+            verdicts[key] = certify_subcurve(_piece(full, passes, key))[0]
         return verdicts[key]
 
     for combo in _unlinked_subsets(passes):
         keys = _piece_keys(passes, combo)
         if any(verdicts.get(key) is False for key in keys):
             continue
-        pieces = smooth_at(full, combo)
-        if all(certified(key, piece) for key, piece in zip(keys, pieces)):
+        if all(certified(key) for key in keys):
+            pieces = tuple(_piece(full, passes, key) for key in keys)
             area = sum((piece.area_w() for piece in pieces), Fraction(0))
-            yield SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area,
-                                               cables, word)
+            yield SelfOverlappingDecomposition(frozenset(combo), pieces, area, cables, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -261,9 +263,10 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
 
     The cancellation norm of the face word (area weights) is the provable
     optimum; the search scans unlinked vertex subsets in increasing size
-    and returns the first decomposition achieving it.  Each distinct piece
-    is certified once per search, and a subset holding a piece already
-    known to fail is skipped unsmoothed.
+    and returns the first decomposition achieving it.  Pieces are cut from
+    their names: each distinct piece is cut and certified once per search,
+    a subset holding a piece already known to fail is skipped, and only
+    the subset returned has all its pieces cut.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
@@ -288,9 +291,11 @@ def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecompos
 def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Folding:
     """A folding of the full word with area equal to the decomposition's.
 
-    Each piece contributes a minimum folding of its own subword (its norm
-    equals its winding area precisely because the piece bounds an
-    immersed disk); pairings embed at the pieces' global positions and
+    Each piece contributes the positive folding its certificate carries,
+    of its word or, for a reversed piece, of its inverse word.  A positive
+    folding pairs every negative letter, so each face keeps exactly
+    |winding| unpaired letters and the piece's unpaired weight is its
+    winding area.  Pairings embed at the pieces' global positions and
     never link across pieces.  The full word is the one the decomposition
     carries; ``curve`` only guards against a decomposition of another
     curve.
@@ -299,13 +304,11 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
         raise InvalidDecomposition("the decomposition is of another curve")
     pairings: list[Pairing] = []
     for piece in sod.subcurves:
-        sub = piece.word()
-        value, witness = cancellation_norm(sub)
-        if value != piece.area_w():
-            raise InvalidDecomposition(
-                "piece's contraction cost exceeds its winding area")
-        slots = piece.positions()
-        pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in witness.pairings)
+        ok, cert = certify_subcurve(piece)
+        if not ok:
+            raise InvalidDecomposition("a piece does not bound an immersed disk")
+        slots = piece.positions()[::-1] if cert["reversed"] else piece.positions()
+        pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in cert["witness"].pairings)
     folding = Folding(sod.word, frozenset(pairings))
     check(folding.area == sod.area, "decomposition",
           "the folding's area must equal the decomposition's")

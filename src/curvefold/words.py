@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .arrangement import (Arrangement, PlaneCurve, TreeCotree, build_arrangement, check,
-                          tree_cotree)
+from .arrangement import (Arrangement, MalformedInput, PlaneCurve, TreeCotree, build_arrangement,
+                          check, fraction_str, load_json, parse_weights, tree_cotree)
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -113,8 +113,6 @@ def invert_sequence(letters: Sequence[Letter]) -> tuple[Letter, ...]:
 
 
 def word_to_json(word: CyclicWord) -> dict:
-    from .arrangement import fraction_str
-
     return {
         "word": [letter_str(l) for l in word.letters],
         "weights": {str(f): fraction_str(q) for f, q in sorted(word.weights.items())},
@@ -123,8 +121,6 @@ def word_to_json(word: CyclicWord) -> dict:
 
 def parse_word(doc) -> CyclicWord:
     """Parse a word document: {"word": ["2","-3",...], "weights": {...}}."""
-    from .arrangement import MalformedInput, load_json, parse_weights
-
     doc = load_json(doc)
     if not isinstance(doc, dict) or not isinstance(doc.get("word"), list):
         raise MalformedInput("word document must be an object with a 'word' list")

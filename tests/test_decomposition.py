@@ -10,7 +10,8 @@ from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_c
                       random_generic_polygon)
 from curvefold import decomposition
 from curvefold.arrangement import rotation_number, tree_cotree
-from curvefold.decomposition import (InvalidDecomposition, LinkedVertices, _unlinked_subsets,
+from curvefold.decomposition import (InvalidDecomposition, LinkedVertices,
+                                     SelfOverlappingDecomposition, _unlinked_subsets,
                                      certify_subcurve, curve_subcurve, homotopy_trace,
                                      min_area_sod, smooth_at, sod_oracle, sod_to_folding)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
@@ -305,8 +306,8 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     subsets = 1 + next(k for k, combo in enumerate(_unlinked_subsets(arr.vertex_passes))
                        if combo == answer)
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
-    assert calls.smoothings < subsets
-    assert (calls.smoothings, len(calls.certified)) == (489, 514)
+    # pieces are cut from their names, so no vertex set is smoothed whole
+    assert (calls.smoothings, len(calls.certified)) == (0, 514)
 
 
 def test_sod_to_folding_round_trip(corpus_name):
@@ -322,6 +323,38 @@ def test_sod_to_folding_rejects_another_curves_decomposition():
     sod = min_area_sod(load_curve("trefoil"))
     with pytest.raises(InvalidDecomposition, match="another curve"):
         sod_to_folding(load_curve("limacon"), sod)
+
+
+def test_sod_to_folding_reads_the_certificates(monkeypatch):
+    curves = [pipeline(name)[0] for name in CORPUS]
+    curves += [random_generic_polygon(random.Random(seed), corners)[0]
+               for seed, corners in RANDOM_POLYGONS]
+    sods = [(curve, min_area_sod(curve)) for curve in curves]
+    norms = []
+    norm = decomposition.cancellation_norm
+    monkeypatch.setattr(decomposition, "cancellation_norm",
+                        lambda word: norms.append(word) or norm(word))
+    pieces = reversed_pieces = 0
+    for curve, sod in sods:
+        folding = sod_to_folding(curve, sod)
+        assert isinstance(folding, Folding) and folding.word == sod.word
+        assert folding.area == sod.area
+        for piece in sod.subcurves:
+            pieces += 1
+            reversed_pieces += certify_subcurve(piece)[1]["reversed"]
+    assert norms == []
+    # a reversed piece's witness folds its inverse word
+    assert (reversed_pieces, pieces) == (64, 133)
+
+
+def test_sod_to_folding_rejects_a_piece_that_does_not_certify():
+    curve, _, _, cables, word = pipeline("mouse")
+    pieces = tuple(smooth_at(curve_subcurve(cables.arr, cables), [2]))
+    assert [certify_subcurve(p)[0] for p in pieces].count(False) == 1
+    area = sum((p.area_w() for p in pieces), Fraction(0))
+    sod = SelfOverlappingDecomposition(frozenset({2}), pieces, area, cables, word)
+    with pytest.raises(InvalidDecomposition, match="does not bound an immersed disk"):
+        sod_to_folding(curve, sod)
 
 
 def test_trefoil_every_single_smoothing_decomposes():

@@ -46,16 +46,17 @@ through the same construction as one closed edge; its oracle builds the
 edge and its two faces by hand.  The arrangements must be equal field
 for field.
 
-Smoothing finds its pieces in one bracket pass over the entries.  Its
-oracle scans the entries for each vertex's two passes, tests every pair
+Smoothing names its pieces in one bracket walk over the smoothed
+vertices' sorted passes and cuts each piece from its name.  Its oracle
+scans the entries for each vertex's two passes, tests every pair
 of chords for linking, and gives each entry to the shortest chord that
 encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
 must be identical.
 
-The decomposition search certifies each distinct piece once and skips a
-vertex set that holds a piece already known to fail.  Its oracle smooths
-every unlinked vertex set and certifies every piece.  The decompositions,
-their order, pieces and areas must be identical.
+The decomposition search cuts and certifies each distinct piece once
+and skips a vertex set that holds a piece already known to fail.  Its
+oracle smooths every unlinked vertex set and certifies every piece.
+The decompositions, their order, pieces and areas must be identical.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
