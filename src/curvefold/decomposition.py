@@ -202,8 +202,13 @@ def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
 
 @dataclass(frozen=True)
 class SelfOverlappingDecomposition:
+    """Pieces of smoothing at ``vertex_pairs``, each kept with the
+    ``certify_subcurve`` certificate (in ``subcurves`` order) that shows
+    it bounds an immersed disk, and their total winding area."""
+
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
+    certificates: tuple[dict, ...] = field(compare=False, repr=False)
     area: Fraction
     # the cable system the pieces were smoothed from (``cables.arr`` is every
     # piece's arrangement) and its whole-curve face word
@@ -234,28 +239,32 @@ def _decompositions(cables: CableSystem,
     first; ``word`` is the face word of ``cables``.
 
     Pieces repeat across vertex sets, so each distinct piece is cut and
-    certified once: its verdict is kept under its name (``_piece_keys``)
-    for the rest of the search.  A vertex set holding a piece already
-    known to fail is skipped; otherwise the pieces of unknown verdict are
-    certified in order until one fails.  Only a set that decomposes has
-    all its pieces cut; no set is smoothed whole."""
+    certified once: under its name (``_piece_keys``) the search keeps the
+    piece and its certificate, or None when it fails.  A vertex set
+    holding a piece already known to fail is skipped; otherwise the
+    pieces of unknown verdict are cut and certified in order until one
+    fails.  A set that decomposes takes its pieces and certificates from
+    the table, so no piece is cut twice and no set is smoothed whole."""
     full = curve_subcurve(cables.arr, cables)
     passes = cables.arr.vertex_passes
-    verdicts: dict[PieceKey, bool] = {}
+    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict]]] = {}
 
     def certified(key: PieceKey) -> bool:
-        if key not in verdicts:
-            verdicts[key] = certify_subcurve(_piece(full, passes, key))[0]
-        return verdicts[key]
+        if key not in pieces:
+            piece = _piece(full, passes, key)
+            ok, cert = certify_subcurve(piece)
+            pieces[key] = (piece, cert) if ok else None
+        return pieces[key] is not None
 
     for combo in _unlinked_subsets(passes):
         keys = _piece_keys(passes, combo)
-        if any(verdicts.get(key) is False for key in keys):
+        if any(key in pieces and pieces[key] is None for key in keys):
             continue
         if all(certified(key) for key in keys):
-            pieces = tuple(_piece(full, passes, key) for key in keys)
-            area = sum((piece.area_w() for piece in pieces), Fraction(0))
-            yield SelfOverlappingDecomposition(frozenset(combo), pieces, area, cables, word)
+            subcurves, certificates = zip(*(pieces[key] for key in keys))
+            area = sum((piece.area_w() for piece in subcurves), Fraction(0))
+            yield SelfOverlappingDecomposition(frozenset(combo), subcurves, certificates,
+                                               area, cables, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -265,8 +274,8 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     optimum; the search scans unlinked vertex subsets in increasing size
     and returns the first decomposition achieving it.  Pieces are cut from
     their names: each distinct piece is cut and certified once per search,
-    a subset holding a piece already known to fail is skipped, and only
-    the subset returned has all its pieces cut.
+    and a subset holding a piece already known to fail is skipped.  The
+    result keeps its pieces' certificates.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
@@ -291,24 +300,29 @@ def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecompos
 def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Folding:
     """A folding of the full word with area equal to the decomposition's.
 
-    Each piece contributes the positive folding its certificate carries,
-    of its word or, for a reversed piece, of its inverse word.  A positive
-    folding pairs every negative letter, so each face keeps exactly
-    |winding| unpaired letters and the piece's unpaired weight is its
-    winding area.  Pairings embed at the pieces' global positions and
-    never link across pieces.  The full word is the one the decomposition
-    carries; ``curve`` only guards against a decomposition of another
-    curve.
+    Each piece contributes the positive folding its certificate (kept on
+    the decomposition) carries, of its word or, for a reversed piece, of
+    its inverse word; nothing is certified again.  A positive folding
+    pairs every negative letter, so each face keeps exactly |winding|
+    unpaired letters and the piece's unpaired weight is its winding area.
+    Pairings embed at the pieces' global positions and never link across
+    pieces.  The full word is the one the decomposition carries; ``curve``
+    only guards against a decomposition of another curve.
     """
     if sod.cables.arr.curve != curve:
         raise InvalidDecomposition("the decomposition is of another curve")
+    if len(sod.certificates) != len(sod.subcurves):
+        raise InvalidDecomposition("a decomposition needs one certificate per piece")
     pairings: list[Pairing] = []
-    for piece in sod.subcurves:
-        ok, cert = certify_subcurve(piece)
-        if not ok:
+    for piece, cert in zip(sod.subcurves, sod.certificates):
+        witness = cert.get("witness")
+        if witness is None:
             raise InvalidDecomposition("a piece does not bound an immersed disk")
+        word = piece.word()
+        if witness.word != (word.inverse() if cert["reversed"] else word):
+            raise InvalidDecomposition("a certificate is not of its piece")
         slots = piece.positions()[::-1] if cert["reversed"] else piece.positions()
-        pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in cert["witness"].pairings)
+        pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in witness.pairings)
     folding = Folding(sod.word, frozenset(pairings))
     check(folding.area == sod.area, "decomposition",
           "the folding's area must equal the decomposition's")
@@ -360,11 +374,9 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     nxt = [(x + 1) % m for x in range(m)]
     prv = [(x - 1) % m for x in range(m)]
     alive = [True] * m
-    pairing_at: list[Optional[Pairing]] = [None] * m
-    for p in folding.pairings:
-        pairing_at[p.i] = pairing_at[p.j] = p
+    owner = folding.owner
     # the paired positions, as a cycle, with the live count of each gap
-    paired = [x for x in range(m) if pairing_at[x] is not None]
+    paired = [x for x in range(m) if owner[x] is not None]
     after = [0] * m
     before = [0] * m
     gap = [0] * m
@@ -373,7 +385,7 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     def link(a: int, b: int, length: int) -> None:
         """Make b the paired position after a, with ``length`` live between."""
         after[a], before[b], gap[a] = b, a, length
-        if pairing_at[a] is pairing_at[b]:
+        if owner[a] is owner[b]:
             heapq.heappush(free, (length, min(a, b), a, b))
 
     for a, b in zip(paired, paired[1:] + paired[:1]):
@@ -384,7 +396,7 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     for left in range(len(folding.pairings), 0, -1):
         check(free, "decomposition", "an unlinked family always has an innermost pairing")
         _, _, a, b = heapq.heappop(free)
-        p = pairing_at[a]
+        p = owner[a]
         if left == 1:
             a, b = p.i, p.j
         arc = []

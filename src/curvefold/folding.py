@@ -44,7 +44,7 @@ and its word admits a positive folding.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -92,16 +92,19 @@ def is_linked(p1: Pairing, p2: Pairing, word: CyclicWord) -> bool:
 
 @dataclass(frozen=True)
 class Folding:
-    """A set of pairwise-unlinked, position-disjoint pairings."""
+    """A set of pairwise-unlinked, position-disjoint pairings.
+
+    ``owner[x]`` is the pairing that holds position x, or None; the check
+    that the pairings are valid builds it, and every later reader of a
+    position's pairing reads it.
+    """
 
     word: CyclicWord
     pairings: frozenset[Pairing]
+    owner: tuple[Optional[Pairing], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pairings:
-            return
-        m = len(self.word)
-        owner: list[Optional[Pairing]] = [None] * m
+        owner: list[Optional[Pairing]] = [None] * len(self.word)
         for p in self.pairings:
             _check_pairing(self.word, p)
             for x in p.positions():
@@ -121,16 +124,16 @@ class Folding:
                 raise ValueError(f"linked pairings {open_[-1]} and {p}")
             else:
                 open_.pop()
+        object.__setattr__(self, "owner", tuple(owner))
 
     @property
     def paired_positions(self) -> frozenset[int]:
-        return frozenset(x for p in self.pairings for x in p.positions())
+        return frozenset(x for x, p in enumerate(self.owner) if p is not None)
 
     @property
     def area(self) -> Fraction:
-        used = self.paired_positions
-        return sum((self.word.weight(i) for i in range(len(self.word))
-                    if i not in used), Fraction(0))
+        return sum((self.word.weight(x) for x, p in enumerate(self.owner) if p is None),
+                   Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +166,26 @@ def _linear_norm_rows(w: Sequence[int], inverses: list[list[int]]) -> list[Optio
     last to the first.  Row i + 1 is read, by the fill of earlier rows and
     by the backtrack, only at columns up to the last inverse after letter
     i, so it is filled that far and only if letter i has one; row 0 is
-    filled in full.  While row i is filled, ``active[j]`` holds the split
-    points k >= i of position j with row k + 1.
+    filled in full.  While row i is filled, ``active[j]`` holds each split
+    point k >= i of position j with rows[k + 1][j], the one value of row
+    k + 1 that the fill of column j reads.
     """
     n = len(w)
     rows: list[Optional[list[int]]] = [None] * (n + 1)
-    active: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    active: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n, -1, -1):
         if i < n:
-            ks = inverses[i]
+            ks, below = inverses[i], rows[i + 1]
             for j in ks[bisect_right(ks, i):]:
-                active[j].append((i, rows[i + 1]))
+                active[j].append((i, below[j]))
         end = n if i == 0 else (inverses[i - 1] or [0])[-1]
         if end < i:
             continue
         row = [0] * (end + 1)
         for j in range(i, end):
             best = row[j] + w[j]
-            for k, below in active[j]:
-                cand = row[k] + below[j]
+            for k, value in active[j]:
+                cand = row[k] + value
                 if cand < best:
                     best = cand
             row[j + 1] = best
@@ -397,8 +401,7 @@ def _positive_witness_ok(word: CyclicWord, folding: Folding) -> bool:
     deleted spans; the folding is positive exactly when no negative
     letter is left outside the pairings.
     """
-    paired = folding.paired_positions
-    return all(word[x][1] > 0 for x in range(len(word)) if x not in paired)
+    return all(word[x][1] > 0 for x, p in enumerate(folding.owner) if p is None)
 
 
 def positively_foldable_bruteforce(word: CyclicWord, cap: int = 12) -> bool:

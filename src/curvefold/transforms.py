@@ -206,15 +206,11 @@ def transport_folding_twist(word: CyclicWord, word_twisted: CyclicWord,
     pos_of = [p for p, c in enumerate(centre) if c == p]
     L = 2 * len(B) + 2
 
-    paired_with = {}
-    for p in folding.pairings:
-        paired_with[p.i] = p.j
-        paired_with[p.j] = p.i
-
     pairings = {Pairing(min(pos_of[p.i], pos_of[p.j]), max(pos_of[p.i], pos_of[p.j]))
                 for p in folding.pairings}
     for k, c in enumerate(pos_of):
-        mate = paired_with.get(k)
+        p = folding.owner[k]
+        mate = None if p is None else p.j if p.i == k else p.i
         if word[k][0] not in (i, j) or (mate is not None and mate < k):
             continue                      # no blocks, or paired off with its mate
         if mate is None:
@@ -246,10 +242,6 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
     if CyclicWord(letters, word.weights) != word_twisted:
         raise ValueError("second word must be the twist of the first")
     orig = {q: k for k, q in enumerate(q for q, c in enumerate(centre) if c == q)}
-    partner: dict[int, int] = {}
-    for p in folding_twisted.pairings:
-        partner[p.i] = p.j
-        partner[p.j] = p.i
 
     pairings: list[Pairing] = []
     assigned: set[int] = set()
@@ -274,9 +266,10 @@ def back_transport_twist(word: CyclicWord, word_twisted: CyclicWord,
                 if t in visited:
                     break
                 visited.add(t)
-                nxt = partner.get(t)
-                if nxt is None:
+                q = folding_twisted.owner[t]
+                if q is None:
                     break                      # unpaired twin: survivor stays unpaired
+                nxt = q.j if q.i == t else q.i
                 if nxt in orig:
                     end = orig[nxt]
                     break

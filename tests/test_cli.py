@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import CURVES_DIR, load_curve
+from conftest import CURVES_DIR, load_curve, random_generic_polygon
 from curvefold import arrangement, cli, decomposition, folding, transforms, words
 from curvefold.arrangement import build_arrangement
 from curvefold.cli import _svg_num, main
@@ -221,6 +222,22 @@ def test_non_generic_curve_is_input_error(tmp_path):
     assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([[0, 0], [1, 0], [0, 1]], "curve document must be an object with a 'points' field"),
+    ({"weights": {}}, "curve document must be an object with a 'points' field"),
+    ({"points": {"0": [0, 0]}}, "'points' must be a list"),
+    ({"points": [[0, 0], [1, 0, 2], [0, 1]]}, "bad point entry [1, 0, 2]"),
+    ({"points": [[0, 0], [True, 0], [0, 1]]}, "not a number: True"),
+    ({"points": [[0, 0], [1, None], [0, 1]]}, "cannot parse coordinate None"),
+], ids=["array", "no-points", "points-object", "three-numbers", "true", "null"])
+def test_malformed_curve_document_is_input_error(tmp_path, doc, message):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    res = run("analyze", "--input", str(bad))
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"] == {"code": "MalformedInput", "message": message}
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "word", "norm", "selfoverlap", "decompose",
                                  "homotopy", "render"])
 @pytest.mark.parametrize("doc", [
@@ -350,9 +367,15 @@ def test_weights_file_mode_uses_them(tmp_path):
 
 
 def test_oracle_cap_reported(tmp_path):
-    res = run("norm", "--input", curve_path("pentagram"), "--oracle")
-    # the 7-letter word is within the cap, so this passes; a long word caps
-    assert res.exit_code == 0
+    # a 9-gon of rotation 1 whose face word has 20 letters
+    curve, _ = random_generic_polygon(random.Random(40), 9)
+    path = tmp_path / "long_word.json"
+    path.write_text(json.dumps({"points": [[int(x), int(y)] for x, y in curve.points]}))
+    for cmd, cap in [("norm", 14), ("selfoverlap", 12)]:
+        res = run(cmd, "--input", str(path), "--oracle")
+        assert res.exit_code == 2, res.output
+        error = json.loads(res.output)["error"]
+        assert error == {"code": "oracle_cap", "message": f"word length 20 exceeds cap {cap}"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -268,21 +269,28 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
 
 
 class _Recorder:
-    """Counts the smoothings of a search and records every certified piece."""
+    """Counts the smoothings and piece cuts of a search and records every
+    certified piece."""
 
     def __init__(self, monkeypatch):
-        self.smoothings, self.certified = 0, []
-        smooth, certify = decomposition.smooth_at, decomposition.certify_subcurve
+        self.smoothings, self.cuts, self.certified = 0, 0, []
+        smooth, cut = decomposition.smooth_at, decomposition._piece
+        certify = decomposition.certify_subcurve
 
         def counted_smooth(sc, vertices):
             self.smoothings += 1
             return smooth(sc, vertices)
+
+        def counted_cut(*args):
+            self.cuts += 1
+            return cut(*args)
 
         def recorded_certify(sc):
             self.certified.append(sc.entries)
             return certify(sc)
 
         monkeypatch.setattr(decomposition, "smooth_at", counted_smooth)
+        monkeypatch.setattr(decomposition, "_piece", counted_cut)
         monkeypatch.setattr(decomposition, "certify_subcurve", recorded_certify)
 
 
@@ -292,9 +300,12 @@ def test_min_area_sod_certifies_each_piece_once(monkeypatch):
                for seed, corners in RANDOM_POLYGONS]
     calls = _Recorder(monkeypatch)
     for curve in curves:
+        calls.cuts = 0
         calls.certified.clear()
-        min_area_sod(curve)
+        sod_to_folding(curve, min_area_sod(curve))
         assert len(set(calls.certified)) == len(calls.certified), curve
+        # the answer's pieces come from the search's table, not from new cuts
+        assert calls.cuts == len(calls.certified), curve
 
 
 def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
@@ -307,7 +318,7 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
                        if combo == answer)
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
     # pieces are cut from their names, so no vertex set is smoothed whole
-    assert (calls.smoothings, len(calls.certified)) == (0, 514)
+    assert (calls.smoothings, calls.cuts, len(calls.certified)) == (0, 514, 514)
 
 
 def test_sod_to_folding_round_trip(corpus_name):
@@ -330,6 +341,7 @@ def test_sod_to_folding_reads_the_certificates(monkeypatch):
     curves += [random_generic_polygon(random.Random(seed), corners)[0]
                for seed, corners in RANDOM_POLYGONS]
     sods = [(curve, min_area_sod(curve)) for curve in curves]
+    calls = _Recorder(monkeypatch)
     norms = []
     norm = decomposition.cancellation_norm
     monkeypatch.setattr(decomposition, "cancellation_norm",
@@ -339,10 +351,10 @@ def test_sod_to_folding_reads_the_certificates(monkeypatch):
         folding = sod_to_folding(curve, sod)
         assert isinstance(folding, Folding) and folding.word == sod.word
         assert folding.area == sod.area
-        for piece in sod.subcurves:
-            pieces += 1
-            reversed_pieces += certify_subcurve(piece)[1]["reversed"]
-    assert norms == []
+        assert len(sod.certificates) == len(sod.subcurves)
+        pieces += len(sod.certificates)
+        reversed_pieces += sum(cert["reversed"] for cert in sod.certificates)
+    assert (norms, calls.certified, calls.cuts) == ([], [], 0)
     # a reversed piece's witness folds its inverse word
     assert (reversed_pieces, pieces) == (64, 133)
 
@@ -350,11 +362,29 @@ def test_sod_to_folding_reads_the_certificates(monkeypatch):
 def test_sod_to_folding_rejects_a_piece_that_does_not_certify():
     curve, _, _, cables, word = pipeline("mouse")
     pieces = tuple(smooth_at(curve_subcurve(cables.arr, cables), [2]))
-    assert [certify_subcurve(p)[0] for p in pieces].count(False) == 1
+    verdicts = [certify_subcurve(p) for p in pieces]
+    assert [ok for ok, _ in verdicts].count(False) == 1
     area = sum((p.area_w() for p in pieces), Fraction(0))
-    sod = SelfOverlappingDecomposition(frozenset({2}), pieces, area, cables, word)
+    sod = SelfOverlappingDecomposition(frozenset({2}), pieces,
+                                       tuple(cert for _, cert in verdicts), area, cables, word)
     with pytest.raises(InvalidDecomposition, match="does not bound an immersed disk"):
         sod_to_folding(curve, sod)
+
+
+def test_sod_to_folding_rejects_another_decompositions_certificates():
+    # every single smoothing of the trefoil decomposes it into two pieces
+    curve, _, _, cables, word = pipeline("trefoil")
+    singles = [sod for sod in decomposition._decompositions(cables, word)
+               if len(sod.vertex_pairs) == 1]
+    assert len(singles) == 3
+    for sod, other in itertools.permutations(singles, 2):
+        assert sod_to_folding(curve, sod).area == sod.area
+        swapped = dataclasses.replace(sod, certificates=other.certificates)
+        with pytest.raises(InvalidDecomposition, match="not of its piece"):
+            sod_to_folding(curve, swapped)
+    sod = singles[0]
+    with pytest.raises(InvalidDecomposition, match="one certificate per piece"):
+        sod_to_folding(curve, dataclasses.replace(sod, certificates=sod.certificates[:1]))
 
 
 def test_trefoil_every_single_smoothing_decomposes():

@@ -114,6 +114,20 @@ def test_area_counts_unpaired_weight():
     assert Folding(w, frozenset({Pairing(0, 2)})).area == Fraction(5)
 
 
+def test_owner_names_the_pairing_that_holds_each_position():
+    rng = random.Random(17)
+    for _ in range(200):
+        w = random_word(rng, max_len=12)
+        _, witness = cancellation_norm(w)
+        some = frozenset(p for p in witness.pairings if rng.random() < 0.5)
+        for folding in (Folding(w, frozenset()), witness, Folding(w, some),
+                        complete_to_maximal(w, witness)):
+            assert len(folding.owner) == len(w)
+            for x in range(len(w)):
+                holding = [p for p in folding.pairings if x in p.positions()]
+                assert folding.owner[x] is (holding[0] if holding else None)
+
+
 # ---------------------------------------------------------------------------
 # the norm DP
 
@@ -167,26 +181,54 @@ def test_oracle_cap():
         norm_bruteforce(w)
 
 
+def _assert_completes(w, folding):
+    """``complete_to_maximal`` keeps the folding's pairings, does not grow
+    its area, and leaves no pairing to add; returns how many it added."""
+    maximal = complete_to_maximal(w, folding)
+    assert folding.pairings <= maximal.pairings
+    assert maximal.area <= folding.area
+    # no further pairing can be added
+    used = maximal.paired_positions
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if i in used or j in used:
+                continue
+            f, s = w[i]
+            g, t = w[j]
+            if f != g or s != -t:
+                continue
+            cand = Pairing(i, j) if s > 0 else Pairing(j, i)
+            assert any(is_linked(cand, p, w) for p in maximal.pairings)
+    return len(maximal.pairings) - len(folding.pairings)
+
+
 def test_complete_to_maximal():
     rng = random.Random(7)
     for _ in range(150):
         w = random_word(rng)
         value, witness = cancellation_norm(w)
-        maximal = complete_to_maximal(w, witness)
-        assert witness.pairings <= maximal.pairings
-        assert maximal.area <= witness.area
-        # no further pairing can be added
-        used = maximal.paired_positions
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if i in used or j in used:
-                    continue
-                f, s = w[i]
-                g, t = w[j]
-                if f != g or s != -t:
-                    continue
-                cand = Pairing(i, j) if s > 0 else Pairing(j, i)
-                assert any(is_linked(cand, p, w) for p in maximal.pairings)
+        assert _assert_completes(w, witness) == 0
+
+
+def test_complete_to_maximal_adds_pairings():
+    rng = random.Random(31)
+    added = {"empty": 0, "dropped": 0, "zero-weight": 0}
+    for _ in range(150):
+        w = random_word(rng)
+        _, witness = cancellation_norm(w)
+        kept = frozenset(p for p in witness.pairings if rng.random() < 0.5)
+        added["empty"] += _assert_completes(w, Folding(w, frozenset()))
+        added["dropped"] += _assert_completes(w, Folding(w, kept))
+        # a zero-weight face: dropping its pairings keeps the area, and a
+        # minimum witness is still maximal (the DP pairs a letter whenever
+        # some minimum folding of its interval does)
+        zero = w.with_weights({**w.weights, 1: Fraction(0)})
+        _, witness = cancellation_norm(zero)
+        assert _assert_completes(zero, witness) == 0
+        light = Folding(zero, frozenset(p for p in witness.pairings if zero[p.i][0] != 1))
+        assert light.area == witness.area
+        added["zero-weight"] += _assert_completes(zero, light)
+    assert min(added.values()) > 20, added
 
 
 def test_maximal_completion_preserves_minimal_area():

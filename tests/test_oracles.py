@@ -53,10 +53,11 @@ of chords for linking, and gives each entry to the shortest chord that
 encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
 must be identical.
 
-The decomposition search cuts and certifies each distinct piece once
-and skips a vertex set that holds a piece already known to fail.  Its
-oracle smooths every unlinked vertex set and certifies every piece.
-The decompositions, their order, pieces and areas must be identical.
+The decomposition search cuts and certifies each distinct piece once,
+keeps it with its certificate, and skips a vertex set that holds a
+piece already known to fail.  Its oracle smooths every unlinked vertex
+set and certifies every piece.  The decompositions, their order,
+pieces, certificates and areas must be identical.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
@@ -774,10 +775,12 @@ def decompositions_oracle(cables, word) -> list[SelfOverlappingDecomposition]:
     found = []
     for combo in _unlinked_subsets(cables.arr.vertex_passes):
         pieces = smooth_at(full, combo)
-        if all(certify_subcurve(piece)[0] for piece in pieces):
+        verdicts = [certify_subcurve(piece) for piece in pieces]
+        if all(ok for ok, _ in verdicts):
             area = sum((piece.area_w() for piece in pieces), Fraction(0))
-            found.append(SelfOverlappingDecomposition(frozenset(combo), tuple(pieces), area,
-                                                      cables, word))
+            found.append(SelfOverlappingDecomposition(
+                frozenset(combo), tuple(pieces), tuple(cert for _, cert in verdicts), area,
+                cables, word))
     return found
 
 
@@ -1005,7 +1008,8 @@ def test_decomposition_search_matches_the_exhaustive_oracle():
         assert len(got) == len(want), label
         for a, b in zip(got, want):
             assert a.vertex_pairs == b.vertex_pairs, label
-            assert (a.subcurves, a.area) == (b.subcurves, b.area), (label, a.vertex_pairs)
+            assert (a.subcurves, a.certificates, a.area) == \
+                (b.subcurves, b.certificates, b.area), (label, a.vertex_pairs)
         found += len(got)
     assert found > 300, found
 

@@ -1,12 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cyclic_equal, equal_up_to_relabeling, face_counts, pipeline,
-                      recursion_headroom, unit_weights)
+from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, equal_up_to_relabeling,
+                      face_counts, pipeline, random_generic_polygon, recursion_headroom,
+                      unit_weights)
 from curvefold.arrangement import MalformedInput, PlaneCurve, build_arrangement, tree_cotree
 from curvefold.folding import cancellation_norm
 from curvefold.words import (CyclicWord, Flattening, InvalidFlattening, blank_word,
@@ -131,19 +133,26 @@ def test_deep_cotree_needs_no_recursion():
 
 
 def test_insertion_choices_preserve_norm():
-    _, arr, tc, _, word = pipeline("mouse")
-    base, _ = cancellation_norm(word)
-    from curvefold.words import InvalidFlattening
-    for f in word.weights:
-        for pos in (0, 1):
-            try:
+    """Every insertion position of every face's cable, from in front of its
+    bundle to past the last child's block, keeps the norm and is the word
+    of the flattening it induces."""
+    arrangements = [pipeline(name)[1:4] for name in CORPUS]
+    for seed, corners in RANDOM_POLYGONS:
+        _, arr = random_generic_polygon(random.Random(seed), corners)
+        tc = tree_cotree(arr)
+        arrangements.append((arr, tc, build_cable_system(arr, tc)))
+    tried = 0
+    for arr, tc, default in arrangements:
+        base, _ = cancellation_norm(blank_word(arr, default))
+        for f, eid in tc.parent_edge.items():
+            # the bundle f's cable joins holds every other cable of the edge
+            for pos in range(len(default.ports[eid])):
                 cables = build_cable_system(arr, tc, insertions={f: pos})
-            except InvalidFlattening:
-                continue  # leaf faces only admit position 0
-            w = blank_word(arr, cables)
-            value, _ = cancellation_norm(w)
-            assert value == base
-            assert w.letters == nie_word(arr, tc, derive_flattening(cables)).letters
+                w = blank_word(arr, cables)
+                assert cancellation_norm(w)[0] == base
+                assert w.letters == nie_word(arr, tc, derive_flattening(cables)).letters
+                tried += 1
+    assert tried > 400, tried
 
 
 def test_mouse_word_both_cable_orders():
