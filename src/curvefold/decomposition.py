@@ -238,22 +238,23 @@ def _decompositions(cables: CableSystem,
     """Every self-overlapping decomposition by smoothing, fewest crossings
     first; ``word`` is the face word of ``cables``.
 
-    Pieces repeat across vertex sets, so each distinct piece is cut and
-    certified once: under its name (``_piece_keys``) the search keeps the
-    piece and its certificate, or None when it fails.  A vertex set
-    holding a piece already known to fail is skipped; otherwise the
-    pieces of unknown verdict are cut and certified in order until one
-    fails.  A set that decomposes takes its pieces and certificates from
-    the table, so no piece is cut twice and no set is smoothed whole."""
+    Pieces repeat across vertex sets, so each distinct piece is cut,
+    certified and measured once: under its name (``_piece_keys``) the
+    search keeps the piece, its certificate and its winding area, or None
+    when it fails.  A vertex set holding a piece already known to fail is
+    skipped; otherwise the pieces of unknown verdict are cut and certified
+    in order until one fails.  A set that decomposes takes its pieces,
+    certificates and areas from the table, so no piece is cut or measured
+    twice and no set is smoothed whole."""
     full = curve_subcurve(cables.arr, cables)
     passes = cables.arr.vertex_passes
-    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict]]] = {}
+    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict, Fraction]]] = {}
 
     def certified(key: PieceKey) -> bool:
         if key not in pieces:
             piece = _piece(full, passes, key)
             ok, cert = certify_subcurve(piece)
-            pieces[key] = (piece, cert) if ok else None
+            pieces[key] = (piece, cert, piece.area_w()) if ok else None
         return pieces[key] is not None
 
     for combo in _unlinked_subsets(passes):
@@ -261,10 +262,9 @@ def _decompositions(cables: CableSystem,
         if any(key in pieces and pieces[key] is None for key in keys):
             continue
         if all(certified(key) for key in keys):
-            subcurves, certificates = zip(*(pieces[key] for key in keys))
-            area = sum((piece.area_w() for piece in subcurves), Fraction(0))
+            subcurves, certificates, areas = zip(*(pieces[key] for key in keys))
             yield SelfOverlappingDecomposition(frozenset(combo), subcurves, certificates,
-                                               area, cables, word)
+                                               sum(areas, Fraction(0)), cables, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -358,7 +358,9 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     cut there, contract the pairing-free side (sweeping each of its faces
     once per letter), and continue on the remainder; the leftover closed
     curve contracts through its depth cycles at the end.  The swept total
-    is exactly the folding's unpaired weight.
+    is exactly the folding's unpaired weight.  Each step's area, and the
+    total, is an int sum over the word's scale (``CyclicWord.scale``),
+    made a ``Fraction`` once.
 
     The shortest free arc goes first, ties to the pairing with the smaller
     position; when one pairing is left, both its arcs are free and the one
@@ -370,6 +372,7 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
     """
     word = folding.word
     m = len(word)
+    D, scaled = word.scale
     # the live positions, as a cycle linked forwards and backwards
     nxt = [(x + 1) % m for x in range(m)]
     prv = [(x - 1) % m for x in range(m)]
@@ -392,7 +395,15 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
         link(a, b, (b - a - 1) % m)
 
     steps: list[object] = []
-    total = Fraction(0)
+
+    def contract(xs: Iterable[int]) -> int:
+        """Record the contraction of positions xs; their scaled weight."""
+        letters = tuple(word[x] for x in xs)
+        swept = sum(scaled[f] for f, _ in letters)
+        steps.append(ContractStep(letters=letters, area=Fraction(swept, D)))
+        return swept
+
+    total = 0
     for left in range(len(folding.pairings), 0, -1):
         check(free, "decomposition", "an unlinked family always has an innermost pairing")
         _, _, a, b = heapq.heappop(free)
@@ -410,15 +421,10 @@ def homotopy_trace(folding: Folding) -> HomotopyTrace:
         if left > 1:
             link(before[a], after[b], gap[before[a]] + gap[b])
         steps.append(CutStep(face=word[p.i][0], positions=(p.i, p.j)))
-        swept = sum((word.weight(x) for x in arc), Fraction(0))
-        steps.append(ContractStep(letters=tuple(word[x] for x in arc), area=swept))
-        total += swept
+        total += contract(arc)
 
-    live = [x for x in range(m) if alive[x]]
-    swept = sum((word.weight(x) for x in live), Fraction(0))
-    steps.append(ContractStep(letters=tuple(word[x] for x in live), area=swept))
-    total += swept
-    trace = HomotopyTrace(steps=tuple(steps), total_area=total)
+    total += contract(x for x in range(m) if alive[x])
+    trace = HomotopyTrace(steps=tuple(steps), total_area=Fraction(total, D))
     check(trace.total_area == folding.area, "decomposition",
           "the trace total must equal the folding area")
     return trace

@@ -13,9 +13,10 @@ tests against an exhaustive enumeration of all foldings
 (``norm_bruteforce``).  Cut anywhere, unlinked pairings nest like
 brackets, so the linear norm of the word cut before position 0 is the
 cyclic norm; reading from position 1 puts position 0 last, where the
-backtrack settles it first.  The weights are scaled once to Python ints
-by their least common denominator, so the table holds ints and only the
-result is a ``Fraction``; the positions holding each letter's inverse
+backtrack settles it first.  The table holds Python ints: it sums the
+word's own integer scale (``CyclicWord.scale``, the weights times their
+least common denominator), and only the result is a ``Fraction``, as for
+a folding's area; the positions holding each letter's inverse
 are listed once, so a cell visits only real split points.  Rows are
 filled from the last to the first, and only the rows that are read:
 row 0 in full, and the row after each letter that has a later inverse,
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arrangement import PlaneCurve, check, common_denominator, rotation_number
+from .arrangement import PlaneCurve, check, rotation_number
 from .words import CyclicWord, Letter, face_word
 
 
@@ -83,11 +84,6 @@ def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """Do two chords between four distinct positions on a cycle interleave?"""
     lo, hi = sorted(a)
     return (lo < b[0] < hi) != (lo < b[1] < hi)
-
-
-def is_linked(p1: Pairing, p2: Pairing, word: CyclicWord) -> bool:
-    """Do two position-disjoint pairings interleave in cyclic order?"""
-    return chords_cross(p1.positions(), p2.positions())
 
 
 @dataclass(frozen=True)
@@ -132,20 +128,14 @@ class Folding:
 
     @property
     def area(self) -> Fraction:
-        return sum((self.word.weight(x) for x, p in enumerate(self.owner) if p is None),
-                   Fraction(0))
+        """The unpaired weight: one int sum over the word's scale."""
+        D, scaled = self.word.scale
+        unpaired = (f for (f, _), p in zip(self.word.letters, self.owner) if p is None)
+        return Fraction(sum(scaled[f] for f in unpaired), D)
 
 
 # ---------------------------------------------------------------------------
 # the norm
-
-
-def _scaled_weights(letters: Sequence[Letter], weights) -> tuple[int, dict[int, int]]:
-    """(D, {face: weight * D}) for the faces of the word, D the least common
-    denominator of their weights, so that the DP adds Python ints."""
-    faces = {f for f, _ in letters}
-    D = common_denominator(weights[f] for f in faces)
-    return D, {f: weights[f].numerator * (D // weights[f].denominator) for f in faces}
 
 
 def _inverse_occurrences(letters: Sequence[Letter]) -> list[list[int]]:
@@ -229,7 +219,7 @@ def cancellation_norm(word: CyclicWord) -> tuple[Fraction, Folding]:
     """
     m = len(word)
     letters = word.letters[1:] + word.letters[:1]
-    D, scaled = _scaled_weights(letters, word.weights)
+    D, scaled = word.scale
     w = [scaled[f] for f, _ in letters]
     inverses = _inverse_occurrences(letters)
     rows = _linear_norm_rows(w, inverses)
@@ -264,7 +254,7 @@ def _unlinked_pairing_sets(word: CyclicWord, cap: int) -> Iterator[frozenset[Pai
             if q in taken or word[q] != (f, -s):
                 continue
             p = Pairing(pos, q)
-            if any(is_linked(p, c, word) for c in chosen):
+            if any(chords_cross(p.positions(), c.positions()) for c in chosen):
                 continue
             chosen.append(p)
             taken.add(q)
@@ -310,7 +300,7 @@ def complete_to_maximal(word: CyclicWord, folding: Folding) -> Folding:
     for p in candidates:
         if p.i in taken or p.j in taken:
             continue
-        if any(is_linked(p, c, word) for c in current):
+        if any(chords_cross(p.positions(), c.positions()) for c in current):
             continue
         current.add(p)
         taken.update(p.positions())

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .arrangement import (Arrangement, MalformedInput, PlaneCurve, TreeCotree, build_arrangement,
-                          check, fraction_str, load_json, parse_weights, tree_cotree)
+                          check, common_denominator, fraction_str, load_json, parse_weights,
+                          tree_cotree)
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -60,7 +62,11 @@ def parse_letter(tok) -> Letter:
 
 @dataclass(frozen=True)
 class CyclicWord:
-    """A cyclic sequence of signed face letters with nonnegative weights."""
+    """A cyclic sequence of signed face letters with nonnegative weights.
+
+    The word owns its integer scale (``scale``): the weights times their
+    least common denominator, derived once and read by every area sum.
+    """
 
     letters: tuple[Letter, ...]
     weights: Mapping[int, Fraction] = field(default_factory=dict)
@@ -87,8 +93,14 @@ class CyclicWord:
     def __getitem__(self, i: int) -> Letter:
         return self.letters[i % len(self.letters)]
 
-    def weight(self, i: int) -> Fraction:
-        return self.weights[self.letters[i % len(self.letters)][0]]
+    @cached_property
+    def scale(self) -> tuple[int, dict[int, int]]:
+        """(D, {face: weight * D}), D the least common denominator of the
+        weights, derived on first use and kept.  Every area of the word —
+        the norm, a folding's unpaired weight, a contraction step — is an
+        int sum over this scale, made a ``Fraction`` of denominator D once."""
+        D = common_denominator(self.weights.values())
+        return D, {f: q.numerator * (D // q.denominator) for f, q in self.weights.items()}
 
     def rotate(self, k: int) -> "CyclicWord":
         n = len(self.letters)

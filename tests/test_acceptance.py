@@ -15,8 +15,7 @@ from curvefold.decomposition import (certify_subcurve, curve_subcurve,
                                      homotopy_trace, min_area_sod, smooth_at,
                                      sod_oracle)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
-                               complete_to_maximal, is_linked,
-                               is_self_overlapping, norm_bruteforce,
+                               complete_to_maximal, is_self_overlapping, norm_bruteforce,
                                positively_foldable)
 from curvefold.transforms import (dehn_twist, switch_adjacent,
                                   transport_folding_switch,
@@ -226,7 +225,7 @@ def test_trace_total_equals_area_of_arbitrary_foldings():
                 if j in taken or j == i or w[j] != (f, -s):
                     continue
                 cand = Pairing(i, j)
-                if not any(is_linked(cand, p, w) for p in pairings):
+                if not any(chords_cross(cand.positions(), p.positions()) for p in pairings):
                     pairings.append(cand)
                     taken.update({i, j})
                     break

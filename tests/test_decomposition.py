@@ -9,15 +9,15 @@ from blank_cuts import (InvalidPairing, NotAStack, blank_cut, cut_along_folding,
                         stack_decompose)
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_curve, pipeline,
                       random_generic_polygon)
-from curvefold import decomposition
+from curvefold import decomposition, words
 from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, LinkedVertices,
-                                     SelfOverlappingDecomposition, _unlinked_subsets,
+                                     SelfOverlappingDecomposition, Subcurve, _unlinked_subsets,
                                      certify_subcurve, curve_subcurve, homotopy_trace,
                                      min_area_sod, smooth_at, sod_oracle, sod_to_folding)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
-                               complete_to_maximal, is_linked)
-from curvefold.words import CyclicWord, build_cable_system
+                               complete_to_maximal)
+from curvefold.words import CyclicWord, build_cable_system, face_word
 
 
 def full_piece(name):
@@ -321,6 +321,26 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     assert (calls.smoothings, calls.cuts, len(calls.certified)) == (0, 514, 514)
 
 
+def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
+    curve, _ = random_generic_polygon(random.Random(1), 9)
+    measured, certified = [], []
+    area_w, certify = Subcurve.area_w, decomposition.certify_subcurve
+
+    def recorded_certify(sc):
+        ok, cert = certify(sc)
+        if ok:
+            certified.append(sc.entries)
+        return ok, cert
+
+    monkeypatch.setattr(Subcurve, "area_w", lambda sc: measured.append(sc.entries) or area_w(sc))
+    monkeypatch.setattr(decomposition, "certify_subcurve", recorded_certify)
+    sod = min_area_sod(curve)
+    # each piece is measured once, when it certifies, and the area of a
+    # vertex set adds the stored areas
+    assert measured == certified and len(certified) == 17
+    assert sod.area == sum((area_w(sc) for sc in sod.subcurves), Fraction(0))
+
+
 def test_sod_to_folding_round_trip(corpus_name):
     curve, _, _, _, word = pipeline(corpus_name)
     sod = min_area_sod(curve)
@@ -447,7 +467,7 @@ def test_trace_matches_any_folding_area():
             rng.shuffle(mates)
             for j in mates:
                 cand = Pairing(i, j)
-                if not any(is_linked(cand, p, word) for p in pairings):
+                if not any(chords_cross(cand.positions(), p.positions()) for p in pairings):
                     pairings.append(cand)
                     taken.update({i, j})
                     break
@@ -462,3 +482,33 @@ def test_trace_cut_steps_name_paired_faces():
     cut_faces = sorted(s.face for s in trace.steps if hasattr(s, "face"))
     paired_faces = sorted(word[p.i][0] for p in witness.pairings)
     assert cut_faces == paired_faces
+
+
+def test_areas_of_a_witness_add_no_fraction(monkeypatch):
+    seed, corners = RANDOM_POLYGONS[5]
+    curves = [load_curve("mouse"), random_generic_polygon(random.Random(seed), corners)[0]]
+    # the face areas of the arrangement are Fraction sums; build them first
+    face_words = [face_word(curve)[1] for curve in curves]
+    adds = []
+    add, radd = Fraction.__add__, Fraction.__radd__
+    monkeypatch.setattr(Fraction, "__add__", lambda a, b: adds.append(b) or add(a, b))
+    monkeypatch.setattr(Fraction, "__radd__", lambda a, b: adds.append(b) or radd(a, b))
+    for curve, word in zip(curves, face_words):
+        value, witness = cancellation_norm(word)
+        trace = homotopy_trace(witness)
+        assert witness.pairings and witness.area == trace.total_area == value > 0
+        assert adds == [], curve
+    # the counters see a Fraction addition
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and len(adds) == 1
+
+
+def test_a_word_scales_its_weights_once(monkeypatch):
+    _, word = face_word(load_curve("mouse"))
+    calls = []
+    common_denominator = words.common_denominator
+    monkeypatch.setattr(words, "common_denominator",
+                        lambda qs: calls.append(qs) or common_denominator(qs))
+    value, witness = cancellation_norm(word)
+    trace = homotopy_trace(witness)
+    assert witness.area == trace.total_area == value
+    assert len(calls) == 1

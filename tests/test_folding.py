@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import load_curve, pipeline, recursion_headroom, unit_weights
 from curvefold.folding import (CapExceeded, Folding, Pairing, cancellation_norm,
-                               complete_to_maximal, is_linked,
+                               chords_cross, complete_to_maximal,
                                is_self_overlapping, norm_bruteforce,
                                positively_foldable, positively_foldable_bruteforce)
 from curvefold.words import CyclicWord
@@ -47,9 +47,9 @@ def test_pairing_requires_inverse_letters():
 def test_linking_is_cyclic_alternation():
     w = W(3, 4, -3, -4)
     p, q = Pairing(0, 2), Pairing(1, 3)
-    assert is_linked(p, q, w)
-    w2 = W(3, -3, 4, -4)
-    assert not is_linked(Pairing(0, 1), Pairing(2, 3), w2)
+    assert chords_cross(p.positions(), q.positions())
+    # W(3, -3, 4, -4): the pairings sit side by side
+    assert not chords_cross((0, 1), (2, 3))
     with pytest.raises(ValueError):
         Folding(w, frozenset({p, q}))
 
@@ -86,7 +86,7 @@ def test_linked_pairings_far_apart_are_rejected_by_name():
         Folding(w, pairings)
     named = _named_pairings(str(info.value))
     assert len(named) == 2 and set(named) <= pairings
-    assert is_linked(named[0], named[1], w)
+    assert chords_cross(named[0].positions(), named[1].positions())
     Folding(w, pairings - {Pairing(58, 20)})
 
 
@@ -198,7 +198,7 @@ def _assert_completes(w, folding):
             if f != g or s != -t:
                 continue
             cand = Pairing(i, j) if s > 0 else Pairing(j, i)
-            assert any(is_linked(cand, p, w) for p in maximal.pairings)
+            assert any(chords_cross(cand.positions(), p.positions()) for p in maximal.pairings)
     return len(maximal.pairings) - len(folding.pairings)
 
 
@@ -256,7 +256,7 @@ def test_norm_bounded_by_total_weight(m, faces, seed):
     rng = random.Random(seed)
     w = random_word(rng, max_len=m, faces=faces)
     value, _ = cancellation_norm(w)
-    total = sum(w.weight(i) for i in range(len(w)))
+    total = sum(w.weights[w[i][0]] for i in range(len(w)))
     assert 0 <= value <= total
 
 

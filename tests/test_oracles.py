@@ -2,17 +2,19 @@
 straightforward versions they replaced.
 
 The library computes the norm by one linear DP over the word read from
-position 1, on integer-scaled weights over per-position candidate lists,
-replays foldings over bisected position lists, and validates foldings in
-one stack pass.  The oracles below are the direct forms of the same
-definitions: the interval DP over every split point in ``Fraction``
-arithmetic with a recursive backtrack, closed over the cycle by
-conditioning on the fate of position 0, the trace that re-indexes the
-live positions for every pairing on every step, and the pairwise
-``is_linked`` check; the positive-folding search is checked against its
-recursive form.  The oracle's cyclic step thus cross-checks the cut: the
-linear norm of the rotated word must be the cyclic norm, and position
-0's partner must be the one the cyclic step picks.  Norms, witness
+position 1, on the word's integer scale over per-position candidate
+lists, replays foldings over linked position cycles, summing each step
+over the same scale, and validates foldings in one stack pass.  The
+oracles below are the direct forms of the same definitions: the interval
+DP over every split point in ``Fraction`` arithmetic with a recursive
+backtrack, closed over the cycle by conditioning on the fate of position
+0, the trace that re-indexes the live positions for every pairing on
+every step and adds each step's ``Fraction`` weights letter by letter,
+and the ``chords_cross`` check of every two pairings; the
+positive-folding search is checked against its recursive form.  The
+oracle's cyclic step thus cross-checks the cut: the linear norm of the
+rotated word must be the cyclic norm, and position 0's partner must be
+the one the cyclic step picks.  Norms, witness
 pairings, trace steps and accept/reject verdicts must be identical, on
 long seeded words with ``p/q`` weights, on the words of random generic
 polygons, whose face areas have large denominators, and on short words
@@ -91,7 +93,7 @@ from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      _decompositions, _unlinked_subsets, certify_subcurve,
                                      curve_subcurve, homotopy_trace, smooth_at)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
-                               complete_to_maximal, is_linked, positively_foldable)
+                               complete_to_maximal, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
 from curvefold.words import CyclicWord, blank_word, build_cable_system, face_word, invert_sequence
 
@@ -187,13 +189,13 @@ def trace_oracle(folding: Folding) -> tuple:
         _, _, p, arc = min(candidates, key=lambda c: (c[0], c[1]))
         steps.append(CutStep(face=word[p.i][0], positions=(p.i, p.j)))
         steps.append(ContractStep(letters=tuple(word[x] for x in arc),
-                                  area=sum((word.weight(x) for x in arc), Fraction(0))))
+                                  area=sum((word.weights[word[x][0]] for x in arc), Fraction(0))))
         gone = set(arc) | {p.i, p.j}
         live = [x for x in live if x not in gone]
         remaining.discard(p)
         paired_pos -= {p.i, p.j}
     steps.append(ContractStep(letters=tuple(word[x] for x in live),
-                              area=sum((word.weight(x) for x in live), Fraction(0))))
+                              area=sum((word.weights[word[x][0]] for x in live), Fraction(0))))
     return tuple(steps)
 
 
@@ -235,7 +237,8 @@ def folding_valid_oracle(word: CyclicWord, pairings) -> bool:
         if used & {p.i, p.j}:
             return False
         used.update((p.i, p.j))
-    return not any(is_linked(p, q, word) for p, q in itertools.combinations(pairings, 2))
+    return not any(chords_cross(p.positions(), q.positions())
+                   for p, q in itertools.combinations(pairings, 2))
 
 
 @dataclass(frozen=True)
@@ -467,7 +470,7 @@ def greedy_folding(rng, word):
             if j in taken or j == i or word[j] != (f, -s):
                 continue
             cand = Pairing(i, j)
-            if not any(is_linked(cand, p, word) for p in pairings):
+            if not any(chords_cross(cand.positions(), p.positions()) for p in pairings):
                 pairings.append(cand)
                 taken.update({i, j})
                 break

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -206,6 +207,35 @@ def test_relabeling_equality():
     assert equal_up_to_relabeling(a, b)
     c = CyclicWord([(5, 1), (9, 1), (5, 1)])
     assert not equal_up_to_relabeling(a, c)
+
+
+def test_scale_is_the_weights_over_their_least_common_denominator():
+    rng = random.Random(2020)
+    unused = 0
+    for _ in range(300):
+        faces = rng.randint(1, 5)
+        letters = [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
+        # the weights may name faces the word does not use, and may leave
+        # out faces it does use (those weigh 1)
+        weights = {f: Fraction(rng.randint(0, 40), rng.randint(1, 15))
+                   for f in range(1, faces + 4) if rng.random() < 0.8}
+        w = CyclicWord(letters, weights)
+        D, scaled = w.scale
+        assert D == math.lcm(*(q.denominator for q in w.weights.values()))
+        assert scaled.keys() == w.weights.keys()
+        for f, q in w.weights.items():
+            assert type(scaled[f]) is int and scaled[f] == q * D
+        assert w.scale is w.scale
+        # the kept scale is no field: equality and repr are the word's own
+        assert w == CyclicWord(letters, weights) and "scale" not in repr(w)
+        # faces the word does not use rescale every weight by one factor,
+        # so the norm and its witness stay those of the used faces alone
+        used = CyclicWord(letters, {f: w.weights[f] for f, _ in letters})
+        unused += used.weights.keys() != w.weights.keys()
+        value, witness = cancellation_norm(w)
+        assert value == witness.area == cancellation_norm(used)[0]
+        assert witness.pairings == cancellation_norm(used)[1].pairings
+    assert unused > 200
 
 
 def test_word_json_round_trip(corpus_name):
