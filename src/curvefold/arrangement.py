@@ -688,6 +688,23 @@ def rotation_number(curve: PlaneCurve) -> int:
     return turning_of_directions(_integer_segments(curve.points)[2])
 
 
+def turn(u: Vector, v: Vector) -> Optional[int]:
+    """What one step from direction u to direction v adds to the rotation
+    number: the term ``turning_of_directions`` sums; None for a reversal
+    (v opposite to u), which has no turning direction."""
+    hu = _half(u)
+    if hu == _half(v):
+        return 0
+    c = _cross(u, v)
+    if c == 0:
+        return None
+    if c > 0 and hu == 1:
+        return 1
+    if c < 0 and hu == 0:
+        return -1
+    return 0
+
+
 def turning_of_directions(dirs: Sequence[Vector]) -> int:
     """Rotation number of a closed direction sequence (one entry per
     straight piece, in traversal order), counted exactly.
@@ -701,20 +718,13 @@ def turning_of_directions(dirs: Sequence[Vector]) -> int:
     counts +1, a right turn from the upper half to the lower one -1.  A
     reversal (v opposite to u) has no turning direction and is rejected.
     """
-    halves = [_half(w) for w in dirs]
     turns = 0
     n = len(dirs)
     for i in range(n):
-        j = (i + 1) % n
-        if halves[i] == halves[j]:
-            continue
-        c = _cross(dirs[i], dirs[j])
-        if c == 0:
+        t = turn(dirs[i], dirs[(i + 1) % n])
+        if t is None:
             raise NonGenericCurve(f"the curve reverses its direction after piece {i}")
-        if c > 0 and halves[i] == 1:
-            turns += 1
-        elif c < 0 and halves[i] == 0:
-            turns -= 1
+        turns += t
     return turns
 
 

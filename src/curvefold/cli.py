@@ -200,14 +200,13 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
 
 
 def _pieces_json(sod) -> list[dict]:
-    out = []
-    for piece in sod.subcurves:
-        out.append({
-            "word": [letter_str(l) for l in piece.letters()],
-            "rotation": piece.rotation,
-            "area": fraction_str(piece.area_w()),
-        })
-    return out
+    """Each piece's letters, with the rotation its certificate holds and
+    its winding area, the unpaired weight of the certificate's positive
+    witness."""
+    return [{"word": [letter_str(l) for l in piece.letters()],
+             "rotation": cert["rotation"],
+             "area": fraction_str(cert["witness"].area)}
+            for piece, cert in zip(sod.subcurves, sod.certificates, strict=True)]
 
 
 @main.command()

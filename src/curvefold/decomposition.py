@@ -12,10 +12,17 @@ minimum area swept by a null-homotopy.
 
 Pieces are represented combinatorially as runs of the original traversal
 darts together with the face letters each dart carries.  Smoothing keeps
-every dart whole, so a piece's rotation number is computed exactly from
-the turning of its darts' directions.  ``homotopy_trace`` replays a
-folding as Blank's induction, one cut along an innermost pairing at a
-time, on the word alone.
+every dart whole, so a piece's rotation number is the turning of its
+darts' directions: the steps inside its runs plus one step where each
+run meets the next.  The search judges a piece from its name alone, by
+tables derived once per curve: the rotation is a sum of one term for the
+piece's vertex and one per vertex nested in it, the letters are slices of
+the whole word, and the winding area of a piece that certifies is one
+int prefix-sum difference on the word's scale.  ``Subcurve.rotation``
+(the direction walk), ``Subcurve.area_w`` and ``certify_subcurve`` judge
+one piece on its own.  ``homotopy_trace`` replays a folding as Blank's
+induction, one cut along an innermost pairing at a time, on the word
+alone.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arrangement import Arrangement, PlaneCurve, check, turning_of_directions
-from .folding import Folding, Pairing, cancellation_norm, chords_cross, positively_foldable
-from .words import CableSystem, CyclicWord, Letter, face_word
+from .arrangement import Arrangement, PlaneCurve, Vector, check, turn, turning_of_directions
+from .folding import (Folding, Pairing, _positive_linear, _positive_witness, cancellation_norm,
+                      chords_cross, positively_foldable)
+from .words import CableSystem, CyclicWord, Letter, face_word, invert_sequence
 
 
 class InvalidDecomposition(Exception):
@@ -144,15 +153,22 @@ def _piece_keys(passes: Mapping[int, Sequence[int]], combo: tuple[int, ...]) -> 
     return [(v, tuple(nested)) for v, nested in children.items()]
 
 
-def _piece(sc: Subcurve, passes: Mapping[int, Sequence[int]], key: PieceKey) -> Subcurve:
-    """Cut the piece named ``key`` from ``sc``: the entries from its
-    vertex's first pass up to its second (all of them for the outer
-    piece), less the run of each vertex directly nested in it.  Equal
-    names cut equal pieces."""
+def _runs(passes: Mapping[int, Sequence[int]], key: PieceKey,
+          length: int) -> list[tuple[int, int]]:
+    """The entry ranges [a, b) of the piece named ``key``, of a curve of
+    ``length`` entries: from its vertex's first pass up to its second
+    (all of them for the outer piece), less the run of each vertex
+    directly nested in it."""
     v, nested = key
-    start, end = (0, len(sc.entries)) if v is None else passes[v]
+    start, end = (0, length) if v is None else passes[v]
     cuts = (start, *(p for u in nested for p in passes[u]), end)
-    entries = sum((sc.entries[a:b] for a, b in zip(cuts[::2], cuts[1::2])), ())
+    return list(zip(cuts[::2], cuts[1::2]))
+
+
+def _piece(sc: Subcurve, passes: Mapping[int, Sequence[int]], key: PieceKey) -> Subcurve:
+    """Cut the piece named ``key`` from ``sc``: the entries of its runs.
+    Equal names cut equal pieces."""
+    entries = sum((sc.entries[a:b] for a, b in _runs(passes, key, len(sc.entries))), ())
     return Subcurve(entries=entries, weights=sc.weights, arr=sc.arr)
 
 
@@ -194,6 +210,87 @@ def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
     if ok:
         return True, {"rotation": rot, "witness": witness, "reversed": rot == -1}
     return False, {"reason": "not_positively_foldable", "rotation": rot}
+
+
+class _KeyJudge:
+    """Judges each piece of a smoothing of ``full`` (the whole curve as a
+    subcurve, ``word`` its word) from its key, as ``certify_subcurve``
+    would judge the piece cut from it, by tables derived once per curve.
+
+    * Rotation.  A piece's turning is the sum of the turning steps
+      between consecutive directions of its runs, one of them where each
+      run meets the next.  So with ``passes[v] = (a, b)`` the piece
+      (v, C) turns by A(v) + sum of B(c) over c in C.  A(v) is the turning
+      inside entries [a, b) plus the closing step from the last direction
+      of entry b - 1 to the first of entry a; A(None) is the curve's
+      rotation.  B(c) is the junction step from the last direction of
+      entry a_c - 1 to the first of entry b_c, less the steps from that
+      last direction up to that first one, which the cut drops.  Entry
+      a_c - 1 wraps to the curve's last entry for traversal index 0.
+      Every term is a difference of one prefix sum of the steps.
+    * Letters.  ``starts[t]`` is the index in ``word.letters`` of entry
+      t's first letter, so a piece's letters are one slice per run.
+    * Area.  ``sigma`` is the prefix sum of sign times scaled weight over
+      the word's letters.  A piece that certifies with rotation s folds
+      positively (its inverse when s = -1), so every one of its windings
+      has sign s, and its winding area on the word's scale is s times its
+      runs' sigma differences.
+
+    A piece whose rotation is not +-1, or whose letters do not fold
+    positively, is judged without being cut.
+    """
+
+    def __init__(self, full: Subcurve, word: CyclicWord):
+        arr = full.arr
+        self.full, self.word, self.passes = full, word, arr.vertex_passes
+        dirs: list[Vector] = []
+        first: list[int] = []  # per entry, the index of its first direction
+        for e in full.entries:
+            first.append(len(dirs))
+            dirs.extend(arr.edges[arr.traversal[e.dart].edge].directions)
+        steps = [turn(u, w) for u, w in zip(dirs, dirs[1:] + dirs[:1])]
+        check(None not in steps, "decomposition", "the curve reverses its direction")
+        turned = list(accumulate(steps, initial=0))  # the steps before each direction
+
+        def junction(u: Vector, w: Vector, v: int) -> int:
+            t = turn(u, w)
+            check(t is not None, "decomposition", "the curve reverses at crossing %d", v)
+            return t
+
+        self.loop_turning: dict[Optional[int], int] = {None: turned[-1]}
+        self.cut_turning: dict[int, int] = {}
+        for v, (a, b) in self.passes.items():
+            fa, fb = first[a], first[b]
+            self.loop_turning[v] = (turned[fb - 1] - turned[fa]
+                                    + junction(dirs[fb - 1], dirs[fa], v))
+            dropped = turned[fb] - turned[fa - 1] if fa else turned[fb] + steps[-1]
+            self.cut_turning[v] = junction(dirs[fa - 1], dirs[fb], v) - dropped
+        self.starts = list(accumulate((len(e.letters) for e in full.entries), initial=0))
+        _, scaled = word.scale
+        self.sigma = list(accumulate((s * scaled[f] for f, s in word.letters), initial=0))
+
+    def rotation(self, key: PieceKey) -> int:
+        v, nested = key
+        return self.loop_turning[v] + sum(self.cut_turning[c] for c in nested)
+
+    def __call__(self, key: PieceKey) -> Optional[tuple[Subcurve, dict, int]]:
+        """(piece, certificate, winding area on the word's scale) of the
+        piece named ``key`` if it certifies, else None."""
+        rot = self.rotation(key)
+        if rot not in (1, -1):
+            return None
+        starts, letters = self.starts, self.word.letters
+        spans = [(starts[a], starts[b])
+                 for a, b in _runs(self.passes, key, len(self.full.entries))]
+        own = [l for x, y in spans for l in letters[x:y]]
+        pairs = _positive_linear(own if rot == 1 else invert_sequence(own))
+        if pairs is None:
+            return None
+        piece = _piece(self.full, self.passes, key)
+        word = piece.word()
+        witness = _positive_witness(word if rot == 1 else word.inverse(), pairs)
+        area = rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
+        return piece, {"rotation": rot, "witness": witness, "reversed": rot == -1}, area
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +335,24 @@ def _decompositions(cables: CableSystem,
     """Every self-overlapping decomposition by smoothing, fewest crossings
     first; ``word`` is the face word of ``cables``.
 
-    Pieces repeat across vertex sets, so each distinct piece is cut,
-    certified and measured once: under its name (``_piece_keys``) the
-    search keeps the piece, its certificate and its winding area, or None
-    when it fails.  A vertex set holding a piece already known to fail is
-    skipped; otherwise the pieces of unknown verdict are cut and certified
-    in order until one fails.  A set that decomposes takes its pieces,
-    certificates and areas from the table, so no piece is cut or measured
-    twice and no set is smoothed whole."""
-    full = curve_subcurve(cables.arr, cables)
+    Pieces repeat across vertex sets, so each distinct piece is judged
+    once, from its name (``_piece_keys``) alone: ``_KeyJudge`` reads its
+    rotation and letters off tables derived once per curve, and only a
+    piece that certifies is cut, given its certificate and measured.
+    Under its name the search keeps the piece, its certificate and its
+    winding area on the word's scale, or None when it fails.  A vertex
+    set holding a piece already known to fail is skipped; otherwise the
+    pieces of unknown verdict are judged in order until one fails.  A set
+    that decomposes takes its pieces, certificates and areas from the
+    table, and its area is their int sum made one ``Fraction``."""
+    judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
     passes = cables.arr.vertex_passes
-    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict, Fraction]]] = {}
+    D, _ = word.scale
+    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict, int]]] = {}
 
     def certified(key: PieceKey) -> bool:
         if key not in pieces:
-            piece = _piece(full, passes, key)
-            ok, cert = certify_subcurve(piece)
-            pieces[key] = (piece, cert, piece.area_w()) if ok else None
+            pieces[key] = judge(key)
         return pieces[key] is not None
 
     for combo in _unlinked_subsets(passes):
@@ -264,7 +362,7 @@ def _decompositions(cables: CableSystem,
         if all(certified(key) for key in keys):
             subcurves, certificates, areas = zip(*(pieces[key] for key in keys))
             yield SelfOverlappingDecomposition(frozenset(combo), subcurves, certificates,
-                                               sum(areas, Fraction(0)), cables, word)
+                                               Fraction(sum(areas), D), cables, word)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -272,10 +370,12 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
 
     The cancellation norm of the face word (area weights) is the provable
     optimum; the search scans unlinked vertex subsets in increasing size
-    and returns the first decomposition achieving it.  Pieces are cut from
-    their names: each distinct piece is cut and certified once per search,
-    and a subset holding a piece already known to fail is skipped.  The
-    result keeps its pieces' certificates.
+    and returns the first decomposition achieving it.  Pieces are judged
+    from their names: each distinct piece once per search, by its
+    rotation, then by whether its letters fold positively, with no
+    direction walk and no per-face area sum; only a piece that certifies
+    is cut.  A subset holding a piece already known to fail is skipped.
+    The result keeps its pieces' certificates.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)

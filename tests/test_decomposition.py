@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -9,7 +10,7 @@ from blank_cuts import (InvalidPairing, NotAStack, blank_cut, cut_along_folding,
                         stack_decompose)
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_curve, pipeline,
                       random_generic_polygon)
-from curvefold import decomposition, words
+from curvefold import arrangement, decomposition, words
 from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve, _unlinked_subsets,
@@ -269,29 +270,53 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
 
 
 class _Recorder:
-    """Counts the smoothings and piece cuts of a search and records every
-    certified piece."""
+    """Counts the smoothings of a search, records every key it judges (with
+    whether that piece certified) and every piece it cuts, and counts its
+    calls to the judges of one piece: ``certify_subcurve``, the direction
+    walk (``Subcurve.rotation``, ``turning_of_directions``) and the
+    per-face area sum (``Subcurve.area_w``)."""
 
     def __init__(self, monkeypatch):
-        self.smoothings, self.cuts, self.certified = 0, 0, []
+        self.smoothings, self.keys, self.cut = 0, [], []
+        self.one_piece = collections.Counter()
         smooth, cut = decomposition.smooth_at, decomposition._piece
-        certify = decomposition.certify_subcurve
+        judge = decomposition._KeyJudge.__call__
 
         def counted_smooth(sc, vertices):
             self.smoothings += 1
             return smooth(sc, vertices)
 
-        def counted_cut(*args):
-            self.cuts += 1
-            return cut(*args)
+        def recorded_judge(self_, key):
+            verdict = judge(self_, key)
+            self.keys.append((key, verdict is not None))
+            return verdict
 
-        def recorded_certify(sc):
-            self.certified.append(sc.entries)
-            return certify(sc)
+        def recorded_cut(*args):
+            piece = cut(*args)
+            self.cut.append(piece)
+            return piece
+
+        def counted(name, fn):
+            def call(*args):
+                self.one_piece[name] += 1
+                return fn(*args)
+            return call
 
         monkeypatch.setattr(decomposition, "smooth_at", counted_smooth)
-        monkeypatch.setattr(decomposition, "_piece", counted_cut)
-        monkeypatch.setattr(decomposition, "certify_subcurve", recorded_certify)
+        monkeypatch.setattr(decomposition._KeyJudge, "__call__", recorded_judge)
+        monkeypatch.setattr(decomposition, "_piece", recorded_cut)
+        monkeypatch.setattr(decomposition, "certify_subcurve",
+                            counted("certify_subcurve", decomposition.certify_subcurve))
+        for module in (arrangement, decomposition):
+            monkeypatch.setattr(module, "turning_of_directions",
+                                counted("turning_of_directions", arrangement.turning_of_directions))
+        monkeypatch.setattr(Subcurve, "rotation",
+                            property(counted("rotation", Subcurve.rotation.fget)))
+        monkeypatch.setattr(Subcurve, "area_w", counted("area_w", Subcurve.area_w))
+
+    def clear(self):
+        self.keys.clear()
+        self.cut.clear()
 
 
 def test_min_area_sod_certifies_each_piece_once(monkeypatch):
@@ -299,13 +324,22 @@ def test_min_area_sod_certifies_each_piece_once(monkeypatch):
     curves += [random_generic_polygon(random.Random(seed), corners)[0]
                for seed, corners in RANDOM_POLYGONS]
     calls = _Recorder(monkeypatch)
+    results = []
     for curve in curves:
-        calls.cuts = 0
-        calls.certified.clear()
+        calls.clear()
         sod_to_folding(curve, min_area_sod(curve))
-        assert len(set(calls.certified)) == len(calls.certified), curve
-        # the answer's pieces come from the search's table, not from new cuts
-        assert calls.cuts == len(calls.certified), curve
+        # each distinct piece is judged once, and a failing verdict is kept
+        assert len({key for key, _ in calls.keys}) == len(calls.keys), curve
+        # only the pieces that certify are cut, each once; the answer's
+        # pieces come from the search's table, not from new cuts
+        assert len(calls.cut) == sum(ok for _, ok in calls.keys), curve
+        results.append((curve, list(calls.cut)))
+    # pieces are judged from their names, not by certifying a cut piece
+    assert calls.one_piece == {}
+    monkeypatch.undo()
+    for curve, cut in results:
+        assert len({piece.entries for piece in cut}) == len(cut), curve
+        assert all(certify_subcurve(piece)[0] for piece in cut), curve
 
 
 def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
@@ -317,28 +351,27 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     subsets = 1 + next(k for k, combo in enumerate(_unlinked_subsets(arr.vertex_passes))
                        if combo == answer)
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
-    # pieces are cut from their names, so no vertex set is smoothed whole
-    assert (calls.smoothings, calls.cuts, len(calls.certified)) == (0, 514, 514)
+    # pieces are judged from their names, so no vertex set is smoothed
+    # whole; each of the 514 distinct pieces is judged once, and only the
+    # 47 that certify are cut
+    judged = len({key for key, _ in calls.keys})
+    assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 47)
+    assert calls.one_piece == {}
 
 
 def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
     curve, _ = random_generic_polygon(random.Random(1), 9)
-    measured, certified = [], []
-    area_w, certify = Subcurve.area_w, decomposition.certify_subcurve
-
-    def recorded_certify(sc):
-        ok, cert = certify(sc)
-        if ok:
-            certified.append(sc.entries)
-        return ok, cert
-
-    monkeypatch.setattr(Subcurve, "area_w", lambda sc: measured.append(sc.entries) or area_w(sc))
-    monkeypatch.setattr(decomposition, "certify_subcurve", recorded_certify)
+    calls = _Recorder(monkeypatch)
     sod = min_area_sod(curve)
-    # each piece is measured once, when it certifies, and the area of a
-    # vertex set adds the stored areas
-    assert measured == certified and len(certified) == 17
-    assert sod.area == sum((area_w(sc) for sc in sod.subcurves), Fraction(0))
+    # each piece that certifies is cut once and measured by its prefix sums,
+    # with no direction walk and no per-face area sum
+    assert len(calls.cut) == sum(ok for _, ok in calls.keys) == 17
+    assert calls.one_piece == {}
+    monkeypatch.undo()
+    # each piece's area is its positive witness's unpaired weight
+    areas = [sc.area_w() for sc in sod.subcurves]
+    assert [cert["witness"].area for cert in sod.certificates] == areas
+    assert sod.area == sum(areas, Fraction(0))
 
 
 def test_sod_to_folding_round_trip(corpus_name):
@@ -374,7 +407,7 @@ def test_sod_to_folding_reads_the_certificates(monkeypatch):
         assert len(sod.certificates) == len(sod.subcurves)
         pieces += len(sod.certificates)
         reversed_pieces += sum(cert["reversed"] for cert in sod.certificates)
-    assert (norms, calls.certified, calls.cuts) == ([], [], 0)
+    assert (norms, calls.keys, calls.cut, calls.one_piece) == ([], [], [], {})
     # a reversed piece's witness folds its inverse word
     assert (reversed_pieces, pieces) == (64, 133)
 

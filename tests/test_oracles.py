@@ -55,11 +55,19 @@ of chords for linking, and gives each entry to the shortest chord that
 encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
 must be identical.
 
-The decomposition search cuts and certifies each distinct piece once,
-keeps it with its certificate, and skips a vertex set that holds a
-piece already known to fail.  Its oracle smooths every unlinked vertex
-set and certifies every piece.  The decompositions, their order,
-pieces, certificates and areas must be identical.
+The decomposition search judges each distinct piece once from its key,
+cuts only the pieces that certify, keeps each with its certificate, and
+skips a vertex set that holds a piece already known to fail.  Its oracle
+smooths every unlinked vertex set and certifies every piece.  The
+decompositions, their order, pieces, certificates and areas must be
+identical.  The judge reads a piece's rotation as one turning term for
+its vertex plus one per nested vertex, and the winding area of a piece
+that certifies as a prefix-sum difference on the word's scale; on every
+piece of the smoothings above and of the smoothings at up to three
+crossings of ten seeded bench-style curves, the rotation must be the
+walk over the cut piece's geometry, and the verdict, certificate
+(witness included) and area those of ``certify_subcurve`` and
+``Subcurve.area_w`` on the cut piece.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
@@ -89,9 +97,9 @@ from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Fac
                                    _segment_intersections, build_arrangement, point_str,
                                    tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
-                                     SelfOverlappingDecomposition, Subcurve,
-                                     _decompositions, _unlinked_subsets, certify_subcurve,
-                                     curve_subcurve, homotopy_trace, smooth_at)
+                                     SelfOverlappingDecomposition, Subcurve, _decompositions,
+                                     _KeyJudge, _piece, _piece_keys, _unlinked_subsets,
+                                     certify_subcurve, curve_subcurve, homotopy_trace, smooth_at)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
@@ -933,6 +941,57 @@ def test_piece_rotations_match_the_geometry_walk():
         assert piece.rotation == rotation_oracle(piece)
         rotations.add(piece.rotation)
     assert {-1, 0, 1, 2} <= rotations, rotations
+
+
+def _judged_pieces():
+    """(judge, key, piece cut from the key) of each distinct piece of
+    ``_smoothings()``, and of the smoothings at up to three crossings of
+    the curves the bench draws as ``draw_curve(rng, rng.randint(8, 22))``
+    with ``rng = random.Random(f"d-{s}")`` for s < 10 (the same draws)."""
+    def smoothings():
+        yield from _smoothings()
+        for s in range(10):
+            rng = random.Random(f"d-{s}")
+            _, arr = random_generic_polygon(rng, rng.randint(8, 22), span=10 ** 6)
+            full = curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr)))
+            for combo in _unlinked_subsets(arr.vertex_passes):
+                if len(combo) > 3:
+                    break
+                yield full, combo
+
+    judges = {}
+    for full, combo in smoothings():
+        if id(full) not in judges:
+            judges[id(full)] = (_KeyJudge(full, full.word()), set())
+        judge, seen = judges[id(full)]
+        for key in _piece_keys(judge.passes, combo):
+            if key not in seen:
+                seen.add(key)
+                yield judge, key, _piece(full, judge.passes, key)
+
+
+def test_key_rotations_match_the_geometry_walk():
+    rotations = {}
+    for judge, key, piece in _judged_pieces():
+        rot = judge.rotation(key)
+        assert rot == rotation_oracle(piece), key
+        rotations[rot] = rotations.get(rot, 0) + 1
+    assert {-1, 0, 1, 2} <= set(rotations) and sum(rotations.values()) == 8054, rotations
+
+
+def test_key_verdicts_match_the_certification_of_the_cut_piece():
+    verdicts = {True: 0, False: 0}
+    for judge, key, piece in _judged_pieces():
+        ok, cert = certify_subcurve(piece)
+        verdict = judge(key)
+        assert (verdict is not None) == ok, key
+        if ok:
+            cut, got, scaled = verdict
+            # the witness and its word are compared with the certificate's
+            assert (cut, got) == (piece, cert), key
+            assert Fraction(scaled, judge.word.scale[0]) == piece.area_w(), key
+        verdicts[ok] += 1
+    assert verdicts == {True: 1166, False: 6888}, verdicts
 
 
 def test_unlinked_subsets_match_the_filter():
