@@ -14,24 +14,29 @@ Pieces are represented combinatorially as runs of the original traversal
 darts together with the face letters each dart carries.  Smoothing keeps
 every dart whole, so a piece's rotation number is the turning of its
 darts' directions: the steps inside its runs plus one step where each
-run meets the next.  The search judges a piece from its name alone, by
-tables derived once per curve: the rotation is a sum of one term for the
-piece's vertex and one per vertex nested in it, the letters are slices of
-the whole word, and the winding area of a piece that certifies is one
-int prefix-sum difference on the word's scale.  ``Subcurve.rotation``
-(the direction walk), ``Subcurve.area_w`` and ``certify_subcurve`` judge
-one piece on its own.  ``homotopy_trace`` replays a folding as Blank's
-induction, one cut along an innermost pairing at a time, on the word
-alone.
+run meets the next.  The search walks vertex sets by their pieces'
+names, each set's grown from its parent's, and judges a piece from its
+name alone, by tables derived once per curve: the rotation is a sum of
+one term for the piece's vertex and one per vertex nested in it, the
+letters are slices of the whole word, and the winding area of a piece
+that certifies is one int prefix-sum difference on the word's scale.
+Only the decomposition the search returns is cut into pieces.
+``Subcurve.rotation`` (the direction walk), ``Subcurve.area_w`` and
+``certify_subcurve`` judge one piece on its own.  ``homotopy_trace``
+replays a folding as Blank's induction, one cut along an innermost
+pairing at a time, on the word alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arrangement import Arrangement, PlaneCurve, Vector, check, turn, turning_of_directions
 from .folding import (Folding, Pairing, _positive_linear, _positive_witness, cancellation_norm,
@@ -130,6 +135,12 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
 # a piece of a smoothing: its opening vertex (None for the outer piece)
 # and the smoothed vertices directly nested in it
 PieceKey = tuple[Optional[int], tuple[int, ...]]
+# a certified piece's rotation, the pairs of its positive folding (of its
+# letters, or of their inverse for rotation -1) and its winding area on
+# the word's scale
+Verdict = tuple[int, list[tuple[int, int]], int]
+# a key not judged yet, apart from one judged to fail (None)
+_UNJUDGED = object()
 
 
 def _piece_keys(passes: Mapping[int, Sequence[int]], combo: tuple[int, ...]) -> list[PieceKey]:
@@ -236,8 +247,9 @@ class _KeyJudge:
       has sign s, and its winding area on the word's scale is s times its
       runs' sigma differences.
 
-    A piece whose rotation is not +-1, or whose letters do not fold
-    positively, is judged without being cut.
+    No piece is cut to be judged: a verdict holds the rotation, the pairs
+    of the positive folding and the area, and ``assemble`` cuts a
+    certified piece and builds its certificate from its verdict.
     """
 
     def __init__(self, full: Subcurve, word: CyclicWord):
@@ -273,9 +285,8 @@ class _KeyJudge:
         v, nested = key
         return self.loop_turning[v] + sum(self.cut_turning[c] for c in nested)
 
-    def __call__(self, key: PieceKey) -> Optional[tuple[Subcurve, dict, int]]:
-        """(piece, certificate, winding area on the word's scale) of the
-        piece named ``key`` if it certifies, else None."""
+    def __call__(self, key: PieceKey) -> Optional[Verdict]:
+        """The verdict on the piece named ``key`` if it certifies, else None."""
         rot = self.rotation(key)
         if rot not in (1, -1):
             return None
@@ -286,11 +297,16 @@ class _KeyJudge:
         pairs = _positive_linear(own if rot == 1 else invert_sequence(own))
         if pairs is None:
             return None
+        return rot, pairs, rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
+
+    def assemble(self, key: PieceKey, verdict: Verdict) -> tuple[Subcurve, dict]:
+        """The piece named ``key``, cut, and the certificate
+        ``certify_subcurve`` gives it, built from its verdict."""
+        rot, pairs, _ = verdict
         piece = _piece(self.full, self.passes, key)
         word = piece.word()
         witness = _positive_witness(word if rot == 1 else word.inverse(), pairs)
-        area = rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
-        return piece, {"rotation": rot, "witness": witness, "reversed": rot == -1}, area
+        return piece, {"rotation": rot, "witness": witness, "reversed": rot == -1}
 
 
 # ---------------------------------------------------------------------------
@@ -313,75 +329,109 @@ class SelfOverlappingDecomposition:
     word: CyclicWord
 
 
-def _unlinked_subsets(chords: dict[int, tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    """All pairwise non-crossing vertex subsets, smallest first and
-    lexicographic within a size.  Built level by level: a subset grows only
-    by a larger vertex unlinked from all of it, so none is built past the
-    one its caller stops at."""
-    vs = sorted(chords)
-    later = {u: {v for v in vs if v > u and not chords_cross(chords[u], chords[v])}
+def _unlinked_keys(passes: Mapping[int, tuple[int, int]]) -> Iterator[tuple[PieceKey, ...]]:
+    """The piece keys of every pairwise-unlinked vertex set, smallest set
+    first and lexicographic within a size, each in ``_piece_keys`` order.
+
+    ``passes`` gives each vertex's chord, ends ascending.  A set grows
+    only by a vertex v larger than all of it and unlinked from all of it,
+    so none is built past the one its caller stops at, and its keys are
+    its parent's with two changed.  v's host is the innermost vertex of
+    the set whose chord holds v's (the outer piece if there is none):
+    v's key takes the host's nested vertices inside v's chord, and the
+    host keeps the rest with v among them in pass order.  Each set waits
+    with the larger vertices it may still take, as a bitmask."""
+    vs = sorted(passes)
+    first = {v: a for v, (a, _) in passes.items()}
+    later = {u: sum(1 << v for v in vs if v > u and not chords_cross(passes[u], passes[v]))
              for u in vs}
-    # each subset with the larger vertices it may still take, ascending
-    level: list[tuple[tuple[int, ...], list[int]]] = [((), vs)]
+    # the smaller vertices whose chords hold v's, innermost first, then the outer piece
+    hosts = {v: (*sorted((u for u in vs if u < v and passes[u][0] < a and b < passes[u][1]),
+                         key=first.__getitem__, reverse=True), None)
+             for v, (a, b) in passes.items()}
+    level: list[tuple[tuple[PieceKey, ...], int]] = [(((None, ()),), sum(1 << v for v in vs))]
     while level:
-        for combo, _ in level:
-            yield combo
-        level = [(combo + (v,), [w for w in free if w in later[v]])
-                 for combo, free in level for v in free]
+        for keys, _ in level:
+            yield keys
+        grown = []
+        for keys, free in level:
+            if not free:
+                continue
+            index = {u: i for i, (u, _) in enumerate(keys)}
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= free - 1
+                for u in hosts[v]:
+                    if u in index:
+                        break
+                h = index[u]
+                nested = keys[h][1]
+                a, b = passes[v]
+                i = bisect_left(nested, a, key=first.__getitem__)
+                j = bisect_left(nested, b, lo=i, key=first.__getitem__)
+                grown.append((keys[:h] + ((u, nested[:i] + (v,) + nested[j:]),) + keys[h + 1:]
+                              + ((v, nested[i:j]),), free & later[v]))
+        level = grown
 
 
-def _decompositions(cables: CableSystem,
-                    word: CyclicWord) -> Iterator[SelfOverlappingDecomposition]:
+def _decompositions(cables: CableSystem, word: CyclicWord
+                    ) -> Iterator[tuple[int, Callable[[], SelfOverlappingDecomposition]]]:
     """Every self-overlapping decomposition by smoothing, fewest crossings
-    first; ``word`` is the face word of ``cables``.
+    first, as its winding area on the scale of ``word`` (the face word of
+    ``cables``) and a call that assembles it.
 
-    Pieces repeat across vertex sets, so each distinct piece is judged
-    once, from its name (``_piece_keys``) alone: ``_KeyJudge`` reads its
-    rotation and letters off tables derived once per curve, and only a
-    piece that certifies is cut, given its certificate and measured.
-    Under its name the search keeps the piece, its certificate and its
-    winding area on the word's scale, or None when it fails.  A vertex
-    set holding a piece already known to fail is skipped; otherwise the
-    pieces of unknown verdict are judged in order until one fails.  A set
-    that decomposes takes its pieces, certificates and areas from the
-    table, and its area is their int sum made one ``Fraction``."""
+    The walk (``_unlinked_keys``) names each vertex set's pieces.  Pieces
+    repeat across vertex sets, so each distinct piece is judged once, from
+    its name alone: ``_KeyJudge`` reads its rotation, letters and area off
+    tables derived once per curve, and the search keeps its verdict, or
+    None when it fails.  A vertex set holding a piece already known to
+    fail is skipped; otherwise the pieces of unknown verdict are judged in
+    order until one fails.  A set that decomposes has the int sum of its
+    pieces' areas; only the set a caller assembles is cut into pieces that
+    get their words and witnesses."""
     judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
-    passes = cables.arr.vertex_passes
     D, _ = word.scale
-    pieces: dict[PieceKey, Optional[tuple[Subcurve, dict, int]]] = {}
+    verdicts: dict[PieceKey, Optional[Verdict]] = {}
 
-    def certified(key: PieceKey) -> bool:
-        if key not in pieces:
-            pieces[key] = judge(key)
-        return pieces[key] is not None
+    def assemble(keys: tuple[PieceKey, ...], found: list[Verdict],
+                 area: int) -> SelfOverlappingDecomposition:
+        subcurves, certificates = zip(*map(judge.assemble, keys, found))
+        return SelfOverlappingDecomposition(frozenset(v for v, _ in keys[1:]), subcurves,
+                                            certificates, Fraction(area, D), cables, word)
 
-    for combo in _unlinked_subsets(passes):
-        keys = _piece_keys(passes, combo)
-        if any(key in pieces and pieces[key] is None for key in keys):
+    for keys in _unlinked_keys(cables.arr.vertex_passes):
+        found = [verdicts.get(key, _UNJUDGED) for key in keys]
+        if None in found:
             continue
-        if all(certified(key) for key in keys):
-            subcurves, certificates, areas = zip(*(pieces[key] for key in keys))
-            yield SelfOverlappingDecomposition(frozenset(combo), subcurves, certificates,
-                                               Fraction(sum(areas), D), cables, word)
+        for i, verdict in enumerate(found):
+            if verdict is _UNJUDGED:
+                verdict = found[i] = verdicts[keys[i]] = judge(keys[i])
+                if verdict is None:
+                    break
+        else:
+            area = sum(piece_area for _, _, piece_area in found)
+            yield area, partial(assemble, keys, found, area)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     """Smallest-area decomposition into immersed-disk boundaries.
 
     The cancellation norm of the face word (area weights) is the provable
-    optimum; the search scans unlinked vertex subsets in increasing size
-    and returns the first decomposition achieving it.  Pieces are judged
-    from their names: each distinct piece once per search, by its
-    rotation, then by whether its letters fold positively, with no
-    direction walk and no per-face area sum; only a piece that certifies
-    is cut.  A subset holding a piece already known to fail is skipped.
-    The result keeps its pieces' certificates.
+    optimum; the search walks unlinked vertex sets in increasing size, by
+    their pieces' names, and returns the first decomposition achieving
+    it.  Each distinct piece is judged once per search from its name, by
+    its rotation, then by whether its letters fold positively, with no
+    direction walk and no per-face area sum.  A set holding a piece
+    already known to fail is skipped.  Only the returned set's pieces are
+    cut; the result keeps their certificates.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
-    sod = next((sod for sod in _decompositions(cables, word) if sod.area == target), None)
-    check(sod is not None, "decomposition", "search must reach the cancellation norm")
-    return sod
+    scaled = target * word.scale[0]
+    found = next((assemble for area, assemble in _decompositions(cables, word)
+                  if area == scaled), None)
+    check(found is not None, "decomposition", "search must reach the cancellation norm")
+    return found()
 
 
 def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecomposition:
@@ -390,11 +440,11 @@ def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecompos
     Ignores the cancellation norm entirely; the testing cross-check for
     ``min_area_sod`` on small curves.  Reads the cable system and face word
     a decomposition carries (``sod.cables``, ``sod.word``) and builds
-    nothing.  Ties go to the first found.
+    nothing.  Ties go to the first found, and only that one is assembled.
     """
-    best = min(_decompositions(cables, word), key=lambda sod: sod.area, default=None)
+    best = min(_decompositions(cables, word), key=itemgetter(0), default=None)
     check(best is not None, "decomposition", "every curve admits at least one decomposition")
-    return best
+    return best[1]()
 
 
 def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Folding:

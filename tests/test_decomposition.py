@@ -13,7 +13,7 @@ from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_c
 from curvefold import arrangement, decomposition, words
 from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, LinkedVertices,
-                                     SelfOverlappingDecomposition, Subcurve, _unlinked_subsets,
+                                     SelfOverlappingDecomposition, Subcurve, _unlinked_keys,
                                      certify_subcurve, curve_subcurve, homotopy_trace,
                                      min_area_sod, smooth_at, sod_oracle, sod_to_folding)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
@@ -270,21 +270,26 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
 
 
 class _Recorder:
-    """Counts the smoothings of a search, records every key it judges (with
-    whether that piece certified) and every piece it cuts, and counts its
-    calls to the judges of one piece: ``certify_subcurve``, the direction
-    walk (``Subcurve.rotation``, ``turning_of_directions``) and the
-    per-face area sum (``Subcurve.area_w``)."""
+    """Counts the smoothings of a search and its calls to ``_piece_keys``,
+    records every key it judges (with whether that piece certified) and
+    every piece it cuts, and counts its calls to the judges of one piece:
+    ``certify_subcurve``, the direction walk (``Subcurve.rotation``,
+    ``turning_of_directions``) and the per-face area sum
+    (``Subcurve.area_w``)."""
 
     def __init__(self, monkeypatch):
-        self.smoothings, self.keys, self.cut = 0, [], []
+        self.smoothings, self.named, self.keys, self.cut = 0, 0, [], []
         self.one_piece = collections.Counter()
-        smooth, cut = decomposition.smooth_at, decomposition._piece
+        smooth, name, cut = decomposition.smooth_at, decomposition._piece_keys, decomposition._piece
         judge = decomposition._KeyJudge.__call__
 
         def counted_smooth(sc, vertices):
             self.smoothings += 1
             return smooth(sc, vertices)
+
+        def counted_name(*args):
+            self.named += 1
+            return name(*args)
 
         def recorded_judge(self_, key):
             verdict = judge(self_, key)
@@ -303,6 +308,7 @@ class _Recorder:
             return call
 
         monkeypatch.setattr(decomposition, "smooth_at", counted_smooth)
+        monkeypatch.setattr(decomposition, "_piece_keys", counted_name)
         monkeypatch.setattr(decomposition._KeyJudge, "__call__", recorded_judge)
         monkeypatch.setattr(decomposition, "_piece", recorded_cut)
         monkeypatch.setattr(decomposition, "certify_subcurve",
@@ -327,18 +333,18 @@ def test_min_area_sod_certifies_each_piece_once(monkeypatch):
     results = []
     for curve in curves:
         calls.clear()
-        sod_to_folding(curve, min_area_sod(curve))
+        sod = min_area_sod(curve)
+        sod_to_folding(curve, sod)
         # each distinct piece is judged once, and a failing verdict is kept
         assert len({key for key, _ in calls.keys}) == len(calls.keys), curve
-        # only the pieces that certify are cut, each once; the answer's
-        # pieces come from the search's table, not from new cuts
-        assert len(calls.cut) == sum(ok for _, ok in calls.keys), curve
+        # the pieces cut are exactly the answer's, each once
+        assert calls.cut == list(sod.subcurves), curve
         results.append((curve, list(calls.cut)))
-    # pieces are judged from their names, not by certifying a cut piece
-    assert calls.one_piece == {}
+    # the walk names every set's pieces, and pieces are judged from their
+    # names, not by certifying a cut piece
+    assert (calls.smoothings, calls.named, calls.one_piece) == (0, 0, {})
     monkeypatch.undo()
     for curve, cut in results:
-        assert len({piece.entries for piece in cut}) == len(cut), curve
         assert all(certify_subcurve(piece)[0] for piece in cut), curve
 
 
@@ -348,24 +354,26 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     calls = _Recorder(monkeypatch)
     sod = min_area_sod(curve)
     answer = tuple(sorted(sod.vertex_pairs))
-    subsets = 1 + next(k for k, combo in enumerate(_unlinked_subsets(arr.vertex_passes))
-                       if combo == answer)
+    subsets = 1 + next(k for k, keys in enumerate(_unlinked_keys(arr.vertex_passes))
+                       if tuple(v for v, _ in keys[1:]) == answer)
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
     # pieces are judged from their names, so no vertex set is smoothed
-    # whole; each of the 514 distinct pieces is judged once, and only the
-    # 47 that certify are cut
+    # whole or named again; each of the 514 distinct pieces is judged
+    # once, and only the answer's 10 pieces are cut
     judged = len({key for key, _ in calls.keys})
-    assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 47)
-    assert calls.one_piece == {}
+    assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 10)
+    assert (calls.named, calls.one_piece) == (0, {})
 
 
 def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
     curve, _ = random_generic_polygon(random.Random(1), 9)
     calls = _Recorder(monkeypatch)
     sod = min_area_sod(curve)
-    # each piece that certifies is cut once and measured by its prefix sums,
-    # with no direction walk and no per-face area sum
-    assert len(calls.cut) == sum(ok for _, ok in calls.keys) == 17
+    # each of the 17 pieces that certify is measured by its prefix sums,
+    # with no cut, no direction walk and no per-face area sum; only the
+    # answer's pieces are cut
+    assert sum(ok for _, ok in calls.keys) == 17
+    assert len(calls.cut) == len(sod.subcurves) == 6
     assert calls.one_piece == {}
     monkeypatch.undo()
     # each piece's area is its positive witness's unpaired weight
@@ -427,8 +435,8 @@ def test_sod_to_folding_rejects_a_piece_that_does_not_certify():
 def test_sod_to_folding_rejects_another_decompositions_certificates():
     # every single smoothing of the trefoil decomposes it into two pieces
     curve, _, _, cables, word = pipeline("trefoil")
-    singles = [sod for sod in decomposition._decompositions(cables, word)
-               if len(sod.vertex_pairs) == 1]
+    found = (assemble() for _, assemble in decomposition._decompositions(cables, word))
+    singles = [sod for sod in found if len(sod.vertex_pairs) == 1]
     assert len(singles) == 3
     for sod, other in itertools.permutations(singles, 2):
         assert sod_to_folding(curve, sod).area == sod.area

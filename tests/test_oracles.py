@@ -98,7 +98,7 @@ from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Fac
                                    tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve, _decompositions,
-                                     _KeyJudge, _piece, _piece_keys, _unlinked_subsets,
+                                     _KeyJudge, _piece, _piece_keys, _unlinked_keys,
                                      certify_subcurve, curve_subcurve, homotopy_trace, smooth_at)
 from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
                                complete_to_maximal, positively_foldable)
@@ -737,11 +737,12 @@ def rotation_oracle(piece) -> int:
     return turning_of_directions(dirs)
 
 
-def unlinked_subsets_oracle(chords) -> list[tuple[int, ...]]:
-    """Every combination of vertices, smallest first, kept when no two of
-    its chords cross."""
+def unlinked_subsets_oracle(chords, largest=None) -> list[tuple[int, ...]]:
+    """Every combination of vertices (of at most ``largest``), smallest
+    first, kept when no two of its chords cross."""
     vs = sorted(chords)
-    return [combo for r in range(len(vs) + 1) for combo in itertools.combinations(vs, r)
+    sizes = range(len(vs) + 1 if largest is None else min(largest, len(vs)) + 1)
+    return [combo for r in sizes for combo in itertools.combinations(vs, r)
             if not any(chords_cross(chords[u], chords[v])
                        for u, v in itertools.combinations(combo, 2))]
 
@@ -784,7 +785,7 @@ def decompositions_oracle(cables, word) -> list[SelfOverlappingDecomposition]:
     every unlinked vertex set and certify every piece."""
     full = curve_subcurve(cables.arr, cables)
     found = []
-    for combo in _unlinked_subsets(cables.arr.vertex_passes):
+    for combo, _ in _walk(cables.arr.vertex_passes):
         pieces = smooth_at(full, combo)
         verdicts = [certify_subcurve(piece) for piece in pieces]
         if all(ok for ok, _ in verdicts):
@@ -915,23 +916,40 @@ def test_crossing_free_loop_matches_the_hand_built_arrangement():
     assert windings == {1, -1} and collinear > 10, (windings, collinear)
 
 
+def _walk(passes, largest=None):
+    """(vertex set, its piece keys) of each set ``_unlinked_keys`` walks,
+    up to sets of ``largest`` vertices."""
+    for keys in _unlinked_keys(passes):
+        combo = tuple(v for v, _ in keys[1:])
+        if largest is not None and len(combo) > largest:
+            return
+        yield combo, keys
+
+
+def _d_arrangements():
+    """The curves the bench draws as ``draw_curve(rng, rng.randint(8, 22))``
+    with ``rng = random.Random(f"d-{s}")`` for s < 10 (the same draws)."""
+    for s in range(10):
+        rng = random.Random(f"d-{s}")
+        yield random_generic_polygon(rng, rng.randint(8, 22), span=10 ** 6)[1]
+
+
 def _smoothings():
-    """(whole curve, vertices) of every unlinked smoothing of the corpus,
-    and of the smoothings at one or two crossings of the random polygons."""
+    """(whole curve, vertices, piece keys) of every unlinked smoothing of
+    the corpus, and of the smoothings at one or two crossings of the
+    random polygons."""
     systems = [(pipeline(name)[3], None) for name in CORPUS]
     for seed, corners in RANDOM_POLYGONS:
         _, arr = random_generic_polygon(random.Random(seed), corners)
         systems.append((build_cable_system(arr, tree_cotree(arr)), 2))
     for cables, largest in systems:
         full = curve_subcurve(cables.arr, cables)
-        for combo in _unlinked_subsets(cables.arr.vertex_passes):
-            if largest is not None and len(combo) > largest:
-                break
-            yield full, combo
+        for combo, keys in _walk(cables.arr.vertex_passes, largest):
+            yield full, combo, keys
 
 
 def _smoothed_pieces():
-    for full, combo in _smoothings():
+    for full, combo, _ in _smoothings():
         yield from smooth_at(full, combo)
 
 
@@ -946,25 +964,20 @@ def test_piece_rotations_match_the_geometry_walk():
 def _judged_pieces():
     """(judge, key, piece cut from the key) of each distinct piece of
     ``_smoothings()``, and of the smoothings at up to three crossings of
-    the curves the bench draws as ``draw_curve(rng, rng.randint(8, 22))``
-    with ``rng = random.Random(f"d-{s}")`` for s < 10 (the same draws)."""
+    ``_d_arrangements()``."""
     def smoothings():
         yield from _smoothings()
-        for s in range(10):
-            rng = random.Random(f"d-{s}")
-            _, arr = random_generic_polygon(rng, rng.randint(8, 22), span=10 ** 6)
+        for arr in _d_arrangements():
             full = curve_subcurve(arr, build_cable_system(arr, tree_cotree(arr)))
-            for combo in _unlinked_subsets(arr.vertex_passes):
-                if len(combo) > 3:
-                    break
-                yield full, combo
+            for combo, keys in _walk(arr.vertex_passes, 3):
+                yield full, combo, keys
 
     judges = {}
-    for full, combo in smoothings():
+    for full, _, keys in smoothings():
         if id(full) not in judges:
             judges[id(full)] = (_KeyJudge(full, full.word()), set())
         judge, seen = judges[id(full)]
-        for key in _piece_keys(judge.passes, combo):
+        for key in keys:
             if key not in seen:
                 seen.add(key)
                 yield judge, key, _piece(full, judge.passes, key)
@@ -982,26 +995,49 @@ def test_key_rotations_match_the_geometry_walk():
 def test_key_verdicts_match_the_certification_of_the_cut_piece():
     verdicts = {True: 0, False: 0}
     for judge, key, piece in _judged_pieces():
-        ok, cert = certify_subcurve(piece)
-        verdict = judge(key)
-        assert (verdict is not None) == ok, key
-        if ok:
-            cut, got, scaled = verdict
-            # the witness and its word are compared with the certificate's
-            assert (cut, got) == (piece, cert), key
-            assert Fraction(scaled, judge.word.scale[0]) == piece.area_w(), key
+        ok, _ = certify_subcurve(piece)
+        assert (judge(key) is not None) == ok, key
         verdicts[ok] += 1
     assert verdicts == {True: 1166, False: 6888}, verdicts
 
 
+def test_assembled_pieces_match_the_certification_of_the_cut_piece():
+    certified = 0
+    for judge, key, piece in _judged_pieces():
+        verdict = judge(key)
+        if verdict is None:
+            continue
+        # the witness and its word are compared with the certificate's
+        assert judge.assemble(key, verdict) == (piece, certify_subcurve(piece)[1]), key
+        assert Fraction(verdict[2], judge.word.scale[0]) == piece.area_w(), key
+        certified += 1
+    assert certified == 1166, certified
+
+
 def test_unlinked_subsets_match_the_filter():
+    # 300 random chord families, each chord's ends ascending, every set of
+    # the corpus curves, and the sets of at most three vertices of the
+    # random polygons and of the ``d-{s}`` curves
+    families = []
     rng = random.Random(9909)
     for _ in range(300):
         k = rng.randint(0, 9)
         ends = rng.sample(range(2 * k), 2 * k)
         ids = rng.sample(range(100), k)
-        chords = {v: (ends[2 * t], ends[2 * t + 1]) for t, v in enumerate(ids)}
-        assert list(_unlinked_subsets(chords)) == unlinked_subsets_oracle(chords)
+        chords = {v: tuple(sorted(ends[2 * t:2 * t + 2])) for t, v in enumerate(ids)}
+        families.append((chords, None))
+    families += [(pipeline(name)[1].vertex_passes, None) for name in CORPUS]
+    families += [(random_generic_polygon(random.Random(seed), corners)[1].vertex_passes, 3)
+                 for seed, corners in RANDOM_POLYGONS]
+    families += [(arr.vertex_passes, 3) for arr in _d_arrangements()]
+    sets = 0
+    for chords, largest in families:
+        walked = list(_walk(chords, largest))
+        assert [combo for combo, _ in walked] == unlinked_subsets_oracle(chords, largest)
+        for combo, keys in walked:
+            assert list(keys) == _piece_keys(chords, combo), (chords, combo)
+        sets += len(walked)
+    assert sets == 24_977, sets
 
 
 def _smoothing_outcome(smooth, sc, vertices):
@@ -1013,7 +1049,7 @@ def _smoothing_outcome(smooth, sc, vertices):
 
 def test_smoothing_matches_the_chord_oracle():
     count = 0
-    for full, combo in _smoothings():
+    for full, combo, _ in _smoothings():
         pieces = smooth_at(full, combo)
         assert pieces == smooth_oracle(full, combo), combo
         assert len(pieces) == len(combo) + 1
@@ -1066,7 +1102,8 @@ def _cable_systems():
 def test_decomposition_search_matches_the_exhaustive_oracle():
     found = 0
     for label, cables, word in _cable_systems():
-        got, want = list(_decompositions(cables, word)), decompositions_oracle(cables, word)
+        got = [assemble() for _, assemble in _decompositions(cables, word)]
+        want = decompositions_oracle(cables, word)
         assert len(got) == len(want), label
         for a, b in zip(got, want):
             assert a.vertex_pairs == b.vertex_pairs, label
