@@ -31,8 +31,12 @@ tolerances anywhere:
   its parameter on each of the two segments is a ``Fraction``, which
   orders the crossings along the segment and, as a pair of ints, finds
   three segments through one point,
-* darts have integer ids, 2e for edge e walked forwards and 2e + 1 for it
-  walked backwards, and the faces are traced over those ids,
+* a dart is named by its integer id everywhere, 2e for edge e walked
+  forwards and 2e + 1 for it walked backwards, so its twin is id ^ 1; the
+  rotation system (``Vertex.darts_ccw``) and the face boundaries hold
+  ids, and the faces are traced over them,
+* the edges are numbered along the curve: traversal step t walks edge t
+  forwards (dart 2t), so a reader indexes ``edges[t]`` directly,
 * each edge's shoelace sum is one integer over the scaled corners and its
   two end crossings, q1 q2 D^2 times twice its signed area.
 
@@ -237,11 +241,14 @@ class PlaneCurve:
     weights: Optional[Mapping[int, Fraction] | _UnitWeights] = None
 
     def __post_init__(self):
-        n = len(self.points)
+        # ints and floats become exact Fractions, as parse_curve makes them
+        points = tuple((to_fraction(x), to_fraction(y)) for x, y in self.points)
+        object.__setattr__(self, "points", points)
+        n = len(points)
         if n < 3:
             raise DegenerateCurve(f"need at least 3 points, got {n}")
         for i in range(n):
-            if self.points[i] == self.points[(i + 1) % n]:
+            if points[i] == points[(i + 1) % n]:
                 raise DegenerateCurve(f"repeated consecutive point at index {i}")
 
 
@@ -271,18 +278,6 @@ def parse_curve(doc) -> PlaneCurve:
 # arrangement data model
 
 
-@dataclass(frozen=True)
-class Dart:
-    """A directed side of an edge; ``fwd`` means along the curve traversal."""
-
-    edge: int
-    fwd: bool
-
-    @property
-    def twin(self) -> "Dart":
-        return Dart(self.edge, not self.fwd)
-
-
 @dataclass
 class Edge:
     id: int
@@ -298,65 +293,47 @@ class Edge:
 class Vertex:
     id: int
     point: Point
-    # outgoing darts in ccw order, from the first pass's outgoing dart
-    darts_ccw: tuple[Dart, ...] = ()
+    # outgoing dart ids in ccw order, from the first pass's outgoing dart
+    darts_ccw: tuple[int, ...] = ()
 
 
 @dataclass
 class Face:
     id: int
-    boundary: tuple[Dart, ...]  # cycle of darts with this face on the left
+    boundary: tuple[int, ...]  # cycle of dart ids with this face on the left
     signed_area: Fraction
     unbounded: bool
     winding: int = 0
     depth: int = -1
     parent: Optional[tuple[int, int]] = None  # (face, edge) it was first reached through
 
-    @property
-    def area(self) -> Optional[Fraction]:
-        return None if self.unbounded else self.signed_area
-
 
 @dataclass
 class Arrangement:
     curve: PlaneCurve
     vertices: list[Vertex]
-    edges: list[Edge]
+    edges: list[Edge]  # edge t is traversal step t
     faces: list[Face]
-    traversal: tuple[Dart, ...]  # the curve as a cyclic dart sequence (all fwd)
     # per vertex: the two traversal indices at which the curve leaves it
     vertex_passes: dict[int, tuple[int, int]] = field(default_factory=dict)
     # per face: (neighbor face, edge id) pairs in ascending edge id order
     dual: list[list[tuple[int, int]]] = field(default_factory=list)
+    # per bounded face: 1 under unit weights, else the override weight if
+    # given, else the area; resolved once by ``build_arrangement``
+    face_weights: dict[int, Fraction] = field(default_factory=dict)
 
     @property
-    def unbounded_face(self) -> Face:
-        return self.faces[0]
+    def traversal(self) -> range:
+        """The curve as a cyclic dart sequence: step t is dart 2t, edge t forwards."""
+        return range(0, 2 * len(self.edges), 2)
 
-    def dart_tail(self, d: Dart) -> Optional[int]:
-        e = self.edges[d.edge]
-        return e.v_from if d.fwd else e.v_to
+    def dart_tail(self, d: int) -> Optional[int]:
+        e = self.edges[d >> 1]
+        return e.v_to if d & 1 else e.v_from
 
-    def dart_head(self, d: Dart) -> Optional[int]:
-        e = self.edges[d.edge]
-        return e.v_to if d.fwd else e.v_from
-
-    def dart_face(self, d: Dart) -> int:
-        e = self.edges[d.edge]
-        return e.left_face if d.fwd else e.right_face
-
-    def dart_geometry(self, d: Dart) -> tuple[Point, ...]:
-        g = self.edges[d.edge].geometry
-        return g if d.fwd else tuple(reversed(g))
-
-    def face_weights(self) -> dict[int, Fraction]:
-        """Per bounded face: 1 under unit weights, else the override weight
-        if given, else the area."""
-        weights = self.curve.weights
-        if weights is UNIT_WEIGHTS:
-            return {f.id: Fraction(1) for f in self.faces[1:]}
-        override = weights or {}
-        return {f.id: Fraction(override.get(f.id, f.signed_area)) for f in self.faces[1:]}
+    def dart_geometry(self, d: int) -> tuple[Point, ...]:
+        g = self.edges[d >> 1].geometry
+        return tuple(reversed(g)) if d & 1 else g
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +451,15 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     # Flatten the crossings into traversal order: (segment, pair, point).
     visits = [(i, pair, P) for i, h in enumerate(hits) for _, pair, P in h]
     arr = _crossing_arrangement(curve, D, corners, dirs, visits)
-    named = () if curve.weights is UNIT_WEIGHTS else curve.weights or ()
+    bounded = arr.faces[1:]
+    if curve.weights is UNIT_WEIGHTS:
+        arr.face_weights = {f.id: Fraction(1) for f in bounded}
+        return arr
+    named = curve.weights or {}
     unknown = sorted(set(named) - set(range(1, len(arr.faces))))
     if unknown:
         raise MalformedInput(f"weights name faces the curve does not bound: {unknown}")
+    arr.face_weights = {f.id: Fraction(named.get(f.id, f.signed_area)) for f in bounded}
     return arr
 
 
@@ -524,51 +506,41 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
                                     vertices[vids[(k + 1) % m]].point),
                           directions=(dirs[si], *(dirs[s] for s in passed))))
 
-    # Dart (e, fwd) has the integer id 2e + (0 if fwd else 1), its index
-    # here, so its twin's id is id ^ 1.
-    darts = [Dart(e.id, fwd) for e in edges for fwd in (True, False)]
-
-    # Rotation system, over dart ids.  A crossing lies inside one segment
-    # of each pass, so pass a leaves along u and arrives along u, and pass
-    # b along w; the outgoing darts turn ccw as u, w, -u, -w when
-    # u x w > 0, else as u, -w, -u, w.
-    rotation = []
+    # Rotation system.  Dart 2e walks edge e forwards and its twin 2e + 1
+    # backwards.  A crossing lies inside one segment of each pass, so pass a
+    # leaves along u and arrives along u, and pass b along w; the outgoing
+    # darts turn ccw as u, w, -u, -w when u x w > 0, else as u, -w, -u, w.
     for v, (a, b) in zip(vertices, passes):
         a_out, a_back = 2 * a, 2 * ((a - 1) % m) + 1
         b_out, b_back = 2 * b, 2 * ((b - 1) % m) + 1
         if _cross(dirs[visits[a][0]], dirs[visits[b][0]]) > 0:
-            ccw = (a_out, b_out, a_back, b_back)
+            v.darts_ccw = (a_out, b_out, a_back, b_back)
         else:
-            ccw = (a_out, b_back, a_back, b_out)
-        v.darts_ccw = tuple(darts[d] for d in ccw)
-        rotation.append(ccw)
+            v.darts_ccw = (a_out, b_back, a_back, b_out)
 
     arr = Arrangement(
         curve=curve,
         vertices=vertices,
         edges=edges,
         faces=[],
-        traversal=tuple(darts[0::2]),
         vertex_passes={v: (a, b) for v, (a, b) in enumerate(passes)},
     )
 
-    _trace_faces(arr, darts, rotation, edge_areas)
+    _trace_faces(arr, edge_areas)
     _compute_windings_and_depths(arr)
     _check_invariants(arr)
     return arr
 
 
-def _trace_faces(arr: Arrangement, darts: Sequence[Dart],
-                 rotation: Sequence[tuple[int, int, int, int]],
-                 edge_areas: Sequence[Fraction]) -> None:
-    """Faces from the boundary cycles of the darts, by integer dart id
-    (the index in ``darts``); ``rotation`` holds each vertex's outgoing
-    dart ids in ccw order."""
+def _trace_faces(arr: Arrangement, edge_areas: Sequence[Fraction]) -> None:
+    """Faces from the boundary cycles of the darts, over the rotation
+    system (``Vertex.darts_ccw``)."""
     edges = arr.edges
     # next_left[d]: the next dart along the face to the left of d; the
     # crossing-free loop bounds each face alone
-    next_left = list(range(len(darts)))
-    for ccw in rotation:
+    next_left = list(range(2 * len(edges)))
+    for v in arr.vertices:
+        ccw = v.darts_ccw
         for k in range(4):
             next_left[ccw[k] ^ 1] = ccw[k - 1]
     cycles: list[list[int]] = []
@@ -603,7 +575,7 @@ def _trace_faces(arr: Arrangement, darts: Sequence[Dart],
     faces: list[Face] = []
     for fid, ci in enumerate(order):
         fid_of_cycle[ci] = fid
-        faces.append(Face(id=fid, boundary=tuple(darts[d] for d in cycles[ci]),
+        faces.append(Face(id=fid, boundary=tuple(cycles[ci]),
                           signed_area=areas[ci], unbounded=(fid == 0)))
     arr.faces = faces
     arr.dual = [[] for _ in faces]
@@ -667,7 +639,7 @@ def face_measures(arr: Arrangement) -> dict:
     table = []
     area_w = Fraction(0)
     area_d = Fraction(0)
-    weights = arr.face_weights()
+    weights = arr.face_weights
     for f in arr.faces:
         entry = {
             "id": f.id,
@@ -734,10 +706,12 @@ def turning_of_directions(dirs: Sequence[Vector]) -> int:
 
 @dataclass
 class TreeCotree:
-    tree: frozenset[int]      # primal edge ids
     cotree: frozenset[int]    # primal edge ids; duals span the dual graph
     parent_edge: dict[int, int]   # face id -> cotree edge id toward the root
     parent_face: dict[int, int]   # face id -> parent face id
+    # per face id: the cotree edges to its children in ccw boundary order,
+    # from just after its parent edge (from its boundary's start for face 0)
+    children: list[tuple[int, ...]]
 
 
 def tree_cotree(arr: Arrangement,
@@ -749,7 +723,8 @@ def tree_cotree(arr: Arrangement,
     between the same two faces the smallest edge id wins.  ``prefer`` may
     pin the parent edge of individual faces to another edge joining them
     to a face one level shallower (useful to reproduce specific
-    hand-drawn cable systems).
+    hand-drawn cable systems).  Each face's boundary is walked once for
+    its children.
     """
     parent = {f.id: f.parent for f in arr.faces[1:]}
     for fid, eid in (prefer or {}).items():
@@ -761,6 +736,15 @@ def tree_cotree(arr: Arrangement,
     parent_face = {f: p[0] for f, p in parent.items()}
     parent_edge = {f: p[1] for f, p in parent.items()}
     cotree = frozenset(parent_edge.values())
-    tree = frozenset(e.id for e in arr.edges) - cotree
-    return TreeCotree(tree=tree, cotree=cotree, parent_edge=parent_edge,
-                      parent_face=parent_face)
+    children = []
+    for f in arr.faces:
+        cycle = [d >> 1 for d in f.boundary]
+        own = parent_edge.get(f.id)
+        if own is not None:
+            k = cycle.index(own) + 1
+            cycle = cycle[k:] + cycle[:k]
+        # every cotree edge of the boundary but the face's own parent edge
+        # is the parent edge of the face across it
+        children.append(tuple(e for e in cycle if e in cotree and e != own))
+    return TreeCotree(cotree=cotree, parent_edge=parent_edge, parent_face=parent_face,
+                      children=children)

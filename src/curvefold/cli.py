@@ -284,16 +284,13 @@ def _bbox(arr: Arrangement):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _face_anchor(arr: Arrangement, fid: int) -> tuple[Fraction, Fraction]:
+def _face_anchor(arr: Arrangement, fid: int, eps: Fraction) -> tuple[Fraction, Fraction]:
     """A deterministic point just inside the face.
 
     Midpoint of the first boundary segment, nudged toward the face side
-    (the left of the dart) by a fraction of the drawing size.
+    (the left of the dart) by about ``eps``, a fraction of the drawing size.
     """
-    x0, y0, x1, y1 = _bbox(arr)
-    eps = max(x1 - x0, y1 - y0) / 60
-    d = arr.faces[fid].boundary[0]
-    g = arr.dart_geometry(d)
+    g = arr.dart_geometry(arr.faces[fid].boundary[0])
     a, b = g[0], g[1]
     mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
     vx, vy = b[0] - a[0], b[1] - a[1]
@@ -317,6 +314,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
     and optionally cable polylines and colored decomposition pieces.
     """
     x0, y0, x1, y1 = _bbox(arr)
+    eps = max(x1 - x0, y1 - y0) / 60      # how far a face anchor sits inside its face
     pad = max(x1 - x0, y1 - y0) / 10 + 1
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     flip = y0 + y1           # y -> flip - y mirrors into SVG coordinates
@@ -332,7 +330,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
     if cables is not None:
         base = (Fraction(x0 + x1, 2), Fraction(y0) + pad / 2)
         for fid in cables.ordering:
-            path = [_face_anchor(arr, fid)]
+            path = [_face_anchor(arr, fid, eps)]
             for eid in cables.cables[fid]:
                 g = arr.edges[eid].geometry
                 mid = len(g) // 2
@@ -347,13 +345,13 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
         for idx, piece in enumerate(pieces):
             color = _PALETTE[idx % len(_PALETTE)]
             for entry in piece.entries:
-                g = arr.dart_geometry(arr.traversal[entry.dart])
+                g = arr.edges[entry.dart].geometry
                 out.append(f'<polyline points="{_poly_points(g, flip)}" '
                            f'fill="none" stroke="{color}" '
                            'stroke-width="0.6" opacity="0.55"/>')
 
     for f in arr.faces[1:]:
-        ax, ay = _face_anchor(arr, f.id)
+        ax, ay = _face_anchor(arr, f.id, eps)
         out.append(f'<text x="{_svg_num(ax)}" y="{_svg_num(flip - ay)}" '
                    'font-size="1.2" fill="#c0392b">'
                    f'f{f.id} w={f.winding} d={f.depth}</text>')

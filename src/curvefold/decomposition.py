@@ -10,17 +10,18 @@ winding area over all such decompositions equals the cancellation norm
 of the curve's word with face areas as weights, which in turn equals the
 minimum area swept by a null-homotopy.
 
-Pieces are represented combinatorially as runs of the original traversal
-darts together with the face letters each dart carries.  Smoothing keeps
-every dart whole, so a piece's rotation number is the turning of its
-darts' directions: the steps inside its runs plus one step where each
-run meets the next.  The search walks vertex sets by their pieces'
-names, each set's grown from its parent's, and judges a piece from its
-name alone, by tables derived once per curve: the rotation is a sum of
-one term for the piece's vertex and one per vertex nested in it, the
-letters are slices of the whole word, and the winding area of a piece
-that certifies is one int prefix-sum difference on the word's scale.
-Only the decomposition the search returns is cut into pieces.
+Pieces are represented combinatorially as runs of the curve's edges,
+each with the face letters it carries; traversal step t is edge t, so an
+entry names its edge by its step.  Smoothing keeps every edge whole, so
+a piece's rotation number is the turning of its edges' directions: the
+steps inside its runs plus one step where each run meets the next.  The
+search walks vertex sets by their pieces' names, each set's grown from
+its parent's, and judges a piece from its name alone, by tables derived
+once per curve: the rotation is a sum of one term for the piece's
+vertex and one per vertex nested in it, the letters are slices of the
+whole word, and the winding area of a piece that certifies is one int
+prefix-sum difference on the word's scale.  Only the decomposition the
+search returns is cut into pieces.
 ``Subcurve.rotation`` (the direction walk), ``Subcurve.area_w`` and
 ``certify_subcurve`` judge one piece on its own.  ``homotopy_trace``
 replays a folding as Blank's induction, one cut along an innermost
@@ -58,16 +59,17 @@ class LinkedVertices(Exception):
 
 @dataclass(frozen=True)
 class SubcurveEntry:
-    """One step of a subcurve: a traversal dart and the letters it carries.
+    """One step of a subcurve: an edge of the curve, walked forwards, and
+    the letters it carries.
 
     ``positions`` are the global face-word indices of ``letters``.
     """
 
-    dart: int                      # traversal index
-    tail_vertex: Optional[int]     # crossing the dart leaves, if any
+    dart: int                      # traversal index t, which is the edge id
+    tail_vertex: Optional[int]     # crossing the edge leaves, if any
     letters: tuple[Letter, ...]
     positions: tuple[int, ...]
-    partial: bool = False          # dart truncated by a cut; smoothing never truncates
+    partial: bool = False          # edge truncated by a cut; smoothing never truncates
 
 
 @dataclass(frozen=True)
@@ -109,23 +111,23 @@ class Subcurve:
 
     @property
     def rotation(self) -> int:
-        """Turning number, exact, over the directions of the piece's darts."""
-        edges, traversal = self.arr.edges, self.arr.traversal
+        """Turning number, exact, over the directions of the piece's edges."""
+        edges = self.arr.edges
         return turning_of_directions(
-            [w for e in self.entries for w in edges[traversal[e.dart].edge].directions])
+            [w for e in self.entries for w in edges[e.dart].directions])
 
 
 def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
     """The whole curve as a subcurve, aligned with its combined word."""
     entries: list[SubcurveEntry] = []
     pos = 0
-    for t, d in enumerate(arr.traversal):
-        letters = cables.letters.get(d.edge, ())
+    for e in arr.edges:
+        letters = cables.letters.get(e.id, ())
         entries.append(SubcurveEntry(
-            dart=t, tail_vertex=arr.dart_tail(d), letters=letters,
+            dart=e.id, tail_vertex=e.v_from, letters=letters,
             positions=tuple(range(pos, pos + len(letters)))))
         pos += len(letters)
-    return Subcurve(entries=tuple(entries), weights=arr.face_weights(), arr=arr)
+    return Subcurve(entries=tuple(entries), weights=arr.face_weights, arr=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ class _KeyJudge:
         first: list[int] = []  # per entry, the index of its first direction
         for e in full.entries:
             first.append(len(dirs))
-            dirs.extend(arr.edges[arr.traversal[e.dart].edge].directions)
+            dirs.extend(arr.edges[e.dart].directions)
         steps = [turn(u, w) for u, w in zip(dirs, dirs[1:] + dirs[:1])]
         check(None not in steps, "decomposition", "the curve reverses its direction")
         turned = list(accumulate(steps, initial=0))  # the steps before each direction

@@ -13,7 +13,11 @@ The two agree letter-for-letter once the flattening is derived from the
 cable system (``derive_flattening``); that equality is exercised in the
 test-suite for every corpus curve.  Both are built in one loop over the
 cotree faces, deepest first, so that every child edge is done before its
-parent edge; neither recurses.
+parent edge; neither recurses.  Each face's child edges, in boundary
+order, are read from the tree/cotree (``TreeCotree.children``), which
+walks every face boundary once; so are the cables' basepoint order and
+the derived flattening.  The curve's edges are its traversal steps in
+order, so a word is read off them by edge id.
 
 Cable routing is purely combinatorial here.  Cables through one edge
 form a nested non-crossing bundle, and the nesting is forced up to one
@@ -175,28 +179,10 @@ class CableSystem:
     ordering: tuple[int, ...]
 
 
-def _boundary_children(arr: Arrangement, tc: TreeCotree, fid: int,
-                       parent_eid: Optional[int]) -> list[int]:
-    """Cotree edges to the children of face fid, in ccw boundary order.
-
-    The walk starts just after the parent edge (or at the cycle's stored
-    start for the root / unbounded face).
-    """
-    cycle = arr.faces[fid].boundary
-    start = 0
-    if parent_eid is not None:
-        start = next(i for i, d in enumerate(cycle) if d.edge == parent_eid) + 1
-    # every cotree edge of the boundary but fid's own parent edge is the
-    # parent edge of the face across it
-    return [d.edge for d in cycle[start:] + cycle[:start]
-            if d.edge in tc.cotree and d.edge != parent_eid]
-
-
-def _deepest_first(arr: Arrangement, tc: TreeCotree) -> list[tuple[int, int, list[int]]]:
+def _deepest_first(arr: Arrangement, tc: TreeCotree) -> list[tuple[int, int, tuple[int, ...]]]:
     """(face, parent edge, child edges) per bounded face, children first."""
     faces = sorted(tc.parent_edge, key=lambda f: -arr.faces[f].depth)
-    return [(g, tc.parent_edge[g], _boundary_children(arr, tc, g, tc.parent_edge[g]))
-            for g in faces]
+    return [(g, tc.parent_edge[g], tc.children[g]) for g in faces]
 
 
 def build_cable_system(arr: Arrangement, tc: TreeCotree,
@@ -236,12 +222,9 @@ def build_cable_system(arr: Arrangement, tc: TreeCotree,
         check(len(path) == arr.faces[f].depth, "words",
               "cable of face %d must cross as many edges as its depth", f)
 
-    ordering: list[int] = []
-    for eid in _boundary_children(arr, tc, 0, None):
-        ordering.extend(ports[eid])
-
+    ordering = tuple(f for eid in tc.children[0] for f in ports[eid])
     return CableSystem(arr=arr, tc=tc, cables=cables, ports=ports, letters=letters,
-                       insertions=insertions, ordering=tuple(ordering))
+                       insertions=insertions, ordering=ordering)
 
 
 def blank_word(arr: Arrangement, cables: CableSystem) -> CyclicWord:
@@ -251,8 +234,8 @@ def blank_word(arr: Arrangement, cables: CableSystem) -> CyclicWord:
     left, which happens exactly when the edge's outbound direction agrees
     with the traversal direction.
     """
-    letters = tuple(l for d in arr.traversal for l in cables.letters.get(d.edge, ()))
-    return CyclicWord(letters, arr.face_weights())
+    letters = tuple(l for t in range(len(arr.edges)) for l in cables.letters.get(t, ()))
+    return CyclicWord(letters, arr.face_weights)
 
 
 def face_word(curve: PlaneCurve) -> tuple[CableSystem, CyclicWord]:
@@ -317,8 +300,8 @@ def nie_word(arr: Arrangement, tc: TreeCotree,
                 u += wbar[i - 1]
         oriented[eid] = u if arr.edges[eid].left_face == g else invert_sequence(u)
 
-    letters = tuple(l for d in arr.traversal for l in oriented.get(d.edge, ()))
-    return CyclicWord(letters, arr.face_weights())
+    letters = tuple(l for t in range(len(arr.edges)) for l in oriented.get(t, ()))
+    return CyclicWord(letters, arr.face_weights)
 
 
 def derive_flattening(cables: CableSystem) -> Flattening:
@@ -328,11 +311,9 @@ def derive_flattening(cables: CableSystem) -> Flattening:
     of its parent edge determines which inverted child word is split and
     where.
     """
-    arr, tc = cables.arr, cables.tc
     choices: dict[int, tuple[int, int]] = {}
-    for g, path in cables.cables.items():
-        eid = path[0]
-        children = _boundary_children(arr, tc, g, eid)
+    for g in cables.cables:
+        children = cables.tc.children[g]
         r = len(children)
         if r == 0:
             continue
@@ -377,9 +358,9 @@ def combined_word(arr: Arrangement, cables: CableSystem) -> CombinedWord:
     ``arr.vertex_passes`` lists them.
     """
     tokens: list[object] = []
-    for t, d in enumerate(arr.traversal):
-        v = arr.dart_tail(d)
+    for e in arr.edges:
+        v = e.v_from
         if v is not None:
-            tokens.append(("v", v, 1 if arr.vertex_passes[v][0] == t else 2))
-        tokens.extend(cables.letters.get(d.edge, ()))
+            tokens.append(("v", v, 1 if arr.vertex_passes[v][0] == e.id else 2))
+        tokens.extend(cables.letters.get(e.id, ()))
     return CombinedWord(tuple(tokens))

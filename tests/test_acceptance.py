@@ -61,7 +61,7 @@ def test_two_cable_orders_give_the_two_expected_words():
 
 def test_norm_is_cable_order_independent():
     _, arr, _, _, _ = pipeline("mouse")
-    weights = arr.face_weights()
+    weights = arr.face_weights
     tc_a = tree_cotree(arr, prefer={3: 3})
     word_a = blank_word(arr, build_cable_system(arr, tc_a, insertions={1: 1}))
     tc_b = tree_cotree(arr, prefer={3: 1})
@@ -161,7 +161,7 @@ def test_twist_property_suite_200_cases():
 
 def test_sandwich_bounds_on_corpus(corpus_name):
     _, arr, _, _, word = pipeline(corpus_name)
-    weights = arr.face_weights()
+    weights = arr.face_weights
     area_w = sum(abs(f.winding) * weights[f.id] for f in arr.faces[1:])
     area_d = sum(f.depth * weights[f.id] for f in arr.faces[1:])
     value, _ = cancellation_norm(word)

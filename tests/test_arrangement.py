@@ -114,12 +114,13 @@ def test_build_hashes_no_fraction_and_sums_each_edge_into_two_faces(monkeypatch)
 
 def test_traversal_covers_each_edge_once(corpus_name):
     _, arr, _, _, _ = pipeline(corpus_name)
-    assert sorted(d.edge for d in arr.traversal) == sorted(e.id for e in arr.edges)
-    assert all(d.fwd for d in arr.traversal)
-    # consecutive darts chain head-to-tail
+    # step t walks edge t forwards: dart 2t
+    assert list(arr.traversal) == [2 * e.id for e in arr.edges]
+    assert [e.id for e in arr.edges] == list(range(len(arr.edges)))
+    # consecutive darts chain head-to-tail; a dart's head is its twin's tail
     n = len(arr.traversal)
     for k in range(n):
-        head = arr.dart_head(arr.traversal[k])
+        head = arr.dart_tail(arr.traversal[k] ^ 1)
         tail = arr.dart_tail(arr.traversal[(k + 1) % n])
         assert head == tail
 
@@ -128,7 +129,8 @@ def test_face_boundaries_consistent(corpus_name):
     _, arr, _, _, _ = pipeline(corpus_name)
     for face in arr.faces:
         for d in face.boundary:
-            assert arr.dart_face(d) == face.id
+            e = arr.edges[d >> 1]
+            assert (e.right_face if d & 1 else e.left_face) == face.id
     # every dart lies on exactly one face boundary
     total = sum(len(f.boundary) for f in arr.faces)
     assert total == 2 * len(arr.edges)
@@ -136,10 +138,10 @@ def test_face_boundaries_consistent(corpus_name):
 
 def test_unbounded_face_has_depth_zero_winding_zero(corpus_name):
     _, arr, _, _, _ = pipeline(corpus_name)
-    outer = arr.unbounded_face
-    assert outer.depth == 0 and outer.winding == 0 and outer.area is None
+    outer = arr.faces[0]
+    assert outer.depth == 0 and outer.winding == 0 and outer.unbounded
     for f in arr.faces[1:]:
-        assert f.depth >= 1
+        assert f.depth >= 1 and not f.unbounded
         assert f.signed_area > 0
 
 
@@ -164,9 +166,10 @@ def test_winding_changes_by_one_across_edges(corpus_name):
 
 def test_tree_cotree_partition(corpus_name):
     _, arr, tc, _, _ = pipeline(corpus_name)
-    assert tc.tree | tc.cotree == {e.id for e in arr.edges}
-    assert not (tc.tree & tc.cotree)
+    assert tc.cotree <= {e.id for e in arr.edges}
     assert len(tc.cotree) == len(arr.faces) - 1  # spanning tree of the dual
+    # the rest, the tree, spans the crossings
+    assert len(arr.edges) - len(tc.cotree) == max(len(arr.vertices) - 1, 0)
     for f in arr.faces[1:]:
         path = []
         cur = f.id
@@ -178,8 +181,7 @@ def test_tree_cotree_partition(corpus_name):
 
 def crossing_sign(arr, vid):
     """+1 if the second pass crosses the first from right to left."""
-    (x1, y1), (x2, y2) = (arr.edges[arr.traversal[k].edge].directions[0]
-                          for k in arr.vertex_passes[vid])
+    (x1, y1), (x2, y2) = (arr.edges[k].directions[0] for k in arr.vertex_passes[vid])
     c = x1 * y2 - y1 * x2
     assert c != 0, "a transverse crossing cannot have parallel strands"
     return 1 if c > 0 else -1
@@ -241,13 +243,13 @@ def test_weights_may_name_only_bounded_faces(points):
         build_arrangement(parse_curve({"points": points,
                                        "weights": {"1": "7/2", "9": "5", "0": "3"}}))
     arr = build_arrangement(parse_curve({"points": points, "weights": {"1": "7/2"}}))
-    assert arr.face_weights()[1] == Fraction(7, 2)
+    assert arr.face_weights[1] == Fraction(7, 2)
 
 
 def test_unit_weights_weigh_every_bounded_face_one(corpus_name):
     curve = load_curve(corpus_name)
     arr = build_arrangement(PlaneCurve(curve.points, UNIT_WEIGHTS))
-    assert arr.face_weights() == {f.id: 1 for f in arr.faces[1:]}
+    assert arr.face_weights == {f.id: 1 for f in arr.faces[1:]}
 
 
 @pytest.mark.parametrize("parse, doc", [

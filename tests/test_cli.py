@@ -8,10 +8,11 @@ from click.testing import CliRunner
 
 from conftest import CURVES_DIR, load_curve, random_generic_polygon
 from curvefold import arrangement, cli, decomposition, folding, transforms, words
-from curvefold.arrangement import build_arrangement
-from curvefold.cli import _svg_num, main
+from curvefold.arrangement import PlaneCurve, build_arrangement
+from curvefold.cli import _svg_num, main, render_svg
 from curvefold.decomposition import min_area_sod, sod_oracle
 from curvefold.folding import is_self_overlapping
+from curvefold.words import face_word
 
 
 def run(*args):
@@ -409,6 +410,41 @@ def test_render_json_wraps_svg():
               "--no-cables")
     doc = json.loads(res.output)
     assert doc["svg"].startswith("<svg ")
+
+
+@pytest.mark.parametrize("corners, twin", [
+    (((0, 0), (4, 0), (4, 4), (0, 4)), ("0", "4")),
+    (((0.1, 0.1), (2.5, 0.1), (2.5, 2.5), (0.1, 2.5)), ("0.1", "2.5")),
+], ids=["int", "float"])
+def test_int_and_float_corners_build_and_render_like_their_fractions(corners, twin):
+    """Library corners go through ``to_fraction``, as parsed ones do: no
+    float reaches the arrangement or the drawing."""
+    lo, hi = map(Fraction, twin)
+    exact = PlaneCurve(((lo, lo), (hi, lo), (hi, hi), (lo, hi)))
+    curve = PlaneCurve(corners)
+    cables, word = face_word(curve)
+    exact_cables, exact_word = face_word(exact)
+    assert cables.arr == exact_cables.arr and word == exact_word
+    svg = render_svg(cables.arr, cables=cables)
+    assert svg == render_svg(exact_cables.arr, cables=exact_cables)
+    assert curve == exact
+    assert all(type(q) is Fraction for p in curve.points for q in p)
+    assert f'viewBox="{_svg_num(lo - (hi - lo) / 10 - 1)} ' in svg
+
+
+def test_render_svg_computes_the_bounding_box_once(monkeypatch):
+    boxes = []
+
+    def counted(arr):
+        boxes.append(arr)
+        return bbox(arr)
+
+    bbox = cli._bbox
+    monkeypatch.setattr(cli, "_bbox", counted)
+    sod = min_area_sod(load_curve("mouse"))
+    svg = render_svg(sod.cables.arr, cables=sod.cables, pieces=sod.subcurves)
+    assert len(boxes) == 1
+    assert svg.count("<text ") == len(sod.cables.arr.faces) - 1 == len(sod.cables.ordering)
 
 
 def test_svg_numbers_have_no_digit_limit():

@@ -129,13 +129,20 @@ def test_is_good_on_corpus():
         assert is_good(full_piece(name)) == good, name
 
 
+def dart_face(arr, d):
+    """The face on the left of dart id d: 2e walks edge e forwards, 2e + 1
+    backwards."""
+    e = arr.edges[d >> 1]
+    return e.right_face if d & 1 else e.left_face
+
+
 def faces_around_vertex(arr, vid):
     """The four incident faces in ccw wedge order."""
     darts = arr.vertices[vid].darts_ccw
-    wedges = tuple(arr.dart_face(d) for d in darts)
+    wedges = tuple(dart_face(arr, d) for d in darts)
     for k, d in enumerate(darts):
         nxt = darts[(k + 1) % 4]
-        assert arr.dart_face(nxt.twin) == wedges[k], "wedge faces disagree"
+        assert dart_face(arr, nxt ^ 1) == wedges[k], "wedge faces disagree"
     return wedges
 
 

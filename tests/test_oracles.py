@@ -48,6 +48,14 @@ through the same construction as one closed edge; its oracle builds the
 edge and its two faces by hand.  The arrangements must be equal field
 for field.
 
+``tree_cotree`` walks each face's boundary once and keeps its cotree
+children in boundary order.  Its oracle is the walk the cable system,
+the recursive word and the flattening each ran on their own: for one
+face, from just after its parent edge, every cotree edge but the parent
+edge.  The children must be identical on the corpus and the random
+polygons, with the default cotree and with pinned parent edges, and be
+the parent edges of exactly the faces whose cotree parent is the face.
+
 Smoothing names its pieces in one bracket walk over the smoothed
 vertices' sorted passes and cuts each piece from its name.  Its oracle
 scans the entries for each vertex's two passes, tests every pair
@@ -92,7 +100,7 @@ import blank_cuts
 from blank_cuts import cut_along_folding, cut_at, stack_decompose
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipeline,
                       random_generic_polygon)
-from curvefold.arrangement import (Arrangement, DegenerateCurve, Dart, Edge, Face,
+from curvefold.arrangement import (Arrangement, DegenerateCurve, Edge, Face,
                                    NonGenericCurve, PlaneCurve, _cross, _integer_segments,
                                    _segment_intersections, build_arrangement, point_str,
                                    tree_cotree, turning_of_directions)
@@ -671,18 +679,19 @@ def _ccw_cmp(u, v) -> int:
     return -1 if c > 0 else 1 if c < 0 else 0
 
 
-def rotation_system_oracle(arr) -> dict[int, list[Dart]]:
-    """Vertex id -> its outgoing darts sorted by the angle they leave at."""
+def rotation_system_oracle(arr) -> dict[int, list[int]]:
+    """Vertex id -> its outgoing dart ids (2e forwards along edge e, 2e + 1
+    backwards) sorted by the angle they leave at."""
     def leaving(d):
-        dirs = arr.edges[d.edge].directions
-        return dirs[0] if d.fwd else (-dirs[-1][0], -dirs[-1][1])
+        dirs = arr.edges[d >> 1].directions
+        return (-dirs[-1][0], -dirs[-1][1]) if d & 1 else dirs[0]
 
     if not arr.vertices:
         return {}
     incident = {v.id: [] for v in arr.vertices}
     for e in arr.edges:
-        incident[e.v_from].append(Dart(e.id, True))
-        incident[e.v_to].append(Dart(e.id, False))
+        incident[e.v_from].append(2 * e.id)
+        incident[e.v_to].append(2 * e.id + 1)
     for darts in incident.values():
         assert len(darts) == 4
         darts.sort(key=functools.cmp_to_key(lambda p, q: _ccw_cmp(leaving(p), leaving(q))))
@@ -704,6 +713,23 @@ def face_area_oracle(arr, face) -> Fraction:
     return total / 2
 
 
+def boundary_children_oracle(arr, tc, fid: int) -> list[int]:
+    """Cotree edges to the children of face fid, in ccw boundary order.
+
+    The walk starts just after the parent edge (or at the cycle's stored
+    start for the unbounded face).
+    """
+    cycle = arr.faces[fid].boundary
+    parent_eid = tc.parent_edge.get(fid)
+    start = 0
+    if parent_eid is not None:
+        start = next(i for i, d in enumerate(cycle) if d >> 1 == parent_eid) + 1
+    # every cotree edge of the boundary but fid's own parent edge is the
+    # parent edge of the face across it
+    return [d >> 1 for d in cycle[start:] + cycle[:start]
+            if d >> 1 in tc.cotree and d >> 1 != parent_eid]
+
+
 def simple_loop_oracle(curve: PlaneCurve) -> Arrangement:
     """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
     pts = curve.points
@@ -712,17 +738,17 @@ def simple_loop_oracle(curve: PlaneCurve) -> Arrangement:
     ccw = area2 > 0
     edge = Edge(id=0, v_from=None, v_to=None, geometry=geom,
                 directions=tuple(_integer_segments(pts)[2]))
-    d = Dart(0, True)
-    inner = Face(id=1, boundary=(d if ccw else d.twin,),
+    forward, backward = 0, 1  # the dart ids of edge 0
+    inner = Face(id=1, boundary=(forward if ccw else backward,),
                  signed_area=abs(area2) / 2, unbounded=False,
                  winding=1 if ccw else -1, depth=1, parent=(0, 0))
-    outer = Face(id=0, boundary=(d.twin if ccw else d,),
+    outer = Face(id=0, boundary=(backward if ccw else forward,),
                  signed_area=-abs(area2) / 2, unbounded=True, winding=0, depth=0)
     edge.left_face = 1 if ccw else 0
     edge.right_face = 0 if ccw else 1
     return Arrangement(curve=curve, vertices=[], edges=[edge],
-                       faces=[outer, inner], traversal=(d,), vertex_passes={},
-                       dual=[[(1, 0)], [(0, 0)]])
+                       faces=[outer, inner], vertex_passes={},
+                       dual=[[(1, 0)], [(0, 0)]], face_weights={1: abs(area2) / 2})
 
 
 def rotation_oracle(piece) -> int:
@@ -914,6 +940,28 @@ def test_crossing_free_loop_matches_the_hand_built_arrangement():
         dirs = _integer_segments(curve.points)[2]
         collinear += any(_cross(u, w) == 0 for u, w in zip(dirs, dirs[1:]))
     assert windings == {1, -1} and collinear > 10, (windings, collinear)
+
+
+def test_cotree_children_match_the_boundary_walk():
+    arrangements = [pipeline(name)[1] for name in CORPUS]
+    arrangements += [random_generic_polygon(random.Random(seed), corners)[1]
+                     for seed, corners in RANDOM_POLYGONS]
+    pinned = children = 0
+    for arr in arrangements:
+        default = tree_cotree(arr)
+        for prefer in (None, {3: 3}, {3: 1}):
+            tc = tree_cotree(arr, prefer=prefer)
+            pinned += tc.parent_edge != default.parent_edge
+            assert len(tc.children) == len(arr.faces)
+            for f in arr.faces:
+                assert list(tc.children[f.id]) == boundary_children_oracle(arr, tc, f.id)
+                assert sorted(tc.children[f.id]) == sorted(
+                    tc.parent_edge[g] for g, p in tc.parent_face.items() if p == f.id)
+                children += len(tc.children[f.id])
+    assert len(arrangements) == 9 + 24
+    # every bounded face is the child of one face, under each cotree
+    assert children == 3 * sum(len(arr.faces) - 1 for arr in arrangements)
+    assert pinned >= 2, pinned
 
 
 def _walk(passes, largest=None):

@@ -41,7 +41,7 @@ def _interior_point(arr: Arrangement, face: Face) -> Point:
     first boundary dart, push it into the face along the left normal, and
     stop well before the ray out of m hits anything else.
     """
-    d = min(face.boundary, key=lambda dd: (dd.edge, not dd.fwd))
+    d = min(face.boundary)  # smallest edge, forwards first
     g = arr.dart_geometry(d)
     a, b = g[0], g[1]
     m = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)

@@ -102,7 +102,7 @@ def test_cable_lengths_equal_depth(corpus_name):
 def test_combined_word_consistency(corpus_name):
     _, arr, _, cables, word = pipeline(corpus_name)
     cw = combined_word(arr, cables)
-    assert cyclic_equal(CyclicWord(cw.face_letters(), arr.face_weights()), word)
+    assert cyclic_equal(CyclicWord(cw.face_letters(), arr.face_weights), word)
     seq = [t[1] for t in cw.tokens if is_vertex_token(t)]
     assert len(seq) == 2 * len(arr.vertices)
     for v in range(len(arr.vertices)):
