@@ -28,8 +28,9 @@ tolerances anywhere:
 
 * a crossing is named by its segment pair (i, j) and located by an
   integer triple (X, Y, q), q > 0, standing for (X / (q D), Y / (q D));
-  its parameter on each of the two segments is a ``Fraction``, which
-  orders the crossings along the segment and, as a pair of ints, finds
+  its parameter t on each of the two segments is kept as the integer
+  key floor(t K), with K large enough that distinct parameters get
+  distinct keys, which orders the crossings along the segment and finds
   three segments through one point,
 * a dart is named by its integer id everywhere, 2e for edge e walked
   forwards and 2e + 1 for it walked backwards, so its twin is id ^ 1; the
@@ -38,12 +39,15 @@ tolerances anywhere:
 * the edges are numbered along the curve: traversal step t walks edge t
   forwards (dart 2t), so a reader indexes ``edges[t]`` directly,
 * each edge's shoelace sum is one integer over the scaled corners and its
-  two end crossings, q1 q2 D^2 times twice its signed area.
+  two end crossings, q1 q2 D^2 times twice its signed area; it is added
+  to its left face's boundary cycle and subtracted from its right face's
+  as an unreduced int numerator and denominator.
 
-Beyond the parameters, a ``Fraction`` is made only where a value leaves
-the construction: once per crossing for ``Vertex.point``, once per edge for its area, which is
-added to its left face's ``Face.signed_area`` and subtracted from its
-right face's, and in the message of a ``NonGenericCurve``.
+A ``Fraction`` is made only where a value leaves the construction: once
+per crossing for ``Vertex.point``, once per face for ``Face.signed_area``,
+and in the message of a ``NonGenericCurve``.  The face weights are a
+``FaceWeights`` mapping, which derives its integer scale on first use and
+keeps it for ``face_measures`` and for every word over the same weights.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class InvariantViolation(Exception):
@@ -278,6 +282,62 @@ def parse_curve(doc) -> PlaneCurve:
 # arrangement data model
 
 
+class FaceWeights(Mapping[int, Fraction]):
+    """A read-only face id -> weight mapping that keeps its integer scale.
+
+    The weights are nonnegative ``Fraction``s (others are converted;
+    a negative one raises ``ValueError``).  ``scale`` is derived from them
+    on first use and kept, so every measure and word over one mapping
+    shares it.  Equality and repr are those of a plain dict.
+    """
+
+    __slots__ = ("_weights", "_scale")
+
+    def __init__(self, weights: Mapping[int, Fraction] = ()):
+        w = dict(weights)
+        for f, q in w.items():
+            if not isinstance(q, Fraction):
+                q = w[f] = Fraction(q)
+            if q.numerator < 0:
+                raise ValueError(f"negative weight for face {f}")
+        self._weights = w
+        self._scale: Optional[tuple[int, dict[int, int]]] = None
+
+    @property
+    def scale(self) -> tuple[int, dict[int, int]]:
+        """(D, {face: weight * D}), D the least common denominator of the
+        weights, derived on first use and kept."""
+        if self._scale is None:
+            D = common_denominator(self._weights.values())
+            self._scale = D, {f: q.numerator * (D // q.denominator)
+                              for f, q in self._weights.items()}
+        return self._scale
+
+    def __getitem__(self, f: int) -> Fraction:
+        return self._weights[f]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __contains__(self, f) -> bool:
+        return f in self._weights
+
+    def keys(self):
+        return self._weights.keys()
+
+    def items(self):
+        return self._weights.items()
+
+    def values(self):
+        return self._weights.values()
+
+    def __repr__(self) -> str:
+        return repr(self._weights)
+
+
 @dataclass
 class Edge:
     id: int
@@ -320,7 +380,7 @@ class Arrangement:
     dual: list[list[tuple[int, int]]] = field(default_factory=list)
     # per bounded face: 1 under unit weights, else the override weight if
     # given, else the area; resolved once by ``build_arrangement``
-    face_weights: dict[int, Fraction] = field(default_factory=dict)
+    face_weights: FaceWeights = field(default_factory=FaceWeights)
 
     @property
     def traversal(self) -> range:
@@ -341,12 +401,19 @@ class Arrangement:
 
 
 def common_denominator(fractions: Iterable[Fraction]) -> int:
-    """The least common denominator of ``fractions``; 1 when there are none."""
-    D = 1
-    for q in fractions:
-        if D % q.denominator:
-            D *= Fraction(D, q.denominator).denominator
-    return D
+    """The least common denominator of ``fractions``; 1 when there are none.
+
+    The distinct denominators are combined by pairwise lcms in a balanced
+    tree, so each lcm joins two operands of about the same size, instead of
+    one growing product meeting every denominator in turn.
+    """
+    dens = list({q.denominator for q in fractions})
+    while len(dens) > 1:
+        odd = dens[-1:] if len(dens) % 2 else []
+        # lcm(a, b) = a (b / gcd(a, b)), and b / gcd(a, b) is the reduced
+        # denominator of a / b
+        dens = [a * Fraction(a, b).denominator for a, b in zip(dens[::2], dens[1::2])] + odd
+    return dens[0] if dens else 1
 
 
 def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[Vector]]:
@@ -364,8 +431,9 @@ def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[
 
 # a crossing point (X, Y, q), q > 0, stands for (X / (q D), Y / (q D))
 Scaled = tuple[int, int, int]
-# (parameter on the segment, (i, j) of the two segments i < j, point)
-Hit = tuple[Fraction, tuple[int, int], Scaled]
+# (order key of the parameter on the segment, (i, j) of the two segments
+# i < j, point)
+Hit = tuple[int, tuple[int, int], Scaled]
 
 
 def _point(P: Scaled, D: int) -> Point:
@@ -380,15 +448,23 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
 
     Segment i runs from corners[i] along dirs[i] (``_integer_segments``).
     A pair is judged by the signs of four integer cross products; the two
-    parameters and the scaled point are computed only where the segments
-    meet, and both segments' hits share the pair and the point.  Three
-    segments through one point give one of them two hits at the same
-    parameter.  Raises NonGenericCurve on non-general position.
+    parameters' order keys and the scaled point are computed only where
+    the segments meet, and both segments' hits share the pair and the
+    point.  Three segments through one point give one of them two hits
+    at the same parameter.  Raises NonGenericCurve on non-general position.
     """
     n = len(corners)
     hits: list[list[Hit]] = [[] for _ in range(n)]
-    # per segment: the (numerator, denominator) of every parameter hit so far
-    params: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    # per segment: the order key of every parameter hit so far
+    params: list[set[int]] = [set() for _ in range(n)]
+    # A parameter t = o / d in (0, 1), d > 0, is keyed floor(t K).  Every
+    # d is |r x s| for two directions, at most B = 2 M^2 with M the largest
+    # |direction component|.  Two distinct parameters a/b and c/d of one
+    # segment differ by at least 1/(b d) >= 1/B^2, so with K = B^2 their
+    # scaled values differ by at least 1 and their floors differ in the
+    # same order; equal parameters get equal keys.
+    M = max(max(abs(x), abs(y)) for x, y in dirs)
+    K = (2 * M * M) ** 2
 
     for i in range(n):
         (ax, ay), (rx, ry) = corners[i], dirs[i]
@@ -420,24 +496,24 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
             o4 = o3 - denom
             if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
                 continue
-            # a + t r with t = o3 / denom
+            # a + t r with t = o3 / denom, and c + u s with u = -o1 / denom
             sign = 1 if denom > 0 else -1
-            P = (sign * (ax * denom + o3 * rx), sign * (ay * denom + o3 * ry), sign * denom)
+            q = sign * denom
+            P = (sign * (ax * denom + o3 * rx), sign * (ay * denom + o3 * ry), q)
             if not (o1 and o2 and o3 and o4):
                 raise NonGenericCurve(
                     f"endpoint contact between segments {i} and {j} at {point_str(_point(P, D))}")
-            t, u = Fraction(o3, denom), Fraction(-o1, denom)
-            tk, uk = (t.numerator, t.denominator), (u.numerator, u.denominator)
+            tk, uk = sign * o3 * K // q, -sign * o1 * K // q
             if tk in params[i] or uk in params[j]:
                 raise NonGenericCurve(f"three or more segments meet at {point_str(_point(P, D))}")
             params[i].add(tk)
             params[j].add(uk)
             pair = (i, j)
-            hits[i].append((t, pair, P))
-            hits[j].append((u, pair, P))
+            hits[i].append((tk, pair, P))
+            hits[j].append((uk, pair, P))
 
     for h in hits:
-        h.sort(key=lambda hit: hit[0])
+        h.sort()  # by the keys alone: a segment's keys are distinct
     return hits
 
 
@@ -453,13 +529,13 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
     arr = _crossing_arrangement(curve, D, corners, dirs, visits)
     bounded = arr.faces[1:]
     if curve.weights is UNIT_WEIGHTS:
-        arr.face_weights = {f.id: Fraction(1) for f in bounded}
+        arr.face_weights = FaceWeights({f.id: Fraction(1) for f in bounded})
         return arr
     named = curve.weights or {}
     unknown = sorted(set(named) - set(range(1, len(arr.faces))))
     if unknown:
         raise MalformedInput(f"weights name faces the curve does not bound: {unknown}")
-    arr.face_weights = {f.id: Fraction(named.get(f.id, f.signed_area)) for f in bounded}
+    arr.face_weights = FaceWeights({f.id: named.get(f.id, f.signed_area) for f in bounded})
     return arr
 
 
@@ -485,10 +561,11 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
     # Edges: arcs between consecutive crossings, carrying the corner points;
     # a crossing-free curve is one closed edge.  Each edge's signed area
     # about the origin is one integer shoelace sum over the scaled points:
-    # q1 q2 D^2 times twice the area, for crossings P1 and P2 at its ends.
+    # q1 q2 D^2 times twice the area, for crossings P1 and P2 at its ends,
+    # kept as (sum, q1 q2) over the common 2 D^2.
     edges = [] if m else [Edge(id=0, v_from=None, v_to=None, geometry=(*pts, pts[0]),
                                directions=tuple(dirs))]
-    edge_areas = [] if m else [Fraction(sum(spans), 2 * D * D)]
+    edge_areas = [] if m else [(sum(spans), 1)]
     for k in range(m):
         si, _, (x1, y1, q1) = visits[k]
         sj, _, (x2, y2, q2) = visits[(k + 1) % m]
@@ -500,7 +577,7 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
                    + sum(spans[s] for s in passed[:-1]) * q1 * q2)
         else:
             num = x1 * y2 - y1 * x2
-        edge_areas.append(Fraction(num, 2 * q1 * q2 * D * D))
+        edge_areas.append((num, q1 * q2))
         edges.append(Edge(id=k, v_from=vids[k], v_to=vids[(k + 1) % m],
                           geometry=(vertices[vids[k]].point, *(pts[s] for s in passed),
                                     vertices[vids[(k + 1) % m]].point),
@@ -526,15 +603,16 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
         vertex_passes={v: (a, b) for v, (a, b) in enumerate(passes)},
     )
 
-    _trace_faces(arr, edge_areas)
+    _trace_faces(arr, edge_areas, 2 * D * D)
     _compute_windings_and_depths(arr)
     _check_invariants(arr)
     return arr
 
 
-def _trace_faces(arr: Arrangement, edge_areas: Sequence[Fraction]) -> None:
+def _trace_faces(arr: Arrangement, edge_areas: Sequence[tuple[int, int]], unit: int) -> None:
     """Faces from the boundary cycles of the darts, over the rotation
-    system (``Vertex.darts_ccw``)."""
+    system (``Vertex.darts_ccw``).  Edge e's signed area is
+    ``edge_areas[e] = (num, q)`` standing for num / (q unit)."""
     edges = arr.edges
     # next_left[d]: the next dart along the face to the left of d; the
     # crossing-free loop bounds each face alone
@@ -557,12 +635,18 @@ def _trace_faces(arr: Arrangement, edge_areas: Sequence[Fraction]) -> None:
         cycles.append(cyc)
 
     # Each edge's area counts for the cycle on its left and, walked
-    # backwards, against the cycle on its right.
-    areas = [Fraction(0)] * len(cycles)
-    for e, s in enumerate(edge_areas):
-        areas[cycle_of[2 * e]] += s
-        areas[cycle_of[2 * e + 1]] -= s
-    negatives = [i for i, a in enumerate(areas) if a < 0]
+    # backwards, against the cycle on its right.  A cycle's area is
+    # nums[c] / (dens[c] unit), left unreduced; dens[c] > 0.
+    nums = [0] * len(cycles)
+    dens = [1] * len(cycles)
+    for e, (num, q) in enumerate(edge_areas):
+        c = cycle_of[2 * e]
+        nums[c] = nums[c] * q + num * dens[c]
+        dens[c] *= q
+        c = cycle_of[2 * e + 1]
+        nums[c] = nums[c] * q - num * dens[c]
+        dens[c] *= q
+    negatives = [c for c, num in enumerate(nums) if num < 0]
     check(len(negatives) == 1, "arrangement",
           "exactly one boundary cycle bounds the unbounded face")
 
@@ -576,7 +660,8 @@ def _trace_faces(arr: Arrangement, edge_areas: Sequence[Fraction]) -> None:
     for fid, ci in enumerate(order):
         fid_of_cycle[ci] = fid
         faces.append(Face(id=fid, boundary=tuple(cycles[ci]),
-                          signed_area=areas[ci], unbounded=(fid == 0)))
+                          signed_area=Fraction(nums[ci], dens[ci] * unit),
+                          unbounded=(fid == 0)))
     arr.faces = faces
     arr.dual = [[] for _ in faces]
     for e in edges:
@@ -635,11 +720,12 @@ def _check_invariants(arr: Arrangement) -> None:
 
 
 def face_measures(arr: Arrangement) -> dict:
-    """Per-face (area, winding, depth) table plus the two area totals."""
+    """Per-face (area, winding, depth) table plus the two area totals,
+    summed as ints over the weights' scale (``FaceWeights.scale``)."""
     table = []
-    area_w = Fraction(0)
-    area_d = Fraction(0)
+    area_w = area_d = 0
     weights = arr.face_weights
+    D, scaled = weights.scale
     for f in arr.faces:
         entry = {
             "id": f.id,
@@ -650,9 +736,9 @@ def face_measures(arr: Arrangement) -> dict:
         }
         table.append(entry)
         if not f.unbounded:
-            area_w += abs(f.winding) * weights[f.id]
-            area_d += f.depth * weights[f.id]
-    return {"faces": table, "area_w": area_w, "area_d": area_d}
+            area_w += abs(f.winding) * scaled[f.id]
+            area_d += f.depth * scaled[f.id]
+    return {"faces": table, "area_w": Fraction(area_w, D), "area_d": Fraction(area_d, D)}
 
 
 def rotation_number(curve: PlaneCurve) -> int:

@@ -260,11 +260,10 @@ def homotopy(path: str, weights_mode: str) -> None:
 
 
 def _svg_num(q: Fraction) -> str:
-    """Exact fixed-point decimal with three digits, trailing zeros removed."""
-    q = Fraction(q)
-    scaled = q * 1000
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator - n * scaled.denominator) >= scaled.denominator:
+    """Exact fixed-point decimal with three digits, trailing zeros removed;
+    a half rounds up."""
+    n, r = divmod(q.numerator * 1000, q.denominator)
+    if 2 * r >= q.denominator:
         n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)

@@ -14,7 +14,7 @@ tests against an exhaustive enumeration of all foldings
 brackets, so the linear norm of the word cut before position 0 is the
 cyclic norm; reading from position 1 puts position 0 last, where the
 backtrack settles it first.  The table holds Python ints: it sums the
-word's own integer scale (``CyclicWord.scale``, the weights times their
+word's integer scale (``CyclicWord.scale``, the weights times their
 least common denominator), and only the result is a ``Fraction``, as for
 a folding's area; the positions holding each letter's inverse
 are listed once, so a cell visits only real split points.  Rows are

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .arrangement import (Arrangement, MalformedInput, PlaneCurve, TreeCotree, build_arrangement,
-                          check, common_denominator, fraction_str, load_json, parse_weights,
+from .arrangement import (Arrangement, FaceWeights, MalformedInput, PlaneCurve, TreeCotree,
+                          build_arrangement, check, fraction_str, load_json, parse_weights,
                           tree_cotree)
 
 
@@ -68,25 +67,26 @@ def parse_letter(tok) -> Letter:
 class CyclicWord:
     """A cyclic sequence of signed face letters with nonnegative weights.
 
-    The word owns its integer scale (``scale``): the weights times their
-    least common denominator, derived once and read by every area sum.
+    ``weights`` becomes a ``FaceWeights`` that weighs every letter's face;
+    a face the given weights leave out weighs 1.  A ``FaceWeights`` that
+    already weighs every letter is kept as is, so every word over it (the
+    curve's face words, ``rotate``, ``inverse``, the transforms) shares one
+    integer scale (``scale``).
     """
 
     letters: tuple[Letter, ...]
     weights: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        w = dict(self.weights)
-        for f, _ in self.letters:
-            if f not in w:
-                w[f] = Fraction(1)
-        for f, q in w.items():
-            if not isinstance(q, Fraction):
-                q = w[f] = Fraction(q)
-            if q.numerator < 0:
-                raise ValueError(f"negative weight for face {f}")
-        object.__setattr__(self, "weights", w)
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        w = self.weights
+        if not (isinstance(w, FaceWeights) and w.keys() >= {f for f, _ in letters}):
+            w = dict(w)
+            for f, _ in letters:
+                if f not in w:
+                    w[f] = Fraction(1)
+            object.__setattr__(self, "weights", FaceWeights(w))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -97,14 +97,15 @@ class CyclicWord:
     def __getitem__(self, i: int) -> Letter:
         return self.letters[i % len(self.letters)]
 
-    @cached_property
+    @property
     def scale(self) -> tuple[int, dict[int, int]]:
         """(D, {face: weight * D}), D the least common denominator of the
-        weights, derived on first use and kept.  Every area of the word —
-        the norm, a folding's unpaired weight, a contraction step — is an
-        int sum over this scale, made a ``Fraction`` of denominator D once."""
-        D = common_denominator(self.weights.values())
-        return D, {f: q.numerator * (D // q.denominator) for f, q in self.weights.items()}
+        weights: the weights' own ``FaceWeights.scale``, derived on first
+        use by any word or measure over them and kept.  Every area of the
+        word — the norm, a folding's unpaired weight, a contraction step —
+        is an int sum over this scale, made a ``Fraction`` of denominator D
+        once."""
+        return self.weights.scale
 
     def rotate(self, k: int) -> "CyclicWord":
         n = len(self.letters)

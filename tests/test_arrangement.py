@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, CURVES_DIR, load_curve, pipeline, random_generic_polygon
+from conftest import (CORPUS, CURVES_DIR, RANDOM_POLYGONS, load_curve, pipeline,
+                      random_generic_polygon)
 from curvefold.arrangement import (UNIT_WEIGHTS, DegenerateCurve, MalformedInput,
-                                   NonGenericCurve, PlaneCurve, build_arrangement, fraction_str,
-                                   int_str, parse_curve, rotation_number, to_fraction,
-                                   tree_cotree, turning_of_directions)
+                                   NonGenericCurve, PlaneCurve, build_arrangement, face_measures,
+                                   fraction_str, int_str, parse_curve, rotation_number,
+                                   to_fraction, tree_cotree, turning_of_directions)
 from curvefold.words import parse_word
 
 # frozen per-curve facts: rotation, vertex count, {face: (area, winding, depth)}
@@ -110,6 +111,30 @@ def test_build_hashes_no_fraction_and_sums_each_edge_into_two_faces(monkeypatch)
     assert len(arr.vertices) == 1185
     assert calls["hash"] == 0
     assert calls["add"] <= 2 * len(arr.edges), calls
+
+
+def test_build_and_measures_add_and_order_no_fraction(monkeypatch):
+    """Crossings are ordered by integer keys, and the face areas and the two
+    area totals are int sums: no ``Fraction`` is added, subtracted or
+    compared by order from the corners to the measures."""
+    seed, corners = RANDOM_POLYGONS[7]
+    curves = [load_curve("mouse"), random_generic_polygon(random.Random(seed), corners)[0]]
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__lt__", "__gt__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, name=name, original=original:
+                            ops.append(name) or original(*args))
+    measures = []
+    for curve in curves:
+        arr = build_arrangement(curve)
+        measures.append((arr, face_measures(arr)))
+    # the counters see a Fraction operation
+    assert Fraction(1, 2) < Fraction(1, 3) + 1 and ops == ["__add__", "__lt__"]
+    monkeypatch.undo()
+    for arr, got in measures:
+        assert len(arr.vertices) > 2
+        assert got["area_w"] == sum(abs(f.winding) * arr.face_weights[f.id] for f in arr.faces[1:])
 
 
 def test_traversal_covers_each_edge_once(corpus_name):

@@ -535,7 +535,7 @@ def test_trace_cut_steps_name_paired_faces():
 def test_areas_of_a_witness_add_no_fraction(monkeypatch):
     seed, corners = RANDOM_POLYGONS[5]
     curves = [load_curve("mouse"), random_generic_polygon(random.Random(seed), corners)[0]]
-    # the face areas of the arrangement are Fraction sums; build them first
+    # build the face words before counting
     face_words = [face_word(curve)[1] for curve in curves]
     adds = []
     add, radd = Fraction.__add__, Fraction.__radd__
@@ -550,13 +550,28 @@ def test_areas_of_a_witness_add_no_fraction(monkeypatch):
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and len(adds) == 1
 
 
-def test_a_word_scales_its_weights_once(monkeypatch):
-    _, word = face_word(load_curve("mouse"))
+def test_a_curve_scales_its_weights_once(monkeypatch):
+    """The build, the face measures, the traced and the recursive word, the
+    norms and the trace all read one scale of the curve's face weights."""
     calls = []
-    common_denominator = words.common_denominator
-    monkeypatch.setattr(words, "common_denominator",
-                        lambda qs: calls.append(qs) or common_denominator(qs))
-    value, witness = cancellation_norm(word)
+    common_denominator = arrangement.common_denominator
+
+    def counted(qs):
+        qs = list(qs)
+        calls.append(qs)
+        return common_denominator(qs)
+    monkeypatch.setattr(arrangement, "common_denominator", counted)
+    arr = arrangement.build_arrangement(load_curve("mouse"))
+    measures = arrangement.face_measures(arr)
+    tc = tree_cotree(arr)
+    cables = build_cable_system(arr, tc)
+    blank = words.blank_word(arr, cables)
+    nie = words.nie_word(arr, tc, words.derive_flattening(cables))
+    value, witness = cancellation_norm(blank)
     trace = homotopy_trace(witness)
-    assert witness.area == trace.total_area == value
-    assert len(calls) == 1
+    assert witness.area == trace.total_area == value == cancellation_norm(nie)[0]
+    assert measures["faces"][1]["weight"] is arr.face_weights[1]
+    # one derivation over the corners, by the build, and one over the weights
+    assert len(calls) == 2 and calls.count(list(arr.face_weights.values())) == 1
+    for word in (nie, blank.rotate(3), blank.inverse(), blank.with_weights(blank.weights)):
+        assert word.weights is arr.face_weights and word.scale is blank.scale

@@ -29,12 +29,16 @@ letter's inverse twin through a lookup table.  Twisted letters and
 transported pairings must be identical.
 
 The arrangement judges segment pairs by the signs of integer cross
-products on scaled corners, and a piece's rotation turns over the segment
+products on scaled corners and orders a segment's crossings by integer
+keys of their parameters, and a piece's rotation turns over the segment
 directions its edges store.  Their oracles are the ``Fraction`` forms:
-the finder that divides out both parameters of every pair and tests each
-corner against each segment, and the walk over the pieces' geometry.  The
-unlinked vertex subsets, built level by level, are checked against the
-filter over every combination.
+the finder that divides out both parameters of every pair, sorts by them
+and tests each corner against each segment, and the walk over the
+pieces' geometry.  The unlinked vertex subsets, built level by level, are
+checked against the filter over every combination.  The weights' scale
+combines their denominators in a balanced tree of lcms; its oracle grows
+the common denominator one fraction at a time, and the face measures
+summed over the scale are checked against ``Fraction`` sums.
 
 The arrangement orders the four darts at a crossing by the sign of one
 cross product of its two pass directions, and sums each edge's integer
@@ -102,8 +106,8 @@ from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipelin
                       random_generic_polygon)
 from curvefold.arrangement import (Arrangement, DegenerateCurve, Edge, Face,
                                    NonGenericCurve, PlaneCurve, _cross, _integer_segments,
-                                   _segment_intersections, build_arrangement, point_str,
-                                   tree_cotree, turning_of_directions)
+                                   _segment_intersections, build_arrangement, common_denominator,
+                                   face_measures, point_str, tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve, _decompositions,
                                      _KeyJudge, _piece, _piece_keys, _unlinked_keys,
@@ -622,9 +626,9 @@ def _on_segment(p, a, b) -> bool:
 
 
 def segment_intersections_oracle(curve: PlaneCurve):
-    """Segment index -> sorted (parameter, point) crossings, in ``Fraction``
-    arithmetic: both parameters of every non-parallel pair, and every
-    corner tested against every segment of a collinear pair."""
+    """Segment index -> its crossing points sorted by parameter, in
+    ``Fraction`` arithmetic: both parameters of every non-parallel pair,
+    and every corner tested against every segment of a collinear pair."""
     pts = curve.points
     n = len(pts)
     segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
@@ -666,7 +670,9 @@ def segment_intersections_oracle(curve: PlaneCurve):
             hits[j].append((u, p))
     for i in range(n):
         hits[i].sort(key=lambda pair: pair[0])
-        assert len({t for t, _ in hits[i]}) == len(hits[i]), "the triple-point check fires first"
+        ts = [t for t, _ in hits[i]]
+        assert all(a < b for a, b in zip(ts, ts[1:])), "the triple-point check fires first"
+        hits[i] = [p for _, p in hits[i]]
     return hits
 
 
@@ -831,10 +837,15 @@ def _finder_outcome(find, curve):
 
 def _finder_hits(curve):
     """``_segment_intersections`` in the oracle's shape: segment index ->
-    (parameter, point) in the curve's coordinates."""
+    its crossing points in order, in the curve's coordinates.  The order
+    keys must strictly increase."""
     D, corners, dirs = _integer_segments(curve.points)
-    return {i: [(t, (Fraction(X, q * D), Fraction(Y, q * D))) for t, _, (X, Y, q) in h]
-            for i, h in enumerate(_segment_intersections(D, corners, dirs))}
+    found = {}
+    for i, h in enumerate(_segment_intersections(D, corners, dirs)):
+        keys = [key for key, _, _ in h]
+        assert all(type(k) is int for k in keys) and keys == sorted(set(keys)), (i, keys)
+        found[i] = [(Fraction(X, q * D), Fraction(Y, q * D)) for _, _, (X, Y, q) in h]
+    return found
 
 
 def test_segment_finder_matches_the_fraction_oracle():
@@ -865,6 +876,31 @@ def test_segment_finder_matches_the_fraction_oracle():
             assert found.startswith("three or more segments meet")
             seen["triple point"] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("scale", [1, 7])
+def test_order_keys_separate_parameters_closer_than_one_over_the_bound(scale):
+    """Segment 0 runs along the x-axis from (0, 0) to (1000, 0).  Segments 2
+    and 4 cross it at x = 500 - 1/999 and x = 501 - 999/998, which differ
+    by 1/(999 * 998), so the two parameters differ by about 1/denom^2:
+    closer than 1/B, B = 2 M^2 the bound on a parameter's denominator, so
+    keys floor(t B) would tie them.  With the corners divided by 7 they
+    scale by D = 7 and the parameters are the same."""
+    pts = [(0, 0), (1000, 0), (500, -1), (499, 998), (-498, 997), (501, -1)]
+    curve = PlaneCurve(tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
+    D, corners, dirs = _integer_segments(curve.points)
+    assert D == scale
+    hits = _segment_intersections(D, corners, dirs)
+    assert [pair for _, pair, _ in hits[0]] == [(0, 4), (0, 2)]
+    (k4, _, _), (k2, _, _) = hits[0]
+    assert type(k4) is int and type(k2) is int and k4 < k2
+    t4, t2 = (Fraction(501 * 998 - 999, 998 * 1000), Fraction(500 * 999 - 1, 999 * 1000))
+    assert t2 - t4 == Fraction(1, 1000 * 999 * 998)
+    M = max(max(abs(x), abs(y)) for x, y in dirs)
+    B = 2 * M * M
+    assert M == 1000 and math.floor(t4 * B) == math.floor(t2 * B)
+    assert _finder_hits(curve) == segment_intersections_oracle(curve)
+    assert [p[0] for p in _finder_hits(curve)[0]] == [t4 * 1000 / scale, t2 * 1000 / scale]
 
 
 def _oracle_arrangements():
@@ -901,6 +937,34 @@ def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
     assert arrangements == 9 + 24 + 216 + 60 + 1
     assert scaled == 60, scaled
     assert crossings > 10_000 and faces > 10_000, (crossings, faces)
+
+
+def common_denominator_oracle(fractions) -> int:
+    """The least common denominator grown one fraction at a time."""
+    D = 1
+    for q in fractions:
+        if D % q.denominator:
+            D *= Fraction(D, q.denominator).denominator
+    return D
+
+
+def test_weight_scale_and_measures_match_the_incremental_lcm_and_fraction_sums():
+    rng = random.Random(8810)
+    for _ in range(500):
+        qs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** rng.randint(0, 6)))
+              for _ in range(rng.randint(0, 40))]
+        assert common_denominator(qs) == common_denominator_oracle(qs), qs
+    for arr in _oracle_arrangements():
+        weights = arr.face_weights
+        D, scaled = weights.scale
+        assert D == common_denominator_oracle(weights.values())
+        assert scaled == {f: q * D for f, q in weights.items()}
+        measures = face_measures(arr)
+        bounded = arr.faces[1:]
+        assert measures["area_w"] == sum((abs(f.winding) * weights[f.id] for f in bounded),
+                                         Fraction(0))
+        assert measures["area_d"] == sum((f.depth * weights[f.id] for f in bounded), Fraction(0))
+        assert [e["weight"] for e in measures["faces"][1:]] == list(weights.values())
 
 
 def _crossing_free_curves():
