@@ -262,8 +262,20 @@ def homotopy(path: str, weights_mode: str) -> None:
 def _svg_num(q: Fraction) -> str:
     """Exact fixed-point decimal with three digits, trailing zeros removed;
     a half rounds up."""
-    n, r = divmod(q.numerator * 1000, q.denominator)
-    if 2 * r >= q.denominator:
+    return _svg_ratio(q.numerator, q.denominator)
+
+
+def _svg_diff(a: Fraction, b: Fraction) -> str:
+    """``_svg_num(a - b)``, formatted from integer numerators: no
+    ``Fraction`` is made."""
+    return _svg_ratio(a.numerator * b.denominator - b.numerator * a.denominator,
+                      a.denominator * b.denominator)
+
+
+def _svg_ratio(num: int, den: int) -> str:
+    """``_svg_num`` of num / den, for den > 0, reduced or not."""
+    n, r = divmod(num * 1000, den)
+    if 2 * r >= den:
         n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)
@@ -303,7 +315,7 @@ def _face_anchor(arr: Arrangement, fid: int, eps: Fraction) -> tuple[Fraction, F
 
 
 def _poly_points(geom, flip) -> str:
-    return " ".join(f"{_svg_num(x)},{_svg_num(flip - y)}" for x, y in geom)
+    return " ".join(f"{_svg_num(x)},{_svg_diff(flip, y)}" for x, y in geom)
 
 
 def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
@@ -351,7 +363,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
 
     for f in arr.faces[1:]:
         ax, ay = _face_anchor(arr, f.id, eps)
-        out.append(f'<text x="{_svg_num(ax)}" y="{_svg_num(flip - ay)}" '
+        out.append(f'<text x="{_svg_num(ax)}" y="{_svg_diff(flip, ay)}" '
                    'font-size="1.2" fill="#c0392b">'
                    f'f{f.id} w={f.winding} d={f.depth}</text>')
     out.append("</svg>")

@@ -19,9 +19,11 @@ search walks vertex sets by their pieces' names, each set's grown from
 its parent's, and judges a piece from its name alone, by tables derived
 once per curve: the rotation is a sum of one term for the piece's
 vertex and one per vertex nested in it, the letters are slices of the
-whole word, and the winding area of a piece that certifies is one int
-prefix-sum difference on the word's scale.  Only the decomposition the
-search returns is cut into pieces.
+whole word's int letter codes, and the winding area of a piece that
+certifies is one int prefix-sum difference on the word's scale.  Once a
+piece (u, C) fails, the walk drops the sets below it that keep it: only
+a vertex nested in u's run and in none of C's changes the piece.  Only
+the decomposition the search returns is cut into pieces.
 ``Subcurve.rotation`` (the direction walk), ``Subcurve.area_w`` and
 ``certify_subcurve`` judge one piece on its own.  ``homotopy_trace``
 replays a folding as Blank's induction, one cut along an innermost
@@ -37,12 +39,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arrangement import Arrangement, PlaneCurve, Vector, check, turn, turning_of_directions
-from .folding import (Folding, Pairing, _positive_linear, _positive_witness, cancellation_norm,
-                      chords_cross, positively_foldable)
-from .words import CableSystem, CyclicWord, Letter, face_word, invert_sequence
+from .folding import (Folding, Pairing, _letter_codes, _positive_linear, _positive_witness,
+                      cancellation_norm, chords_cross, positively_foldable)
+from .words import CableSystem, CyclicWord, Letter, face_word
 
 
 class InvalidDecomposition(Exception):
@@ -242,7 +244,11 @@ class _KeyJudge:
       a_c - 1 wraps to the curve's last entry for traversal index 0.
       Every term is a difference of one prefix sum of the steps.
     * Letters.  ``starts[t]`` is the index in ``word.letters`` of entry
-      t's first letter, so a piece's letters are one slice per run.
+      t's first letter, and ``codes`` holds one int per letter of the
+      word (``folding._letter_codes``: a letter's inverse is its code ^ 1),
+      with ``inverted`` the inverse codes.  So a piece's letters are one
+      slice of ``codes`` per run, and for rotation -1 those of its inverse
+      are the slices of ``inverted``, reversed.
     * Area.  ``sigma`` is the prefix sum of sign times scaled weight over
       the word's letters.  A piece that certifies with rotation s folds
       positively (its inverse when s = -1), so every one of its windings
@@ -280,6 +286,8 @@ class _KeyJudge:
             dropped = turned[fb] - turned[fa - 1] if fa else turned[fb] + steps[-1]
             self.cut_turning[v] = junction(dirs[fa - 1], dirs[fb], v) - dropped
         self.starts = list(accumulate((len(e.letters) for e in full.entries), initial=0))
+        self.codes = _letter_codes(word.letters)
+        self.inverted = [c ^ 1 for c in self.codes]
         _, scaled = word.scale
         self.sigma = list(accumulate((s * scaled[f] for f, s in word.letters), initial=0))
 
@@ -292,11 +300,16 @@ class _KeyJudge:
         rot = self.rotation(key)
         if rot not in (1, -1):
             return None
-        starts, letters = self.starts, self.word.letters
+        starts = self.starts
         spans = [(starts[a], starts[b])
                  for a, b in _runs(self.passes, key, len(self.full.entries))]
-        own = [l for x, y in spans for l in letters[x:y]]
-        pairs = _positive_linear(own if rot == 1 else invert_sequence(own))
+        codes = self.codes if rot == 1 else self.inverted
+        own: list[int] = []
+        for x, y in spans:
+            own += codes[x:y]
+        if rot == -1:
+            own.reverse()
+        pairs = _positive_linear(own)
         if pairs is None:
             return None
         return rot, pairs, rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
@@ -331,9 +344,11 @@ class SelfOverlappingDecomposition:
     word: CyclicWord
 
 
-def _unlinked_keys(passes: Mapping[int, tuple[int, int]]) -> Iterator[tuple[PieceKey, ...]]:
+def _unlinked_keys(passes: Mapping[int, tuple[int, int]]
+                   ) -> Generator[tuple[PieceKey, ...], Optional[PieceKey], None]:
     """The piece keys of every pairwise-unlinked vertex set, smallest set
-    first and lexicographic within a size, each in ``_piece_keys`` order.
+    first and lexicographic within a size, each in ``_piece_keys`` order,
+    except the sets below a failing piece its caller names.
 
     ``passes`` gives each vertex's chord, ends ascending.  A set grows
     only by a vertex v larger than all of it and unlinked from all of it,
@@ -342,7 +357,19 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]]) -> Iterator[tuple[Piec
     the set whose chord holds v's (the outer piece if there is none):
     v's key takes the host's nested vertices inside v's chord, and the
     host keeps the rest with v among them in pass order.  Each set waits
-    with the larger vertices it may still take, as a bitmask."""
+    with the larger vertices it may still take, as a bitmask.
+
+    Iterated with a plain ``for``, the walk yields every unlinked set.
+    The caller may instead ``send`` it the key (u, C) of a piece of the
+    set just yielded that fails (the send returns None).  A descendant
+    keeps that piece unchanged unless it takes a vertex hosted at u, and
+    only vertices of u's region are: those inside u's chord and inside
+    none of C's (hosts only move inwards as a set grows).  So a child
+    that takes a vertex hosted elsewhere still holds the failing piece:
+    it is grown but not yielded, and so are its own children, except
+    those hosted at u.  It is dropped, with all its descendants, when no
+    vertex of u's region is left among those it may take.  Every set the
+    walk does not yield holds a piece its caller was told fails."""
     vs = sorted(passes)
     first = {v: a for v, (a, _) in passes.items()}
     later = {u: sum(1 << v for v in vs if v > u and not chords_cross(passes[u], passes[v]))
@@ -351,28 +378,50 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]]) -> Iterator[tuple[Piec
     hosts = {v: (*sorted((u for u in vs if u < v and passes[u][0] < a and b < passes[u][1]),
                          key=first.__getitem__, reverse=True), None)
              for v, (a, b) in passes.items()}
-    level: list[tuple[tuple[PieceKey, ...], int]] = [(((None, ()),), sum(1 << v for v in vs))]
+    # the larger vertices whose chords lie inside u's (all, for the outer piece)
+    inside: dict[Optional[int], int] = dict.fromkeys((None, *vs), 0)
+    for v, held in hosts.items():
+        for u in held:
+            inside[u] |= 1 << v
+    # each set with the vertices it may take and, if it keeps a failing
+    # piece its caller named, that piece's vertex and region (the chords
+    # of its nested vertices are disjoint, so a sum of their masks is an or)
+    level: list[tuple[tuple[PieceKey, ...], int, Optional[tuple[Optional[int], int]]]] = [
+        (((None, ()),), inside[None], None)]
     while level:
-        for keys, _ in level:
-            yield keys
+        for n, (keys, free, failing) in enumerate(level):
+            if failing is None:
+                sent = yield keys
+                if sent is not None:
+                    u, nested = sent
+                    level[n] = (keys, free, (u, inside[u] & ~sum(inside[c] for c in nested)))
+                    yield None
         grown = []
-        for keys, free in level:
+        for keys, free, failing in level:
             if not free:
                 continue
             index = {u: i for i, (u, _) in enumerate(keys)}
-            while free:
-                v = (free & -free).bit_length() - 1
-                free &= free - 1
+            rest = free
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
                 for u in hosts[v]:
                     if u in index:
                         break
+                after = free & later[v]
+                kept = failing
+                if failing is not None:
+                    if failing[0] == u:
+                        kept = None
+                    elif not after & failing[1]:
+                        continue  # it and all its descendants keep the failing piece
                 h = index[u]
                 nested = keys[h][1]
                 a, b = passes[v]
                 i = bisect_left(nested, a, key=first.__getitem__)
                 j = bisect_left(nested, b, lo=i, key=first.__getitem__)
                 grown.append((keys[:h] + ((u, nested[:i] + (v,) + nested[j:]),) + keys[h + 1:]
-                              + ((v, nested[i:j]),), free & later[v]))
+                              + ((v, nested[i:j]),), after, kept))
         level = grown
 
 
@@ -387,10 +436,14 @@ def _decompositions(cables: CableSystem, word: CyclicWord
     its name alone: ``_KeyJudge`` reads its rotation, letters and area off
     tables derived once per curve, and the search keeps its verdict, or
     None when it fails.  A vertex set holding a piece already known to
-    fail is skipped; otherwise the pieces of unknown verdict are judged in
-    order until one fails.  A set that decomposes has the int sum of its
-    pieces' areas; only the set a caller assembles is cut into pieces that
-    get their words and witnesses."""
+    fail is skipped; otherwise the pieces of unknown verdict are judged
+    in order until one fails.  Either way the walk is sent the first
+    failing piece, and yields none of the set's descendants that keep it:
+    each of them is a set this loop would skip.  So the sets judged, the
+    keys judged and their order are those of the unpruned walk.  A set
+    that decomposes has the int sum of its pieces' areas; only the set a
+    caller assembles is cut into pieces that get their words and
+    witnesses."""
     judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
     D, _ = word.scale
     verdicts: dict[PieceKey, Optional[Verdict]] = {}
@@ -401,14 +454,17 @@ def _decompositions(cables: CableSystem, word: CyclicWord
         return SelfOverlappingDecomposition(frozenset(v for v, _ in keys[1:]), subcurves,
                                             certificates, Fraction(area, D), cables, word)
 
-    for keys in _unlinked_keys(cables.arr.vertex_passes):
+    walk = _unlinked_keys(cables.arr.vertex_passes)
+    for keys in walk:
         found = [verdicts.get(key, _UNJUDGED) for key in keys]
         if None in found:
+            walk.send(keys[found.index(None)])
             continue
         for i, verdict in enumerate(found):
             if verdict is _UNJUDGED:
                 verdict = found[i] = verdicts[keys[i]] = judge(keys[i])
                 if verdict is None:
+                    walk.send(keys[i])
                     break
         else:
             area = sum(piece_area for _, _, piece_area in found)
@@ -422,9 +478,10 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     optimum; the search walks unlinked vertex sets in increasing size, by
     their pieces' names, and returns the first decomposition achieving
     it.  Each distinct piece is judged once per search from its name, by
-    its rotation, then by whether its letters fold positively, with no
-    direction walk and no per-face area sum.  A set holding a piece
-    already known to fail is skipped.  Only the returned set's pieces are
+    its rotation, then by whether its letter codes fold positively, with
+    no direction walk and no per-face area sum.  A set holding a piece
+    already known to fail is skipped, and the walk yields none of its
+    descendants that keep that piece.  Only the returned set's pieces are
     cut; the result keeps their certificates.
     """
     cables, word = face_word(curve)

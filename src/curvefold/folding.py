@@ -31,13 +31,16 @@ between the paired letters, innermost pairings first, so that every
 deleted arc and the surviving residue consist of positive letters only.
 Cutting the cycle anywhere turns unlinked pairings into nested linear
 intervals, so such a folding exists exactly when the pairings cover
-every negative letter.  Whether letters[i:j] folds positively is one
-bit of a reachability table of Python ints, filled from the last row to
-the first: bit j of ``ok[i]`` is set when j = i, or when letter i is
+every negative letter.  The kernel reads the word as int letter codes,
+twice the face plus 1 for a negative letter, so a letter's inverse is
+its code ^ 1.  Whether letters[i:j] folds positively is one bit of a
+reachability table of Python ints, filled from the last row to the
+first: bit j of ``ok[i]`` is set when j = i, or when letter i is
 positive and bit j of ``ok[i+1]`` is set, or when a partner k of letter
-i has bit k set in ``ok[i+1]`` and bit j set in ``ok[k+1]``.  Each
-partner costs one bit test and, when it passes, one or of two n-bit
-ints; the table holds n^2 bits.  A curve is self-overlapping — the
+i has bit k set in ``ok[i+1]`` and bit j set in ``ok[k+1]``.  One and
+of ``ok[i+1]`` with the bitmask of the positions holding the inverse
+code gives those partners, and each costs one or of two n-bit ints; the
+table holds n^2 bits.  A curve is self-overlapping — the
 boundary of an immersed disk — exactly when its rotation number is 1
 and its word admits a positive folding.
 """
@@ -313,16 +316,23 @@ def complete_to_maximal(word: CyclicWord, folding: Folding) -> Folding:
 # positive foldings
 
 
-def _positive_linear(letters: Sequence[Letter]) -> Optional[list[tuple[int, int]]]:
+def _letter_codes(letters: Sequence[Letter]) -> list[int]:
+    """One int per letter: twice its face, plus 1 for a negative letter.
+    A letter's inverse is then ``code ^ 1``."""
+    return [2 * f + (s < 0) for f, s in letters]
+
+
+def _positive_linear(codes: Sequence[int]) -> Optional[list[tuple[int, int]]]:
     """Pairings of a positive folding of the linear word, or None.
 
-    A pairing may delete either of the two subwords between its letters,
-    and deleted subwords are resolved nested-first, so a folding is
-    positive exactly when its unlinked pairings cover every negative
-    letter: survivors are then all positive, and reading the circle from
-    any cut makes the deleted spans laminar.  (Demanding a letter-wise
-    positive arc instead would break the invariance of positive
-    foldability under cable switches.)
+    The word is given by its letter codes (``_letter_codes``).  A pairing
+    may delete either of the two subwords between its letters, and
+    deleted subwords are resolved nested-first, so a folding is positive
+    exactly when its unlinked pairings cover every negative letter:
+    survivors are then all positive, and reading the circle from any cut
+    makes the deleted spans laminar.  (Demanding a letter-wise positive
+    arc instead would break the invariance of positive foldability under
+    cable switches.)
 
     Bit j of ``ok[i]`` is set when letters[i:j] folds positively: it is
     empty (j = i), or its first letter is positive and letters[i+1:j]
@@ -330,21 +340,27 @@ def _positive_linear(letters: Sequence[Letter]) -> Optional[list[tuple[int, int]
     letters[i+1:k] and letters[k+1:j] fold.  So, filled from the last
     row to the first, ``ok[i]`` is ``1 << i``, or'ed with ``ok[i+1]`` when
     letter i is positive and with ``ok[k+1]`` for each partner k > i whose
-    bit is set in ``ok[i+1]``.  The backtrack settles each interval's
-    first letter: unpaired when it is positive and the rest folds, else
-    paired with its smallest partner that splits the interval into two
-    folding parts.
+    bit is set in ``ok[i+1]``: the set bits of ``ok[i+1]`` (all of them
+    after i) and'ed with the bitmask of the positions holding the
+    inverse of code i.  The backtrack settles each interval's first
+    letter: unpaired when it is positive and the rest folds, else paired
+    with its smallest partner that splits the interval into two folding
+    parts.
     """
-    n = len(letters)
-    inverses = _inverse_occurrences(letters)
+    n = len(codes)
+    at: dict[int, int] = {}  # code -> the positions holding it, as a bitmask
+    for k, c in enumerate(codes):
+        at[c] = at.get(c, 0) | 1 << k
     ok = [0] * n + [1 << n]
     for i in range(n - 1, -1, -1):
+        c = codes[i]
         below = ok[i + 1]
-        row = 1 << i | (below if letters[i][1] > 0 else 0)
-        ks = inverses[i]
-        for k in ks[bisect_right(ks, i):]:
-            if below >> k & 1:
-                row |= ok[k + 1]
+        row = 1 << i | (0 if c & 1 else below)
+        partners = at.get(c ^ 1, 0) & below
+        while partners:
+            low = partners & -partners
+            row |= ok[low.bit_length()]  # ok[k + 1] for low = 1 << k
+            partners ^= low
         ok[i] = row
     if not ok[0] >> n & 1:
         return None
@@ -354,13 +370,16 @@ def _positive_linear(letters: Sequence[Letter]) -> Optional[list[tuple[int, int]
         i, j = stack.pop()
         while i < j:
             below = ok[i + 1]
-            if letters[i][1] > 0 and below >> j & 1:
+            if not codes[i] & 1 and below >> j & 1:
                 i += 1
                 continue
-            ks = inverses[i]
-            k = next((k for k in ks[bisect_right(ks, i):bisect_left(ks, j)]
-                      if below >> k & 1 and ok[k + 1] >> j & 1), None)
-            check(k is not None, "folding",
+            partners = at.get(codes[i] ^ 1, 0) & below & ((1 << j) - 1)
+            while partners:
+                k = (partners & -partners).bit_length() - 1
+                if ok[k + 1] >> j & 1:
+                    break
+                partners &= partners - 1
+            check(partners, "folding",
                   "backtrack leaves the reachability table at row %d, column %d", i, j)
             pairs.append((i, k))
             stack.append((k + 1, j))
@@ -374,7 +393,7 @@ def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:
     Because unlinked pairings never cross a fixed cut of the cycle, a
     single linear scan from position 0 is complete.
     """
-    pairs = _positive_linear(word.letters)
+    pairs = _positive_linear(_letter_codes(word.letters))
     if pairs is None:
         return False, None
     return True, _positive_witness(word, pairs)

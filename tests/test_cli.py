@@ -447,6 +447,26 @@ def test_render_svg_computes_the_bounding_box_once(monkeypatch):
     assert svg.count("<text ") == len(sod.cables.arr.faces) - 1 == len(sod.cables.ordering)
 
 
+def test_svg_points_are_formatted_without_fraction_arithmetic(monkeypatch):
+    # every polyline of the 100-gon the bench draws as
+    # draw_curve(random.Random("x-100"), 100), flipped about a p/q line
+    _, arr = random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)
+    geoms = [arr.curve.points] + [e.geometry for e in arr.edges]
+    flip = Fraction(-10 ** 7, 3)
+    want = [" ".join(f"{_svg_num(x)},{_svg_num(flip - y)}" for x, y in g) for g in geoms]
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, name=name, original=original:
+                            ops.append(name) or original(*args))
+    got = [cli._poly_points(g, flip) for g in geoms]
+    monkeypatch.undo()
+    assert ops == [] and got == want
+    assert sum(len(g) for g in geoms) > 4 * len(arr.vertices) > 4000
+
+
 def test_svg_numbers_have_no_digit_limit():
     assert _svg_num(Fraction(10 ** 5000)) == "1" + "0" * 5000
     assert _svg_num(Fraction(-10 ** 5000 - 1, 4)) == "-25" + "0" * 4998 + ".25"

@@ -277,18 +277,27 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
 
 
 class _Recorder:
-    """Counts the smoothings of a search and its calls to ``_piece_keys``,
-    records every key it judges (with whether that piece certified) and
-    every piece it cuts, and counts its calls to the judges of one piece:
-    ``certify_subcurve``, the direction walk (``Subcurve.rotation``,
-    ``turning_of_directions``) and the per-face area sum
-    (``Subcurve.area_w``)."""
+    """Counts the smoothings of a search, its calls to ``_piece_keys`` and
+    the vertex sets its walk yields, records every key it judges (with
+    whether that piece certified) and every piece it cuts, and counts its
+    calls to the judges of one piece: ``certify_subcurve``, the direction
+    walk (``Subcurve.rotation``, ``turning_of_directions``) and the
+    per-face area sum (``Subcurve.area_w``)."""
 
     def __init__(self, monkeypatch):
-        self.smoothings, self.named, self.keys, self.cut = 0, 0, [], []
+        self.smoothings, self.named, self.walked, self.keys, self.cut = 0, 0, 0, [], []
         self.one_piece = collections.Counter()
         smooth, name, cut = decomposition.smooth_at, decomposition._piece_keys, decomposition._piece
         judge = decomposition._KeyJudge.__call__
+        unlinked_keys = decomposition._unlinked_keys
+
+        def counted_walk(passes):
+            walk = unlinked_keys(passes)
+            for keys in walk:
+                self.walked += 1
+                failing = yield keys
+                if failing is not None:
+                    yield walk.send(failing)
 
         def counted_smooth(sc, vertices):
             self.smoothings += 1
@@ -314,6 +323,7 @@ class _Recorder:
                 return fn(*args)
             return call
 
+        monkeypatch.setattr(decomposition, "_unlinked_keys", counted_walk)
         monkeypatch.setattr(decomposition, "smooth_at", counted_smooth)
         monkeypatch.setattr(decomposition, "_piece_keys", counted_name)
         monkeypatch.setattr(decomposition._KeyJudge, "__call__", recorded_judge)
@@ -328,6 +338,7 @@ class _Recorder:
         monkeypatch.setattr(Subcurve, "area_w", counted("area_w", Subcurve.area_w))
 
     def clear(self):
+        self.walked = 0
         self.keys.clear()
         self.cut.clear()
 
@@ -370,6 +381,22 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     judged = len({key for key, _ in calls.keys})
     assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 10)
     assert (calls.named, calls.one_piece) == (0, {})
+    # the walk yields none of the sets below a failing piece that keep it:
+    # 1 550 of the 3 840 sets up to the answer
+    assert calls.walked == 1550
+
+
+def test_min_area_sod_walks_no_set_that_keeps_a_failing_piece(monkeypatch):
+    # the 19-gon with 36 crossings
+    curve, arr = random_generic_polygon(random.Random(7), 19)
+    calls = _Recorder(monkeypatch)
+    sod = min_area_sod(curve)
+    answer = tuple(sorted(sod.vertex_pairs))
+    subsets = 1 + next(k for k, keys in enumerate(_unlinked_keys(arr.vertex_passes))
+                       if tuple(v for v, _ in keys[1:]) == answer)
+    assert (len(arr.vertices), subsets) == (36, 36864)
+    # 10 473 of those sets are yielded, and 1 798 distinct pieces judged
+    assert (calls.walked, len(calls.keys), len(calls.cut)) == (10473, 1798, 13)
 
 
 def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):

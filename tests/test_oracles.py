@@ -11,7 +11,11 @@ backtrack, closed over the cycle by conditioning on the fate of position
 0, the trace that re-indexes the live positions for every pairing on
 every step and adds each step's ``Fraction`` weights letter by letter,
 and the ``chords_cross`` check of every two pairings; the
-positive-folding search is checked against its recursive form.  The
+positive-folding search is checked against its recursive form, and its
+kernel on int letter codes against the same kernel on letter tuples,
+which bisects each letter's partner list and tests each partner's bit
+alone: the pairs must be identical on long random and nested words, the
+face words of the arrangements below and every judged piece.  The
 oracle's cyclic step thus cross-checks the cut: the linear norm of the
 rotated word must be the cyclic norm, and position 0's partner must be
 the one the cyclic step picks.  Norms, witness
@@ -72,14 +76,18 @@ cuts only the pieces that certify, keeps each with its certificate, and
 skips a vertex set that holds a piece already known to fail.  Its oracle
 smooths every unlinked vertex set and certifies every piece.  The
 decompositions, their order, pieces, certificates and areas must be
-identical.  The judge reads a piece's rotation as one turning term for
-its vertex plus one per nested vertex, and the winding area of a piece
-that certifies as a prefix-sum difference on the word's scale; on every
-piece of the smoothings above and of the smoothings at up to three
-crossings of ten seeded bench-style curves, the rotation must be the
-walk over the cut piece's geometry, and the verdict, certificate
-(witness included) and area those of ``certify_subcurve`` and
-``Subcurve.area_w`` on the cut piece.
+identical.  The walk drops the sets below a failing piece that keep it;
+its oracle is the unpruned walk, which skips each set holding a key
+known to fail.  The keys judged, their order and the decompositions
+found must be identical, on the corpus, the random polygons and ten
+seeded bench-style curves up to the answer.  The judge reads a piece's
+rotation as one turning term for its vertex plus one per nested vertex,
+and the winding area of a piece that certifies as a prefix-sum
+difference on the word's scale; on every piece of the smoothings above
+and of the smoothings at up to three crossings of those ten curves, the
+rotation must be the walk over the cut piece's geometry, and the
+verdict, certificate (witness included) and area those of
+``certify_subcurve`` and ``Subcurve.area_w`` on the cut piece.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
@@ -94,6 +102,7 @@ import functools
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -112,7 +121,8 @@ from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
                                      SelfOverlappingDecomposition, Subcurve, _decompositions,
                                      _KeyJudge, _piece, _piece_keys, _unlinked_keys,
                                      certify_subcurve, curve_subcurve, homotopy_trace, smooth_at)
-from curvefold.folding import (Folding, Pairing, cancellation_norm, chords_cross,
+from curvefold.folding import (Folding, Pairing, _inverse_occurrences, _letter_codes,
+                               _positive_linear, cancellation_norm, chords_cross,
                                complete_to_maximal, positively_foldable)
 from curvefold.transforms import back_transport_twist, dehn_twist, transport_folding_twist
 from curvefold.words import CyclicWord, blank_word, build_cable_system, face_word, invert_sequence
@@ -245,6 +255,42 @@ def positive_oracle(letters) -> Optional[list[tuple[int, int]]]:
         return result
 
     return solve(0, len(letters))
+
+
+def positive_linear_oracle(letters) -> Optional[list[tuple[int, int]]]:
+    """The positive-folding kernel on letter tuples: the same reachability
+    table of ints, with each letter's later partners found by bisecting
+    the list of positions holding its inverse, and each tested bit by
+    bit."""
+    n = len(letters)
+    inverses = _inverse_occurrences(letters)
+    ok = [0] * n + [1 << n]
+    for i in range(n - 1, -1, -1):
+        below = ok[i + 1]
+        row = 1 << i | (below if letters[i][1] > 0 else 0)
+        ks = inverses[i]
+        for k in ks[bisect_right(ks, i):]:
+            if below >> k & 1:
+                row |= ok[k + 1]
+        ok[i] = row
+    if not ok[0] >> n & 1:
+        return None
+    pairs = []
+    stack = [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        while i < j:
+            below = ok[i + 1]
+            if letters[i][1] > 0 and below >> j & 1:
+                i += 1
+                continue
+            ks = inverses[i]
+            k = next(k for k in ks[bisect_right(ks, i):bisect_left(ks, j)]
+                     if below >> k & 1 and ok[k + 1] >> j & 1)
+            pairs.append((i, k))
+            stack.append((k + 1, j))
+            i, j = i + 1, k
+    return pairs
 
 
 def folding_valid_oracle(word: CyclicWord, pairings) -> bool:
@@ -539,6 +585,36 @@ def test_positive_witness_matches_the_recursive_search(source):
             assert witness.pairings == frozenset(Pairing(a, b) for a, b in expected)
         verdicts.append(ok)
     assert True in verdicts and False in verdicts
+
+
+def _code_kernel_agrees(letters) -> bool:
+    """Does the kernel on letter codes find the oracle's pairs?  Returns
+    whether the letters fold positively."""
+    pairs = _positive_linear(_letter_codes(letters))
+    assert pairs == positive_linear_oracle(letters), letters
+    return pairs is not None
+
+
+def test_code_kernel_matches_the_letter_kernel_on_long_words():
+    rng = random.Random(4407)
+    verdicts = []
+    for length in (120, 150, 180, 210, 240, 270, 300):
+        for faces in (4, 12, 30):
+            verdicts.append(_code_kernel_agrees(
+                [(rng.randint(1, faces), rng.choice((1, -1))) for _ in range(length)]))
+            for positive in (False, True):
+                verdicts.append(_code_kernel_agrees(
+                    nested_letters(rng, length, faces, positive)))
+    assert True in verdicts and False in verdicts
+
+
+def test_code_kernel_matches_the_letter_kernel_on_face_words():
+    verdicts = []
+    for arr in _oracle_arrangements():
+        letters = blank_word(arr, build_cable_system(arr, tree_cotree(arr))).letters
+        verdicts.append(_code_kernel_agrees(letters))
+        verdicts.append(_code_kernel_agrees(invert_sequence(letters)))
+    assert len(verdicts) == 2 * 310 and True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("source", sorted(WORDS))
@@ -1113,6 +1189,15 @@ def test_key_verdicts_match_the_certification_of_the_cut_piece():
     assert verdicts == {True: 1166, False: 6888}, verdicts
 
 
+def test_code_kernel_matches_the_letter_kernel_on_judged_pieces():
+    verdicts = {True: 0, False: 0}
+    for _, _, piece in _judged_pieces():
+        letters = piece.letters()
+        verdicts[_code_kernel_agrees(letters)] += 1
+        verdicts[_code_kernel_agrees(invert_sequence(letters))] += 1
+    assert sum(verdicts.values()) == 2 * 8054 and all(verdicts.values()), verdicts
+
+
 def test_assembled_pieces_match_the_certification_of_the_cut_piece():
     certified = 0
     for judge, key, piece in _judged_pieces():
@@ -1223,6 +1308,65 @@ def test_decomposition_search_matches_the_exhaustive_oracle():
                 (b.subcurves, b.certificates, b.area), (label, a.vertex_pairs)
         found += len(got)
     assert found > 300, found
+
+
+def search_oracle(cables, word, judged):
+    """(area, vertex set) of every decomposition, in the search's order,
+    by the unpruned walk: each unlinked set ``_unlinked_keys`` yields to a
+    plain ``for`` is skipped when it holds a key known to fail, and
+    otherwise its keys of unknown verdict are judged in order until one
+    fails.  Appends each key it judges to ``judged``."""
+    judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
+    verdicts = {}
+    for keys in _unlinked_keys(cables.arr.vertex_passes):
+        if any(verdicts.get(key, True) is None for key in keys):
+            continue
+        for key in keys:
+            if key not in verdicts:
+                judged.append(key)
+                verdicts[key] = judge(key)
+                if verdicts[key] is None:
+                    break
+        else:
+            yield sum(verdicts[key][2] for key in keys), frozenset(v for v, _ in keys[1:])
+
+
+def _up_to(target, decompositions):
+    """The (area, vertex set) pairs up to the first of area ``target``."""
+    out = []
+    for area, vertices in decompositions:
+        out.append((area, vertices))
+        if area == target:
+            break
+    return out
+
+
+def test_pruned_search_judges_and_yields_as_the_unpruned_walk(monkeypatch):
+    # every decomposition of the corpus curves and the random polygons, and
+    # those of the ``d-{s}`` curves up to the one ``min_area_sod`` returns
+    cases = [(label, cables, word, None) for label, cables, word in _cable_systems()]
+    for s, arr in enumerate(_d_arrangements()):
+        cables, word = face_word(arr.curve)
+        cases.append((f"d-{s}", cables, word, cancellation_norm(word)[0] * word.scale[0]))
+    wanted = []
+    for _, cables, word, target in cases:
+        judged = []
+        wanted.append((_up_to(target, search_oracle(cables, word, judged)), judged))
+    searched = []
+    judge = _KeyJudge.__call__
+    monkeypatch.setattr(_KeyJudge, "__call__",
+                        lambda self, key: searched.append(key) or judge(self, key))
+    found = keys = 0
+    for (label, cables, word, target), (want, judged) in zip(cases, wanted):
+        searched.clear()
+        got = _up_to(target, ((area, assemble().vertex_pairs)
+                              for area, assemble in _decompositions(cables, word)))
+        assert got == want, label
+        assert searched == judged, label
+        assert target is None or got[-1][0] == target, label
+        found += len(got)
+        keys += len(judged)
+    assert (found, keys) == (1355, 10803), (found, keys)
 
 
 def blank_cut_trace_oracle(full: Subcurve, folding: Folding) -> int:
