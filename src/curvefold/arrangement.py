@@ -180,23 +180,21 @@ def int_str(n: int) -> str:
 def fraction_str(q: Fraction) -> str:
     """Serialize exactly: plain decimal when finite, else 'p/q'."""
     q = Fraction(q)
-    d = q.denominator
-    # d = 2^a * 5^b  <=>  q has a finite decimal expansion.
-    n = d
+    num, d = q.numerator, q.denominator
+    # d = 2^a * 5^b  <=>  q has a finite decimal expansion, of max(a, b) digits.
+    n, exp = d, 0
     for p in (2, 5):
+        k = 0
         while n % p == 0:
             n //= p
+            k += 1
+        exp = max(exp, k)
     if n != 1:
-        return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
+        return f"{int_str(num)}/{int_str(d)}"
     if d == 1:
-        return int_str(q.numerator)
-    exp = 0
-    scaled = q
-    while scaled.denominator != 1:
-        scaled *= 10
-        exp += 1
-    digits = int_str(abs(scaled.numerator)).rjust(exp + 1, "0")
-    sign = "-" if q < 0 else ""
+        return int_str(num)
+    digits = int_str(abs(num) * (10 ** exp // d)).rjust(exp + 1, "0")
+    sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 

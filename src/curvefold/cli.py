@@ -93,6 +93,8 @@ def _command(fn):
             fn(*args, **kwargs)
         except CliError as exc:
             _fail(EXIT_INPUT_ERROR, exc.code, str(exc))
+        except CapExceeded as exc:
+            _fail(EXIT_INPUT_ERROR, "oracle_cap", str(exc))
         except CurveError as exc:
             _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
         except InvariantViolation as exc:
@@ -160,10 +162,7 @@ def norm(path: str, weights_mode: str, oracle: bool) -> None:
         "witness": _folding_json(witness),
     }
     if oracle:
-        try:
-            brute = norm_bruteforce(w)
-        except CapExceeded as exc:
-            raise CliError("oracle_cap", str(exc))
+        brute = norm_bruteforce(w)
         check(brute == value, "norm", "norm oracle disagrees with the DP")
         doc["oracle"] = fraction_str(brute)
     _emit(doc)
@@ -190,10 +189,7 @@ def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
         if "word" in cert:
             doc["word"] = word_to_json(cert["word"])
     if oracle and "word" in cert:
-        try:
-            ok = positively_foldable_bruteforce(cert["word"])
-        except CapExceeded as exc:
-            raise CliError("oracle_cap", str(exc))
+        ok = positively_foldable_bruteforce(cert["word"])
         check(ok == verdict, "selfoverlap", "positive-foldability oracle disagrees")
         doc["oracle"] = ok
     _emit(doc)
@@ -225,7 +221,8 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
     }
     if oracle:
         other = sod_oracle(sod.cables, sod.word)
-        check(other.area == sod.area, "decompose", "decomposition oracle disagrees")
+        check((other.vertex_pairs, other.area) == (sod.vertex_pairs, sod.area), "decompose",
+              "decomposition oracle disagrees")
         doc["oracle_area"] = fraction_str(other.area)
     _emit(doc)
 

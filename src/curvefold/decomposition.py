@@ -17,15 +17,17 @@ a piece's rotation number is the turning of its edges' directions: the
 steps inside its runs plus one step where each run meets the next.  The
 search walks vertex sets by their pieces' names, each set's grown from
 its parent's, and judges a piece from its name alone, by tables derived
-once per curve: the rotation is a sum of one term for the piece's
-vertex and one per vertex nested in it, the letters are slices of the
+once per curve: the rotation is the turning of the piece's vertex's
+loop less that of each vertex nested in it, the letters are slices of the
 whole word's int letter codes, and the winding area of a piece that
 certifies is one int prefix-sum difference on the word's scale.  Once a
 piece (u, C) fails, the walk drops the sets below it that keep it: only
 a vertex nested in u's run and in none of C's changes the piece.  Only
 the decomposition the search returns is cut into pieces.
 ``Subcurve.rotation`` (the direction walk), ``Subcurve.area_w`` and
-``certify_subcurve`` judge one piece on its own.  ``homotopy_trace``
+``certify_subcurve`` judge one piece on its own; ``sod_oracle`` judges
+by them the pieces ``smooth_at`` cuts for every unlinked vertex set,
+apart from the search's judge.  ``homotopy_trace``
 replays a folding as Blank's induction, one cut along an innermost
 pairing at a time, on the word alone.
 """
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arrangement import Arrangement, PlaneCurve, Vector, check, turn, turning_of_directions
@@ -232,23 +233,23 @@ class _KeyJudge:
     subcurve, ``word`` its word) from its key, as ``certify_subcurve``
     would judge the piece cut from it, by tables derived once per curve.
 
-    * Rotation.  A piece's turning is the sum of the turning steps
-      between consecutive directions of its runs, one of them where each
-      run meets the next.  So with ``passes[v] = (a, b)`` the piece
-      (v, C) turns by A(v) + sum of B(c) over c in C.  A(v) is the turning
-      inside entries [a, b) plus the closing step from the last direction
-      of entry b - 1 to the first of entry a; A(None) is the curve's
-      rotation.  B(c) is the junction step from the last direction of
-      entry a_c - 1 to the first of entry b_c, less the steps from that
-      last direction up to that first one, which the cut drops.  Entry
-      a_c - 1 wraps to the curve's last entry for traversal index 0.
-      Every term is a difference of one prefix sum of the steps.
+    * Rotation.  Smoothing at a vertex c cuts c's loop, the entries
+      [a_c, b_c) of ``passes[c] = (a_c, b_c)``, out of the piece that holds
+      it, and the rotation number is additive over an
+      orientation-respecting smoothing: what remains turns by the
+      piece's turning less the loop's.  The loop turns by A(c), the
+      turning inside its entries plus the closing step from the last
+      direction of entry b_c - 1 to the first of entry a_c; A(None) is
+      the curve's rotation.  So the piece (v, C) turns by A(v) less A(c)
+      for each c in C, every A(c) one difference of a prefix sum of the
+      curve's turning steps.  ``assemble`` checks each piece it cuts
+      against the direction walk, ``Subcurve.rotation``.
     * Letters.  ``starts[t]`` is the index in ``word.letters`` of entry
       t's first letter, and ``codes`` holds one int per letter of the
-      word (``folding._letter_codes``: a letter's inverse is its code ^ 1),
-      with ``inverted`` the inverse codes.  So a piece's letters are one
-      slice of ``codes`` per run, and for rotation -1 those of its inverse
-      are the slices of ``inverted``, reversed.
+      word (``folding._letter_codes``: a letter's inverse is its code ^ 1).
+      So a piece's letters are one slice of ``codes`` per run, and for
+      rotation -1 those of its inverse are the same codes reversed, each
+      ^ 1.
     * Area.  ``sigma`` is the prefix sum of sign times scaled weight over
       the word's letters.  A piece that certifies with rotation s folds
       positively (its inverse when s = -1), so every one of its windings
@@ -271,29 +272,20 @@ class _KeyJudge:
         steps = [turn(u, w) for u, w in zip(dirs, dirs[1:] + dirs[:1])]
         check(None not in steps, "decomposition", "the curve reverses its direction")
         turned = list(accumulate(steps, initial=0))  # the steps before each direction
-
-        def junction(u: Vector, w: Vector, v: int) -> int:
-            t = turn(u, w)
-            check(t is not None, "decomposition", "the curve reverses at crossing %d", v)
-            return t
-
         self.loop_turning: dict[Optional[int], int] = {None: turned[-1]}
-        self.cut_turning: dict[int, int] = {}
         for v, (a, b) in self.passes.items():
             fa, fb = first[a], first[b]
-            self.loop_turning[v] = (turned[fb - 1] - turned[fa]
-                                    + junction(dirs[fb - 1], dirs[fa], v))
-            dropped = turned[fb] - turned[fa - 1] if fa else turned[fb] + steps[-1]
-            self.cut_turning[v] = junction(dirs[fa - 1], dirs[fb], v) - dropped
+            closing = turn(dirs[fb - 1], dirs[fa])
+            check(closing is not None, "decomposition", "the curve reverses at crossing %d", v)
+            self.loop_turning[v] = turned[fb - 1] - turned[fa] + closing
         self.starts = list(accumulate((len(e.letters) for e in full.entries), initial=0))
         self.codes = _letter_codes(word.letters)
-        self.inverted = [c ^ 1 for c in self.codes]
         _, scaled = word.scale
         self.sigma = list(accumulate((s * scaled[f] for f, s in word.letters), initial=0))
 
     def rotation(self, key: PieceKey) -> int:
         v, nested = key
-        return self.loop_turning[v] + sum(self.cut_turning[c] for c in nested)
+        return self.loop_turning[v] - sum(self.loop_turning[c] for c in nested)
 
     def __call__(self, key: PieceKey) -> Optional[Verdict]:
         """The verdict on the piece named ``key`` if it certifies, else None."""
@@ -303,12 +295,11 @@ class _KeyJudge:
         starts = self.starts
         spans = [(starts[a], starts[b])
                  for a, b in _runs(self.passes, key, len(self.full.entries))]
-        codes = self.codes if rot == 1 else self.inverted
         own: list[int] = []
         for x, y in spans:
-            own += codes[x:y]
+            own += self.codes[x:y]
         if rot == -1:
-            own.reverse()
+            own = [c ^ 1 for c in reversed(own)]
         pairs = _positive_linear(own)
         if pairs is None:
             return None
@@ -319,6 +310,8 @@ class _KeyJudge:
         ``certify_subcurve`` gives it, built from its verdict."""
         rot, pairs, _ = verdict
         piece = _piece(self.full, self.passes, key)
+        check(piece.rotation == rot, "decomposition",
+              "piece %s does not turn as its verdict says", key)
         word = piece.word()
         witness = _positive_witness(word if rot == 1 else word.inverse(), pairs)
         return piece, {"rotation": rot, "witness": witness, "reversed": rot == -1}
@@ -493,17 +486,36 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     return found()
 
 
-def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecomposition:
-    """Exhaustive minimum over all unlinked vertex pairings.
+def _smoothed_decompositions(cables: CableSystem, word: CyclicWord
+                             ) -> Iterator[SelfOverlappingDecomposition]:
+    """Every self-overlapping decomposition by smoothing, in the walk's
+    order: each unlinked vertex set is smoothed with ``smooth_at``, each
+    piece certified with ``certify_subcurve``, and the pieces' areas
+    summed with ``Subcurve.area_w``.  Nothing is judged by name."""
+    full = curve_subcurve(cables.arr, cables)
+    for keys in _unlinked_keys(cables.arr.vertex_passes):
+        combo = frozenset(v for v, _ in keys[1:])
+        pieces = smooth_at(full, combo)
+        verdicts = [certify_subcurve(piece) for piece in pieces]
+        if all(ok for ok, _ in verdicts):
+            yield SelfOverlappingDecomposition(
+                combo, tuple(pieces), tuple(cert for _, cert in verdicts),
+                sum((piece.area_w() for piece in pieces), Fraction(0)), cables, word)
 
-    Ignores the cancellation norm entirely; the testing cross-check for
-    ``min_area_sod`` on small curves.  Reads the cable system and face word
-    a decomposition carries (``sod.cables``, ``sod.word``) and builds
-    nothing.  Ties go to the first found, and only that one is assembled.
+
+def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecomposition:
+    """Exhaustive minimum over all unlinked vertex sets, by smoothing.
+
+    Ignores the cancellation norm and the search's judge: it smooths and
+    certifies every unlinked set, so it is the independent cross-check for
+    ``min_area_sod`` on small curves, and it has no cap.  Reads the cable
+    system and face word a decomposition carries (``sod.cables``,
+    ``sod.word``) and builds nothing.  Ties go to the first set in the
+    walk's order, as in ``min_area_sod``.
     """
-    best = min(_decompositions(cables, word), key=itemgetter(0), default=None)
+    best = min(_smoothed_decompositions(cables, word), key=lambda sod: sod.area, default=None)
     check(best is not None, "decomposition", "every curve admits at least one decomposition")
-    return best[1]()
+    return best
 
 
 def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Folding:

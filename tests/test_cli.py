@@ -10,7 +10,7 @@ from conftest import CURVES_DIR, load_curve, random_generic_polygon
 from curvefold import arrangement, cli, decomposition, folding, transforms, words
 from curvefold.arrangement import PlaneCurve, build_arrangement
 from curvefold.cli import _svg_num, main, render_svg
-from curvefold.decomposition import min_area_sod, sod_oracle
+from curvefold.decomposition import _KeyJudge, min_area_sod, sod_oracle
 from curvefold.folding import is_self_overlapping
 from curvefold.words import face_word
 
@@ -143,6 +143,20 @@ def test_oracle_disagreement_is_an_invariant_violation(monkeypatch, cmd, name, t
     error = json.loads(res.output)["error"]
     assert error["code"] == "invariant_violation"
     assert error["message"].startswith(f"{cmd}: ")
+
+
+def test_decompose_oracle_catches_a_wrong_judge(monkeypatch):
+    # trefoil's sets {0}, {1} and {2} tie in area: a judge that rejects the
+    # piece opened at vertex 0 makes the search return {1}, while the oracle
+    # smooths and certifies every set on its own and returns {0}
+    judge = _KeyJudge.__call__
+    monkeypatch.setattr(_KeyJudge, "__call__",
+                        lambda self, key: None if key[0] == 0 else judge(self, key))
+    res = run("decompose", "--input", curve_path("trefoil"), "--oracle")
+    assert res.exit_code == 3
+    error = json.loads(res.output)["error"]
+    assert error["code"] == "invariant_violation"
+    assert error["message"].startswith("decompose: ")
 
 
 def test_library_invariant_violation_names_its_stage(monkeypatch):

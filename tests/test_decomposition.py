@@ -263,7 +263,8 @@ def test_min_area_sod_matches_norm(corpus_name):
 def test_min_area_sod_agrees_with_oracle(corpus_name):
     curve, _, _, _, _ = pipeline(corpus_name)
     sod = min_area_sod(curve)
-    assert sod.area == sod_oracle(sod.cables, sod.word).area
+    # the same vertex set, pieces and area: ties go to the first set on both sides
+    assert sod_oracle(sod.cables, sod.word) == sod
 
 
 def test_min_area_sod_agrees_with_oracle_on_random_polygons():
@@ -271,7 +272,7 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
     for seed, corners in RANDOM_POLYGONS:
         curve, _ = random_generic_polygon(random.Random(seed), corners)
         sod = min_area_sod(curve)
-        assert sod.area == sod_oracle(sod.cables, sod.word).area, seed
+        assert sod_oracle(sod.cables, sod.word) == sod, seed
         checked += 1
     assert checked == 24
 
@@ -330,9 +331,9 @@ class _Recorder:
         monkeypatch.setattr(decomposition, "_piece", recorded_cut)
         monkeypatch.setattr(decomposition, "certify_subcurve",
                             counted("certify_subcurve", decomposition.certify_subcurve))
+        walk = counted("turning_of_directions", arrangement.turning_of_directions)
         for module in (arrangement, decomposition):
-            monkeypatch.setattr(module, "turning_of_directions",
-                                counted("turning_of_directions", arrangement.turning_of_directions))
+            monkeypatch.setattr(module, "turning_of_directions", walk)
         monkeypatch.setattr(Subcurve, "rotation",
                             property(counted("rotation", Subcurve.rotation.fget)))
         monkeypatch.setattr(Subcurve, "area_w", counted("area_w", Subcurve.area_w))
@@ -341,6 +342,12 @@ class _Recorder:
         self.walked = 0
         self.keys.clear()
         self.cut.clear()
+
+
+def _walked_once(cut: int) -> dict[str, int]:
+    """The one-piece calls of a search that cut ``cut`` pieces: a direction
+    walk per piece, checked against the rotation its verdict holds."""
+    return {"rotation": cut, "turning_of_directions": cut}
 
 
 def test_min_area_sod_certifies_each_piece_once(monkeypatch):
@@ -359,8 +366,10 @@ def test_min_area_sod_certifies_each_piece_once(monkeypatch):
         assert calls.cut == list(sod.subcurves), curve
         results.append((curve, list(calls.cut)))
     # the walk names every set's pieces, and pieces are judged from their
-    # names, not by certifying a cut piece
-    assert (calls.smoothings, calls.named, calls.one_piece) == (0, 0, {})
+    # names, not by certifying a cut piece; only each cut piece's rotation
+    # is walked, once
+    cut = sum(len(pieces) for _, pieces in results)
+    assert (calls.smoothings, calls.named, calls.one_piece) == (0, 0, _walked_once(cut))
     monkeypatch.undo()
     for curve, cut in results:
         assert all(certify_subcurve(piece)[0] for piece in cut), curve
@@ -377,10 +386,11 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
     # pieces are judged from their names, so no vertex set is smoothed
     # whole or named again; each of the 514 distinct pieces is judged
-    # once, and only the answer's 10 pieces are cut
+    # once, and only the answer's 10 pieces are cut, and their rotations
+    # walked
     judged = len({key for key, _ in calls.keys})
     assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 10)
-    assert (calls.named, calls.one_piece) == (0, {})
+    assert (calls.named, calls.one_piece) == (0, _walked_once(10))
     # the walk yields none of the sets below a failing piece that keep it:
     # 1 550 of the 3 840 sets up to the answer
     assert calls.walked == 1550
@@ -405,15 +415,24 @@ def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
     sod = min_area_sod(curve)
     # each of the 17 pieces that certify is measured by its prefix sums,
     # with no cut, no direction walk and no per-face area sum; only the
-    # answer's pieces are cut
+    # answer's pieces are cut, and only their rotations walked
     assert sum(ok for _, ok in calls.keys) == 17
     assert len(calls.cut) == len(sod.subcurves) == 6
-    assert calls.one_piece == {}
+    assert calls.one_piece == _walked_once(6)
     monkeypatch.undo()
     # each piece's area is its positive witness's unpaired weight
     areas = [sc.area_w() for sc in sod.subcurves]
     assert [cert["witness"].area for cert in sod.certificates] == areas
     assert sod.area == sum(areas, Fraction(0))
+
+
+def test_min_area_sod_checks_each_cut_piece_against_the_direction_walk(monkeypatch):
+    # a direction walk that disagrees with the judge's turning table is
+    # caught when the answer's pieces are cut, under python -O as well
+    monkeypatch.setattr(Subcurve, "rotation", property(lambda self: 0))
+    with pytest.raises(arrangement.InvariantViolation,
+                       match=r"^decomposition: piece .* does not turn as its verdict says"):
+        min_area_sod(load_curve("trefoil"))
 
 
 def test_sod_to_folding_round_trip(corpus_name):

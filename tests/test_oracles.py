@@ -74,16 +74,19 @@ must be identical.
 The decomposition search judges each distinct piece once from its key,
 cuts only the pieces that certify, keeps each with its certificate, and
 skips a vertex set that holds a piece already known to fail.  Its oracle
-smooths every unlinked vertex set and certifies every piece.  The
-decompositions, their order, pieces, certificates and areas must be
-identical.  The walk drops the sets below a failing piece that keep it;
-its oracle is the unpruned walk, which skips each set holding a key
-known to fail.  The keys judged, their order and the decompositions
+is the library's own ``_smoothed_decompositions``, the path of
+``sod_oracle``: it smooths every unlinked vertex set and certifies every
+piece.  The decompositions, their order, pieces, certificates and areas
+must be identical.  The walk drops the sets below a failing piece that
+keep it; its oracle is the unpruned walk, which skips each set holding a
+key known to fail.  The keys judged, their order and the decompositions
 found must be identical, on the corpus, the random polygons and ten
 seeded bench-style curves up to the answer.  The judge reads a piece's
-rotation as one turning term for its vertex plus one per nested vertex,
-and the winding area of a piece that certifies as a prefix-sum
-difference on the word's scale; on every piece of the smoothings above
+rotation as the turning of its vertex's loop less that of each nested
+vertex, by the additivity of rotation under smoothing, which the pieces
+of every smoothing above must show by the direction walk alone; and it
+reads the winding area of a piece that certifies as a prefix-sum
+difference on the word's scale.  On every piece of the smoothings above
 and of the smoothings at up to three crossings of those ten curves, the
 rotation must be the walk over the cut piece's geometry, and the
 verdict, certificate (witness included) and area those of
@@ -117,10 +120,10 @@ from curvefold.arrangement import (Arrangement, DegenerateCurve, Edge, Face,
                                    NonGenericCurve, PlaneCurve, _cross, _integer_segments,
                                    _segment_intersections, build_arrangement, common_denominator,
                                    face_measures, point_str, tree_cotree, turning_of_directions)
-from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices,
-                                     SelfOverlappingDecomposition, Subcurve, _decompositions,
-                                     _KeyJudge, _piece, _piece_keys, _unlinked_keys,
-                                     certify_subcurve, curve_subcurve, homotopy_trace, smooth_at)
+from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices, Subcurve,
+                                     _decompositions, _KeyJudge, _piece, _piece_keys,
+                                     _smoothed_decompositions, _unlinked_keys, certify_subcurve,
+                                     curve_subcurve, homotopy_trace, smooth_at)
 from curvefold.folding import (Folding, Pairing, _inverse_occurrences, _letter_codes,
                                _positive_linear, cancellation_norm, chords_cross,
                                complete_to_maximal, positively_foldable)
@@ -888,22 +891,6 @@ def smooth_oracle(sc, vertices):
     return pieces
 
 
-def decompositions_oracle(cables, word) -> list[SelfOverlappingDecomposition]:
-    """Every decomposition by smoothing, fewest crossings first: smooth
-    every unlinked vertex set and certify every piece."""
-    full = curve_subcurve(cables.arr, cables)
-    found = []
-    for combo, _ in _walk(cables.arr.vertex_passes):
-        pieces = smooth_at(full, combo)
-        verdicts = [certify_subcurve(piece) for piece in pieces]
-        if all(ok for ok, _ in verdicts):
-            area = sum((piece.area_w() for piece in pieces), Fraction(0))
-            found.append(SelfOverlappingDecomposition(
-                frozenset(combo), tuple(pieces), tuple(cert for _, cert in verdicts), area,
-                cables, word))
-    return found
-
-
 def _finder_outcome(find, curve):
     try:
         return find(curve)
@@ -1136,6 +1123,15 @@ def _smoothings():
             yield full, combo, keys
 
 
+def test_rotation_is_additive_under_smoothing():
+    sets = 0
+    for full, combo, _ in _smoothings():
+        pieces = smooth_at(full, combo)
+        assert sum(piece.rotation for piece in pieces) == full.rotation, combo
+        sets += 1
+    assert sets == 1228, sets
+
+
 def _smoothed_pieces():
     for full, combo, _ in _smoothings():
         yield from smooth_at(full, combo)
@@ -1300,7 +1296,7 @@ def test_decomposition_search_matches_the_exhaustive_oracle():
     found = 0
     for label, cables, word in _cable_systems():
         got = [assemble() for _, assemble in _decompositions(cables, word)]
-        want = decompositions_oracle(cables, word)
+        want = list(_smoothed_decompositions(cables, word))
         assert len(got) == len(want), label
         for a, b in zip(got, want):
             assert a.vertex_pairs == b.vertex_pairs, label
