@@ -718,25 +718,12 @@ def _check_invariants(arr: Arrangement) -> None:
 
 
 def face_measures(arr: Arrangement) -> dict:
-    """Per-face (area, winding, depth) table plus the two area totals,
-    summed as ints over the weights' scale (``FaceWeights.scale``)."""
-    table = []
-    area_w = area_d = 0
-    weights = arr.face_weights
-    D, scaled = weights.scale
-    for f in arr.faces:
-        entry = {
-            "id": f.id,
-            "area": None if f.unbounded else f.signed_area,
-            "weight": None if f.unbounded else weights[f.id],
-            "winding": f.winding,
-            "depth": f.depth,
-        }
-        table.append(entry)
-        if not f.unbounded:
-            area_w += abs(f.winding) * scaled[f.id]
-            area_d += f.depth * scaled[f.id]
-    return {"faces": table, "area_w": Fraction(area_w, D), "area_d": Fraction(area_d, D)}
+    """The winding area and the depth area of the bounded faces, summed
+    as ints over the weights' scale (``FaceWeights.scale``)."""
+    D, scaled = arr.face_weights.scale
+    area_w = sum(abs(f.winding) * scaled[f.id] for f in arr.faces[1:])
+    area_d = sum(f.depth * scaled[f.id] for f in arr.faces[1:])
+    return {"area_w": Fraction(area_w, D), "area_d": Fraction(area_d, D)}
 
 
 def rotation_number(curve: PlaneCurve) -> int:

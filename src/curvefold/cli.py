@@ -116,9 +116,9 @@ def analyze(path: str, weights_mode: str) -> None:
     arr = build_arrangement(curve)
     measures = face_measures(arr)
     _emit({
-        "faces": [{"id": f["id"], "area": fraction_str(f["area"]),
-                   "winding": f["winding"], "depth": f["depth"]}
-                  for f in measures["faces"][1:]],
+        "faces": [{"id": f.id, "area": fraction_str(f.signed_area),
+                   "winding": f.winding, "depth": f.depth}
+                  for f in arr.faces[1:]],
         "vertices": len(arr.vertices),
         "rotation_number": rotation_number(curve),
         "winding_area": fraction_str(measures["area_w"]),

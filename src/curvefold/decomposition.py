@@ -20,16 +20,18 @@ its parent's, and judges a piece from its name alone, by tables derived
 once per curve: the rotation is the turning of the piece's vertex's
 loop less that of each vertex nested in it, the letters are slices of the
 whole word's int letter codes, and the winding area of a piece that
-certifies is one int prefix-sum difference on the word's scale.  Once a
-piece (u, C) fails, the walk drops the sets below it that keep it: only
-a vertex nested in u's run and in none of C's changes the piece.  Only
-the decomposition the search returns is cut into pieces.
-``Subcurve.rotation`` (the direction walk), ``Subcurve.area_w`` and
-``certify_subcurve`` judge one piece on its own; ``sod_oracle`` judges
-by them the pieces ``smooth_at`` cuts for every unlinked vertex set,
-apart from the search's judge.  ``homotopy_trace``
-replays a folding as Blank's induction, one cut along an innermost
-pairing at a time, on the word alone.
+certifies is one int prefix-sum difference on the word's scale.  The
+walk asks the search, one call per vertex set, which of the set's pieces
+fails; once a piece (u, C) fails, the walk drops the sets below it that
+keep it: only a vertex nested in u's run and in none of C's changes the
+piece.  Only the decomposition the search returns is cut into pieces,
+and every piece reads the curve's face weights.  ``Subcurve.rotation``
+(the direction walk), ``Subcurve.area_w`` and ``certify_subcurve`` judge
+one piece on its own; ``sod_oracle`` judges by them the pieces
+``smooth_at`` cuts for every unlinked vertex set, apart from the
+search's judge, on curves of at most ``ORACLE_SET_CAP`` such sets.
+``homotopy_trace`` replays a folding as Blank's induction, one cut along
+an innermost pairing at a time, on the word alone.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import accumulate, islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .arrangement import Arrangement, PlaneCurve, Vector, check, turn, turning_of_directions
-from .folding import (Folding, Pairing, _letter_codes, _positive_linear, _positive_witness,
-                      cancellation_norm, chords_cross, positively_foldable)
+from .arrangement import (Arrangement, FaceWeights, PlaneCurve, Vector, check, turn,
+                          turning_of_directions)
+from .folding import (CapExceeded, Folding, Pairing, _letter_codes, _positive_linear,
+                      _positive_witness, cancellation_norm, chords_cross, positively_foldable)
 from .words import CableSystem, CyclicWord, Letter, face_word
 
 
@@ -80,8 +83,12 @@ class Subcurve:
     """A closed piece of a curve, tracked through smoothings."""
 
     entries: tuple[SubcurveEntry, ...]
-    weights: Mapping[int, Fraction] = field(compare=False)
     arr: Arrangement = field(compare=False, repr=False)
+
+    @property
+    def weights(self) -> FaceWeights:
+        """The curve's face weights, which every piece of it shares."""
+        return self.arr.face_weights
 
     def letters(self) -> tuple[Letter, ...]:
         return tuple(l for e in self.entries for l in e.letters)
@@ -90,8 +97,7 @@ class Subcurve:
         return tuple(p for e in self.entries for p in e.positions)
 
     def word(self) -> CyclicWord:
-        letters = self.letters()
-        return CyclicWord(letters, {f: self.weights[f] for f, _ in letters})
+        return CyclicWord(self.letters(), self.arr.face_weights)
 
     def windings(self) -> dict[int, int]:
         """Winding number at each face's puncture: signed letter count."""
@@ -130,7 +136,7 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
             dart=e.id, tail_vertex=e.v_from, letters=letters,
             positions=tuple(range(pos, pos + len(letters)))))
         pos += len(letters)
-    return Subcurve(entries=tuple(entries), weights=arr.face_weights, arr=arr)
+    return Subcurve(entries=tuple(entries), arr=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +150,6 @@ PieceKey = tuple[Optional[int], tuple[int, ...]]
 # letters, or of their inverse for rotation -1) and its winding area on
 # the word's scale
 Verdict = tuple[int, list[tuple[int, int]], int]
-# a key not judged yet, apart from one judged to fail (None)
-_UNJUDGED = object()
 
 
 def _piece_keys(passes: Mapping[int, Sequence[int]], combo: tuple[int, ...]) -> list[PieceKey]:
@@ -185,7 +189,7 @@ def _piece(sc: Subcurve, passes: Mapping[int, Sequence[int]], key: PieceKey) -> 
     """Cut the piece named ``key`` from ``sc``: the entries of its runs.
     Equal names cut equal pieces."""
     entries = sum((sc.entries[a:b] for a, b in _runs(passes, key, len(sc.entries))), ())
-    return Subcurve(entries=entries, weights=sc.weights, arr=sc.arr)
+    return Subcurve(entries=entries, arr=sc.arr)
 
 
 def smooth_at(sc: Subcurve, vertices: Iterable[int]) -> list[Subcurve]:
@@ -337,11 +341,12 @@ class SelfOverlappingDecomposition:
     word: CyclicWord
 
 
-def _unlinked_keys(passes: Mapping[int, tuple[int, int]]
-                   ) -> Generator[tuple[PieceKey, ...], Optional[PieceKey], None]:
+def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
+                   first_failing: Callable[[tuple[PieceKey, ...]], Optional[PieceKey]]
+                   = lambda keys: None) -> Iterator[tuple[PieceKey, ...]]:
     """The piece keys of every pairwise-unlinked vertex set, smallest set
     first and lexicographic within a size, each in ``_piece_keys`` order,
-    except the sets below a failing piece its caller names.
+    except the sets below a failing piece ``first_failing`` names.
 
     ``passes`` gives each vertex's chord, ends ascending.  A set grows
     only by a vertex v larger than all of it and unlinked from all of it,
@@ -352,17 +357,20 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]]
     host keeps the rest with v among them in pass order.  Each set waits
     with the larger vertices it may still take, as a bitmask.
 
-    Iterated with a plain ``for``, the walk yields every unlinked set.
-    The caller may instead ``send`` it the key (u, C) of a piece of the
-    set just yielded that fails (the send returns None).  A descendant
-    keeps that piece unchanged unless it takes a vertex hosted at u, and
-    only vertices of u's region are: those inside u's chord and inside
-    none of C's (hosts only move inwards as a set grows).  So a child
-    that takes a vertex hosted elsewhere still holds the failing piece:
-    it is grown but not yielded, and so are its own children, except
-    those hosted at u.  It is dropped, with all its descendants, when no
-    vertex of u's region is left among those it may take.  Every set the
-    walk does not yield holds a piece its caller was told fails."""
+    The walk calls ``first_failing`` once with the keys of each set, in
+    its order, except the sets that keep a piece the call named.  The set
+    is yielded when the call returns None; otherwise the call names the
+    key (u, C) of a piece of the set that fails, and the set is not
+    yielded.  A descendant keeps that piece unchanged unless it takes a
+    vertex hosted at u, and only vertices of u's region are: those inside
+    u's chord and inside none of C's (hosts only move inwards as a set
+    grows).  So a child that takes a vertex hosted elsewhere still holds
+    the failing piece: it is grown but not asked about, and so are its
+    own children, except those hosted at u.  It is dropped, with all its
+    descendants, when no vertex of u's region is left among those it may
+    take.  Every set the walk neither yields nor asks about holds a piece
+    ``first_failing`` named.  The default names none, so the walk yields
+    every unlinked set."""
     vs = sorted(passes)
     first = {v: a for v, (a, _) in passes.items()}
     later = {u: sum(1 << v for v in vs if v > u and not chords_cross(passes[u], passes[v]))
@@ -377,18 +385,20 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]]
         for u in held:
             inside[u] |= 1 << v
     # each set with the vertices it may take and, if it keeps a failing
-    # piece its caller named, that piece's vertex and region (the chords
-    # of its nested vertices are disjoint, so a sum of their masks is an or)
+    # piece ``first_failing`` named, that piece's vertex and region (the
+    # chords of its nested vertices are disjoint, so a sum of their masks
+    # is an or)
     level: list[tuple[tuple[PieceKey, ...], int, Optional[tuple[Optional[int], int]]]] = [
         (((None, ()),), inside[None], None)]
     while level:
         for n, (keys, free, failing) in enumerate(level):
             if failing is None:
-                sent = yield keys
-                if sent is not None:
-                    u, nested = sent
+                named = first_failing(keys)
+                if named is None:
+                    yield keys
+                else:
+                    u, nested = named
                     level[n] = (keys, free, (u, inside[u] & ~sum(inside[c] for c in nested)))
-                    yield None
         grown = []
         for keys, free, failing in level:
             if not free:
@@ -428,18 +438,27 @@ def _decompositions(cables: CableSystem, word: CyclicWord
     repeat across vertex sets, so each distinct piece is judged once, from
     its name alone: ``_KeyJudge`` reads its rotation, letters and area off
     tables derived once per curve, and the search keeps its verdict, or
-    None when it fails.  A vertex set holding a piece already known to
-    fail is skipped; otherwise the pieces of unknown verdict are judged
-    in order until one fails.  Either way the walk is sent the first
-    failing piece, and yields none of the set's descendants that keep it:
-    each of them is a set this loop would skip.  So the sets judged, the
-    keys judged and their order are those of the unpruned walk.  A set
-    that decomposes has the int sum of its pieces' areas; only the set a
-    caller assembles is cut into pieces that get their words and
-    witnesses."""
+    None when it fails.  The walk asks ``first_failing`` about each set:
+    the first of its pieces already known to fail, if any, or else the
+    first that fails as its pieces of unknown verdict are judged in
+    order.  The walk yields only the sets with no failing piece, and
+    none of the descendants that keep a named one: each of them is a set
+    the unpruned walk would reject by a lookup.  So the keys judged and
+    their order are those of the unpruned walk.  A set that decomposes
+    has the int sum of its pieces' areas; only the set a caller assembles
+    is cut into pieces that get their words and witnesses."""
     judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
     D, _ = word.scale
     verdicts: dict[PieceKey, Optional[Verdict]] = {}
+
+    def first_failing(keys: tuple[PieceKey, ...]) -> Optional[PieceKey]:
+        for key in keys:
+            if verdicts.get(key, True) is None:
+                return key
+        for key in keys:
+            if key not in verdicts and verdicts.setdefault(key, judge(key)) is None:
+                return key
+        return None
 
     def assemble(keys: tuple[PieceKey, ...], found: list[Verdict],
                  area: int) -> SelfOverlappingDecomposition:
@@ -447,21 +466,10 @@ def _decompositions(cables: CableSystem, word: CyclicWord
         return SelfOverlappingDecomposition(frozenset(v for v, _ in keys[1:]), subcurves,
                                             certificates, Fraction(area, D), cables, word)
 
-    walk = _unlinked_keys(cables.arr.vertex_passes)
-    for keys in walk:
-        found = [verdicts.get(key, _UNJUDGED) for key in keys]
-        if None in found:
-            walk.send(keys[found.index(None)])
-            continue
-        for i, verdict in enumerate(found):
-            if verdict is _UNJUDGED:
-                verdict = found[i] = verdicts[keys[i]] = judge(keys[i])
-                if verdict is None:
-                    walk.send(keys[i])
-                    break
-        else:
-            area = sum(piece_area for _, _, piece_area in found)
-            yield area, partial(assemble, keys, found, area)
+    for keys in _unlinked_keys(cables.arr.vertex_passes, first_failing):
+        found = [verdicts[key] for key in keys]
+        area = sum(piece_area for _, _, piece_area in found)
+        yield area, partial(assemble, keys, found, area)
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
@@ -472,10 +480,11 @@ def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     their pieces' names, and returns the first decomposition achieving
     it.  Each distinct piece is judged once per search from its name, by
     its rotation, then by whether its letter codes fold positively, with
-    no direction walk and no per-face area sum.  A set holding a piece
-    already known to fail is skipped, and the walk yields none of its
-    descendants that keep that piece.  Only the returned set's pieces are
-    cut; the result keeps their certificates.
+    no direction walk and no per-face area sum.  The walk asks the search
+    which piece of each vertex set fails, and yields neither a set with a
+    failing piece nor any of its descendants that keep that piece.  Only
+    the returned set's pieces are cut; the result keeps their
+    certificates.
     """
     cables, word = face_word(curve)
     target, _ = cancellation_norm(word)
@@ -503,16 +512,27 @@ def _smoothed_decompositions(cables: CableSystem, word: CyclicWord
                 sum((piece.area_w() for piece in pieces), Fraction(0)), cables, word)
 
 
+# the most unlinked vertex sets ``sod_oracle`` smooths: above the 3 840 of
+# the largest curve the tests cross-check, far below the 36 864 of a
+# 19-gon with 36 crossings; counting up to it walks the sets only
+ORACLE_SET_CAP = 8192
+
+
 def sod_oracle(cables: CableSystem, word: CyclicWord) -> SelfOverlappingDecomposition:
     """Exhaustive minimum over all unlinked vertex sets, by smoothing.
 
     Ignores the cancellation norm and the search's judge: it smooths and
     certifies every unlinked set, so it is the independent cross-check for
-    ``min_area_sod`` on small curves, and it has no cap.  Reads the cable
-    system and face word a decomposition carries (``sod.cables``,
-    ``sod.word``) and builds nothing.  Ties go to the first set in the
-    walk's order, as in ``min_area_sod``.
+    ``min_area_sod`` on small curves.  Before it smooths any, it counts
+    the sets by the plain walk and raises ``CapExceeded`` past
+    ``ORACLE_SET_CAP`` of them.  Reads the cable system and face word a
+    decomposition carries (``sod.cables``, ``sod.word``) and builds
+    nothing.  Ties go to the first set in the walk's order, as in
+    ``min_area_sod``.
     """
+    walk = _unlinked_keys(cables.arr.vertex_passes)
+    if sum(1 for _ in islice(walk, ORACLE_SET_CAP + 1)) > ORACLE_SET_CAP:
+        raise CapExceeded(f"unlinked vertex sets exceed cap {ORACLE_SET_CAP}")
     best = min(_smoothed_decompositions(cables, word), key=lambda sod: sod.area, default=None)
     check(best is not None, "decomposition", "every curve admits at least one decomposition")
     return best

@@ -67,7 +67,7 @@ def blank_cut(sc: Subcurve, p: Pairing) -> tuple[Subcurve, Subcurve]:
                 entries.append(sc.entries[k])
                 k = (k + 1) % len(sc.entries)
             entries.append(partial(sc.entries[sb], 0, bl, cut=False))
-        return Subcurve(entries=tuple(entries), weights=sc.weights, arr=sc.arr)
+        return Subcurve(entries=tuple(entries), arr=sc.arr)
 
     cut1 = side(flat[i], flat[j])
     cut2 = side(flat[j], flat[i])

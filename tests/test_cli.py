@@ -10,7 +10,7 @@ from conftest import CURVES_DIR, load_curve, random_generic_polygon
 from curvefold import arrangement, cli, decomposition, folding, transforms, words
 from curvefold.arrangement import PlaneCurve, build_arrangement
 from curvefold.cli import _svg_num, main, render_svg
-from curvefold.decomposition import _KeyJudge, min_area_sod, sod_oracle
+from curvefold.decomposition import ORACLE_SET_CAP, _KeyJudge, min_area_sod, sod_oracle
 from curvefold.folding import is_self_overlapping
 from curvefold.words import face_word
 
@@ -381,7 +381,7 @@ def test_weights_file_mode_uses_them(tmp_path):
     assert json.loads(res.output)["norm"] == "3.5"
 
 
-def test_oracle_cap_reported(tmp_path):
+def test_oracle_cap_reported(tmp_path, monkeypatch):
     # a 9-gon of rotation 1 whose face word has 20 letters
     curve, _ = random_generic_polygon(random.Random(40), 9)
     path = tmp_path / "long_word.json"
@@ -391,6 +391,17 @@ def test_oracle_cap_reported(tmp_path):
         assert res.exit_code == 2, res.output
         error = json.loads(res.output)["error"]
         assert error == {"code": "oracle_cap", "message": f"word length 20 exceeds cap {cap}"}
+    # a 17-gon with 32 crossings and 9 664 unlinked vertex sets: the
+    # decomposition oracle counts them before it smooths any
+    curve, arr = random_generic_polygon(random.Random(7), 17)
+    assert len(arr.vertices) == 32
+    path.write_text(json.dumps({"points": [[int(x), int(y)] for x, y in curve.points]}))
+    monkeypatch.setattr(decomposition, "smooth_at", lambda *args: pytest.fail("smoothed"))
+    res = run("decompose", "--input", str(path), "--oracle")
+    assert res.exit_code == 2, res.output
+    error = json.loads(res.output)["error"]
+    assert error == {"code": "oracle_cap",
+                     "message": f"unlinked vertex sets exceed cap {ORACLE_SET_CAP}"}
 
 
 # ---------------------------------------------------------------------------

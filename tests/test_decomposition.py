@@ -279,11 +279,12 @@ def test_min_area_sod_agrees_with_oracle_on_random_polygons():
 
 class _Recorder:
     """Counts the smoothings of a search, its calls to ``_piece_keys`` and
-    the vertex sets its walk yields, records every key it judges (with
-    whether that piece certified) and every piece it cuts, and counts its
-    calls to the judges of one piece: ``certify_subcurve``, the direction
-    walk (``Subcurve.rotation``, ``turning_of_directions``) and the
-    per-face area sum (``Subcurve.area_w``)."""
+    the vertex sets its walk asks it about (its ``first_failing`` calls),
+    records every key it judges (with whether that piece certified) and
+    every piece it cuts, and counts its calls to the judges of one piece:
+    ``certify_subcurve``, the direction walk (``Subcurve.rotation``,
+    ``turning_of_directions``) and the per-face area sum
+    (``Subcurve.area_w``)."""
 
     def __init__(self, monkeypatch):
         self.smoothings, self.named, self.walked, self.keys, self.cut = 0, 0, 0, [], []
@@ -292,13 +293,11 @@ class _Recorder:
         judge = decomposition._KeyJudge.__call__
         unlinked_keys = decomposition._unlinked_keys
 
-        def counted_walk(passes):
-            walk = unlinked_keys(passes)
-            for keys in walk:
+        def counted_walk(passes, first_failing):
+            def counted(keys):
                 self.walked += 1
-                failing = yield keys
-                if failing is not None:
-                    yield walk.send(failing)
+                return first_failing(keys)
+            return unlinked_keys(passes, counted)
 
         def counted_smooth(sc, vertices):
             self.smoothings += 1
@@ -391,8 +390,8 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     judged = len({key for key, _ in calls.keys})
     assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 10)
     assert (calls.named, calls.one_piece) == (0, _walked_once(10))
-    # the walk yields none of the sets below a failing piece that keep it:
-    # 1 550 of the 3 840 sets up to the answer
+    # the walk asks about none of the sets below a failing piece that keep
+    # it: 1 550 of the 3 840 sets up to the answer
     assert calls.walked == 1550
 
 
@@ -405,7 +404,8 @@ def test_min_area_sod_walks_no_set_that_keeps_a_failing_piece(monkeypatch):
     subsets = 1 + next(k for k, keys in enumerate(_unlinked_keys(arr.vertex_passes))
                        if tuple(v for v, _ in keys[1:]) == answer)
     assert (len(arr.vertices), subsets) == (36, 36864)
-    # 10 473 of those sets are yielded, and 1 798 distinct pieces judged
+    # the walk asks about 10 473 of those sets, and 1 798 distinct pieces
+    # are judged
     assert (calls.walked, len(calls.keys), len(calls.cut)) == (10473, 1798, 13)
 
 
@@ -442,6 +442,16 @@ def test_sod_to_folding_round_trip(corpus_name):
     assert isinstance(folding, Folding)
     assert folding.area == sod.area
     assert cyclic_equal(folding.word, word)
+
+
+def test_pieces_read_their_curves_weights(corpus_name):
+    # every piece word, and its certificate's witness, is over the curve's
+    # face weights, so every area of the decomposition shares one scale
+    sod = min_area_sod(pipeline(corpus_name)[0])
+    for piece, cert in zip(sod.subcurves, sod.certificates, strict=True):
+        assert piece.weights is sod.cables.arr.face_weights
+        assert piece.word().scale is sod.word.scale
+        assert cert["witness"].word.scale is sod.word.scale
 
 
 def test_sod_to_folding_rejects_another_curves_decomposition():
@@ -616,7 +626,7 @@ def test_a_curve_scales_its_weights_once(monkeypatch):
     value, witness = cancellation_norm(blank)
     trace = homotopy_trace(witness)
     assert witness.area == trace.total_area == value == cancellation_norm(nie)[0]
-    assert measures["faces"][1]["weight"] is arr.face_weights[1]
+    assert measures.keys() == {"area_w", "area_d"} and arr.face_weights.scale is blank.scale
     # one derivation over the corners, by the build, and one over the weights
     assert len(calls) == 2 and calls.count(list(arr.face_weights.values())) == 1
     for word in (nie, blank.rotate(3), blank.inverse(), blank.with_weights(blank.weights)):

@@ -81,7 +81,11 @@ must be identical.  The walk drops the sets below a failing piece that
 keep it; its oracle is the unpruned walk, which skips each set holding a
 key known to fail.  The keys judged, their order and the decompositions
 found must be identical, on the corpus, the random polygons and ten
-seeded bench-style curves up to the answer.  The judge reads a piece's
+seeded bench-style curves up to the answer.  The walk's own contract is
+checked apart from the judge: with a seeded eighth of the keys it names
+made to fail, it must yield the unpruned walk's sets less every set that
+holds one of them, in order, and skip asking about a set only when it
+holds a key already named.  The judge reads a piece's
 rotation as the turning of its vertex's loop less that of each nested
 vertex, by the additivity of rotation under smoothing, which the pieces
 of every smoothing above must show by the direction walk alone; and it
@@ -887,7 +891,7 @@ def smooth_oracle(sc, vertices):
     for key in [None] + vs:
         entries = tuple(sc.entries[i] for i in groups.get(key, []))
         if entries:
-            pieces.append(Subcurve(entries=entries, weights=sc.weights, arr=sc.arr))
+            pieces.append(Subcurve(entries=entries, arr=sc.arr))
     return pieces
 
 
@@ -1027,7 +1031,7 @@ def test_weight_scale_and_measures_match_the_incremental_lcm_and_fraction_sums()
         assert measures["area_w"] == sum((abs(f.winding) * weights[f.id] for f in bounded),
                                          Fraction(0))
         assert measures["area_d"] == sum((f.depth * weights[f.id] for f in bounded), Fraction(0))
-        assert [e["weight"] for e in measures["faces"][1:]] == list(weights.values())
+        assert list(weights) == [f.id for f in bounded]
 
 
 def _crossing_free_curves():
@@ -1363,6 +1367,50 @@ def test_pruned_search_judges_and_yields_as_the_unpruned_walk(monkeypatch):
         found += len(got)
         keys += len(judged)
     assert (found, keys) == (1355, 10803), (found, keys)
+
+
+def test_walk_yields_the_unpruned_sets_less_those_holding_a_named_key():
+    # a seeded eighth of the keys the unpruned walk names, on the corpus,
+    # the random polygons and the first 20 000 sets of each ``d-{s}`` curve,
+    # is made to fail: ``first_failing`` names the first of them in a set
+    limit = 20000
+    rng = random.Random(2701)
+    arrangements = [pipeline(name)[1] for name in CORPUS]
+    arrangements += [random_generic_polygon(random.Random(seed), corners)[1]
+                     for seed, corners in RANDOM_POLYGONS]
+    arrangements += list(_d_arrangements())
+    totals = [0, 0, 0]
+    for arr in arrangements:
+        passes = arr.vertex_passes
+        unpruned = list(itertools.islice(_unlinked_keys(passes), limit))
+        named = list(dict.fromkeys(key for keys in unpruned for key in keys))
+        failing = set(rng.sample(named, len(named) // 8))
+        asked = []
+
+        def first_failing(keys):
+            key = next((key for key in keys if key in failing), None)
+            asked.append((keys, key))
+            return key
+
+        want = [keys for keys in unpruned if failing.isdisjoint(keys)]
+        walk = _unlinked_keys(passes, first_failing)
+        got = list(walk if len(unpruned) < limit else itertools.islice(walk, len(want)))
+        assert got == want, arr.curve
+        # each set asked about is the next the unpruned walk yields, except
+        # the sets between that hold a key named for a set asked before
+        rest, told = iter(unpruned), set()
+        for keys, key in asked:
+            for skipped in rest:
+                if skipped == keys:
+                    break
+                assert not told.isdisjoint(skipped), (arr.curve, skipped)
+            else:
+                break  # past the unpruned prefix
+            if key is not None:
+                told.add(key)
+        totals = [t + n for t, n in zip(totals, (len(unpruned), len(asked), len(got)))]
+    # sets of the unpruned prefixes, sets asked about, sets yielded
+    assert totals == [75043, 48256, 34198], totals
 
 
 def blank_cut_trace_oracle(full: Subcurve, folding: Folding) -> int:
