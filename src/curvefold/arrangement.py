@@ -143,7 +143,8 @@ def load_json(doc):
 
 
 def parse_weights(raw) -> dict[int, Fraction]:
-    """The ``{"<face-id>": w}`` object of a curve or word document."""
+    """The ``{"<face-id>": w}`` object of a curve or word document; two
+    keys that read as one face id, such as "1" and "01", are refused."""
     if not isinstance(raw, dict):
         raise MalformedInput("'weights' must be an object")
     weights = {}
@@ -152,6 +153,8 @@ def parse_weights(raw) -> dict[int, Fraction]:
             fid = int(key)
         except ValueError as exc:
             raise MalformedInput(f"bad face id {key!r}") from exc
+        if fid in weights:
+            raise MalformedInput(f"'weights' names face {fid} twice")
         try:
             w = to_fraction(val)
         except MalformedInput as exc:

@@ -85,34 +85,39 @@ def main() -> None:
     """Exact analysis of closed curves in the plane."""
 
 
-def _command(fn):
-    """Wrap a subcommand with the error-to-exit-code policy."""
+def _command(*options):
+    """Make ``fn(curve, **option_values)`` a subcommand of ``main``.
 
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except CliError as exc:
-            _fail(EXIT_INPUT_ERROR, exc.code, str(exc))
-        except CapExceeded as exc:
-            _fail(EXIT_INPUT_ERROR, "oracle_cap", str(exc))
-        except CurveError as exc:
-            _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
-        except InvariantViolation as exc:
-            _fail(EXIT_INVARIANT_ERROR, "invariant_violation", str(exc))
-        except MemoryError:
-            _fail(EXIT_INVARIANT_ERROR, "out_of_memory", f"{fn.__name__} ran out of memory")
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+    The command takes ``--input`` and ``--weights`` and then ``options``,
+    hands ``fn`` the curve ``_load_curve`` reads, and maps its errors to
+    exit codes.  Its name and help are ``fn``'s.
+    """
+
+    def register(fn):
+        def callback(path: str, weights_mode: str, **values) -> None:
+            try:
+                fn(_load_curve(path, weights_mode), **values)
+            except CliError as exc:
+                _fail(EXIT_INPUT_ERROR, exc.code, str(exc))
+            except CapExceeded as exc:
+                _fail(EXIT_INPUT_ERROR, "oracle_cap", str(exc))
+            except CurveError as exc:
+                _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
+            except InvariantViolation as exc:
+                _fail(EXIT_INVARIANT_ERROR, "invariant_violation", str(exc))
+            except MemoryError:
+                _fail(EXIT_INVARIANT_ERROR, "out_of_memory", f"{fn.__name__} ran out of memory")
+        callback.__name__ = fn.__name__
+        callback.__doc__ = fn.__doc__
+        for option in reversed((INPUT, WEIGHTS) + options):
+            callback = option(callback)
+        return main.command()(callback)
+    return register
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@_command
-def analyze(path: str, weights_mode: str) -> None:
+@_command()
+def analyze(curve: PlaneCurve) -> None:
     """Faces, winding numbers, depths, areas, rotation number."""
-    curve = _load_curve(path, weights_mode)
     arr = build_arrangement(curve)
     measures = face_measures(arr)
     _emit({
@@ -126,13 +131,9 @@ def analyze(path: str, weights_mode: str) -> None:
     })
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@_command
-def word(path: str, weights_mode: str) -> None:
+@_command()
+def word(curve: PlaneCurve) -> None:
     """Face word of the curve, three ways, with equality checks."""
-    curve = _load_curve(path, weights_mode)
     cables, bw = face_word(curve)
     nw = nie_word(cables.arr, cables.tc, derive_flattening(cables))
     cw = combined_word(cables.arr, cables)
@@ -146,14 +147,9 @@ def word(path: str, weights_mode: str) -> None:
     })
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@ORACLE
-@_command
-def norm(path: str, weights_mode: str, oracle: bool) -> None:
+@_command(ORACLE)
+def norm(curve: PlaneCurve, oracle: bool) -> None:
     """Cancellation norm of the face word, with witness folding."""
-    curve = _load_curve(path, weights_mode)
     _, w = face_word(curve)
     value, witness = cancellation_norm(w)
     doc = {
@@ -168,30 +164,21 @@ def norm(path: str, weights_mode: str, oracle: bool) -> None:
     _emit(doc)
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@ORACLE
-@_command
-def selfoverlap(path: str, weights_mode: str, oracle: bool) -> None:
+@_command(ORACLE)
+def selfoverlap(curve: PlaneCurve, oracle: bool) -> None:
     """Is the curve the boundary of an immersed disk?"""
-    curve = _load_curve(path, weights_mode)
     verdict, cert = is_self_overlapping(curve)
-    if "word" not in cert:
-        build_arrangement(curve)     # the rotation test ran alone: reject non-generic input
-    doc: dict = {"self_overlapping": verdict}
-    if verdict:
-        doc["rotation_number"] = cert["rotation_number"]
-        doc["word"] = word_to_json(cert["word"])
+    doc = {"self_overlapping": verdict, **cert}
+    if "witness" in cert:
         doc["witness"] = _folding_json(cert["witness"])
+    if "word" in cert:
+        doc["word"] = word_to_json(cert["word"])
+        if oracle:
+            ok = positively_foldable_bruteforce(cert["word"])
+            check(ok == verdict, "selfoverlap", "positive-foldability oracle disagrees")
+            doc["oracle"] = ok
     else:
-        doc["reason"] = cert["reason"]
-        if "word" in cert:
-            doc["word"] = word_to_json(cert["word"])
-    if oracle and "word" in cert:
-        ok = positively_foldable_bruteforce(cert["word"])
-        check(ok == verdict, "selfoverlap", "positive-foldability oracle disagrees")
-        doc["oracle"] = ok
+        build_arrangement(curve)     # the rotation test ran alone: reject non-generic input
     _emit(doc)
 
 
@@ -205,14 +192,9 @@ def _pieces_json(sod) -> list[dict]:
             for piece, cert in zip(sod.subcurves, sod.certificates, strict=True)]
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@ORACLE
-@_command
-def decompose(path: str, weights_mode: str, oracle: bool) -> None:
+@_command(ORACLE)
+def decompose(curve: PlaneCurve, oracle: bool) -> None:
     """Minimum-area decomposition into immersed-disk boundaries."""
-    curve = _load_curve(path, weights_mode)
     sod = min_area_sod(curve)
     doc = {
         "vertex_pairs": sorted(sod.vertex_pairs),
@@ -227,13 +209,9 @@ def decompose(path: str, weights_mode: str, oracle: bool) -> None:
     _emit(doc)
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@_command
-def homotopy(path: str, weights_mode: str) -> None:
+@_command()
+def homotopy(curve: PlaneCurve) -> None:
     """Minimum-area contraction schedule for the curve."""
-    curve = _load_curve(path, weights_mode)
     _, w = face_word(curve)
     value, witness = cancellation_norm(w)
     trace = homotopy_trace(witness)
@@ -367,20 +345,14 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
     return "\n".join(out) + "\n"
 
 
-@main.command()
-@INPUT
-@WEIGHTS
-@click.option("--format", "fmt", type=click.Choice(["svg", "json"]),
-              default="svg", show_default=True)
-@click.option("--cables/--no-cables", default=True, show_default=True,
-              help="Overlay the managed cable system.")
-@click.option("--decomposition", is_flag=True,
-              help="Overlay the minimum-area decomposition pieces.")
-@_command
-def render(path: str, weights_mode: str, fmt: str,
-           cables: bool, decomposition: bool) -> None:
+@_command(click.option("--format", "fmt", type=click.Choice(["svg", "json"]),
+                       default="svg", show_default=True),
+          click.option("--cables/--no-cables", default=True, show_default=True,
+                       help="Overlay the managed cable system."),
+          click.option("--decomposition", is_flag=True,
+                       help="Overlay the minimum-area decomposition pieces."))
+def render(curve: PlaneCurve, fmt: str, cables: bool, decomposition: bool) -> None:
     """Render the curve (SVG by default)."""
-    curve = _load_curve(path, weights_mode)
     if decomposition:
         sod = min_area_sod(curve)
         cs, pieces = sod.cables, sod.subcurves

@@ -228,7 +228,7 @@ def certify_subcurve(sc: Subcurve) -> tuple[bool, dict]:
     word = sc.word()
     ok, witness = positively_foldable(word if rot == 1 else word.inverse())
     if ok:
-        return True, {"rotation": rot, "witness": witness, "reversed": rot == -1}
+        return True, {"rotation": rot, "witness": witness}
     return False, {"reason": "not_positively_foldable", "rotation": rot}
 
 
@@ -318,7 +318,7 @@ class _KeyJudge:
               "piece %s does not turn as its verdict says", key)
         word = piece.word()
         witness = _positive_witness(word if rot == 1 else word.inverse(), pairs)
-        return piece, {"rotation": rot, "witness": witness, "reversed": rot == -1}
+        return piece, {"rotation": rot, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +559,10 @@ def sod_to_folding(curve: PlaneCurve, sod: SelfOverlappingDecomposition) -> Fold
         witness = cert.get("witness")
         if witness is None:
             raise InvalidDecomposition("a piece does not bound an immersed disk")
-        word = piece.word()
-        if witness.word != (word.inverse() if cert["reversed"] else word):
+        word, backward = piece.word(), cert["rotation"] == -1
+        if witness.word != (word.inverse() if backward else word):
             raise InvalidDecomposition("a certificate is not of its piece")
-        slots = piece.positions()[::-1] if cert["reversed"] else piece.positions()
+        slots = piece.positions()[::-1] if backward else piece.positions()
         pairings.extend(Pairing(slots[p.i], slots[p.j]) for p in witness.pairings)
     folding = Folding(sod.word, frozenset(pairings))
     check(folding.area == sod.area, "decomposition",

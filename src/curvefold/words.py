@@ -146,6 +146,9 @@ def parse_word(doc) -> CyclicWord:
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     weights = {} if doc.get("weights") is None else parse_weights(doc["weights"])
+    unbounded = sorted(f for f in weights if f < 1)
+    if unbounded:
+        raise MalformedInput(f"weights name faces no letter can use: {unbounded}")
     return CyclicWord(letters, weights)
 
 

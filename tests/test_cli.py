@@ -504,6 +504,28 @@ def test_svg_numbers_exact():
     assert _svg_num(Fraction(1, 2000)) == "0.001"  # round half away from zero
 
 
+@pytest.mark.parametrize("weights", [{"1": "2", "01": "3"}, {"01": "3", "1": "2"},
+                                     {"1": "2", " 1": "3"}],
+                         ids=["1-then-01", "01-then-1", "1-then-space-1"])
+def test_weights_file_mode_refuses_a_face_named_twice(tmp_path, weights):
+    # each key reads as face 1: keeping the last would make the norm
+    # depend on the order of the keys
+    p = tmp_path / "weighted.json"
+    p.write_text(json.dumps({"points": [[0, 0], [4, 0], [0, 4]], "weights": weights}))
+    res = run("norm", "--input", str(p), "--weights", "file")
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output) == {"error": {
+        "code": "MalformedInput", "message": "'weights' names face 1 twice"}}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_reports_a_missing_input_file(tmp_path, command):
+    # every command is made by cli._command, which reads --input for it
+    res = run(command, "--input", str(tmp_path / "missing.json"))
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output)["error"]["code"] == "unreadable_input"
+
+
 def test_weights_file_mode_rejects_faces_the_curve_lacks(tmp_path):
     # face 0 is the unbounded face and the triangle has no face 9
     doc = {"points": [[0, 0], [4, 0], [0, 4]], "weights": {"1": "7/2", "9": "5", "0": "3"}}

@@ -477,7 +477,7 @@ def test_sod_to_folding_reads_the_certificates(monkeypatch):
         assert folding.area == sod.area
         assert len(sod.certificates) == len(sod.subcurves)
         pieces += len(sod.certificates)
-        reversed_pieces += sum(cert["reversed"] for cert in sod.certificates)
+        reversed_pieces += sum(cert["rotation"] == -1 for cert in sod.certificates)
     assert (norms, calls.keys, calls.cut, calls.one_piece) == ([], [], [], {})
     # a reversed piece's witness folds its inverse word
     assert (reversed_pieces, pieces) == (64, 133)

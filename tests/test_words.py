@@ -260,8 +260,14 @@ def test_letter_parsing():
     {"word": ["1", "-1"], "weights": {"1": "-2"}},
     {"word": "12"},
     {"word": [1.5, -1]},
+    {"word": ["1", "-1"], "weights": {"1": "2", "01": "3"}},
+    {"word": ["1", "-1"], "weights": {"1": "2", " 1": "3"}},
+    {"word": ["1", "-1"], "weights": {"0": "1"}},
+    {"word": ["1", "-1"], "weights": {"1": "2", "-2": "5"}},
 ], ids=["face-id-not-an-integer", "weights-not-an-object", "negative-weight",
-        "letters-not-a-list", "letter-not-integral"])
+        "letters-not-a-list", "letter-not-integral", "face-named-twice",
+        "face-named-twice-with-a-space", "weight-of-the-unbounded-face",
+        "weight-of-a-negative-face-id"])
 def test_parse_word_rejects_malformed_documents(doc):
     with pytest.raises(MalformedInput):
         parse_word(doc)
