@@ -53,6 +53,7 @@ keeps it for ``face_measures`` and for every word over the same weights.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,6 +143,20 @@ def load_json(doc):
         raise MalformedInput(f"invalid JSON: {exc}") from exc
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def decimal_int(tok) -> int:
+    """An int as is, or the int an ASCII decimal string ``-?[0-9]+`` spells:
+    the one reader of face ids and letters.  What else ``int()`` reads,
+    such as "+1", " 1", "1_0" or non-ASCII digits, raises ``ValueError``."""
+    if isinstance(tok, str) and _DECIMAL.fullmatch(tok):
+        return int(tok)
+    if isinstance(tok, int) and not isinstance(tok, bool):
+        return tok
+    raise ValueError(f"not an int or an ASCII decimal integer: {tok!r}")
+
+
 def parse_weights(raw) -> dict[int, Fraction]:
     """The ``{"<face-id>": w}`` object of a curve or word document; two
     keys that read as one face id, such as "1" and "01", are refused."""
@@ -150,7 +165,7 @@ def parse_weights(raw) -> dict[int, Fraction]:
     weights = {}
     for key, val in raw.items():
         try:
-            fid = int(key)
+            fid = decimal_int(key)
         except ValueError as exc:
             raise MalformedInput(f"bad face id {key!r}") from exc
         if fid in weights:

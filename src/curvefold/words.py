@@ -6,24 +6,24 @@ Two constructions of the same cyclic word over the bounded faces:
   unbounded face along the dual cotree, then walk the curve and record
   every cable crossing with a sign (``blank_word``);
 * the *recursive* word: rewrite every cotree edge as a free word over the
-  faces using the face-boundary relation and a chosen way of flattening
-  each cyclic boundary (``nie_word``).
+  faces using the face-boundary relation, flattening each cyclic
+  boundary at a chosen offset (``nie_word``).
 
-The two agree letter-for-letter once the flattening is derived from the
-cable system (``derive_flattening``); that equality is exercised in the
-test-suite for every corpus curve.  Both are built in one loop over the
-cotree faces, deepest first, so that every child edge is done before its
-parent edge; neither recurses.  Each face's child edges, in boundary
-order, are read from the tree/cotree (``TreeCotree.children``), which
-walks every face boundary once; so are the cables' basepoint order and
-the derived flattening.  The curve's edges are its traversal steps in
-order, so a word is read off them by edge id.
+The two agree letter-for-letter under the same insertion offsets
+(``derive_flattening`` reads them off a cable system); that equality is
+exercised in the test-suite for every corpus curve.  Both are built in
+one loop over the cotree faces, deepest first, so that every child edge
+is done before its parent edge; neither recurses.  Each face's child
+edges, in boundary order, are read from the tree/cotree
+(``TreeCotree.children``), which walks every face boundary once; so is
+the cables' basepoint order.  The curve's edges are its traversal steps
+in order, so a word is read off them by edge id.
 
 Cable routing is purely combinatorial here.  Cables through one edge
 form a nested non-crossing bundle, and the nesting is forced up to one
 choice per face: where the face's own cable joins the bundle leaving it.
-That insertion point is the only knob (``insertions``), and it is in
-bijection with the flattening choice of the recursive construction.
+That insertion point is the only knob (``insertions``): one offset
+drives both constructions.
 
 Sign convention: a crossing is positive exactly when the child face of
 the crossed edge lies to the left of the traversal direction, i.e. when
@@ -41,8 +41,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .arrangement import (Arrangement, FaceWeights, MalformedInput, PlaneCurve, TreeCotree,
-                          build_arrangement, check, fraction_str, load_json, parse_weights,
-                          tree_cotree)
+                          build_arrangement, check, decimal_int, fraction_str, load_json,
+                          parse_weights, tree_cotree)
 
 
 Letter = tuple[int, int]  # (face id, sign in {+1, -1})
@@ -54,10 +54,8 @@ def letter_str(letter: Letter) -> str:
 
 
 def parse_letter(tok) -> Letter:
-    """A face letter from an integer or an integer string: "-3" -> (3, -1)."""
-    if isinstance(tok, bool) or not isinstance(tok, (int, str)):
-        raise ValueError(f"a letter is an integer or an integer string, not {tok!r}")
-    f = int(tok)
+    """A face letter from an int or an ASCII decimal string: "-3" -> (3, -1)."""
+    f = decimal_int(tok)
     if f == 0:
         raise ValueError("face id 0 is the unbounded face; letters use bounded faces")
     return (abs(f), 1 if f > 0 else -1)
@@ -189,27 +187,42 @@ def _deepest_first(arr: Arrangement, tc: TreeCotree) -> list[tuple[int, int, tup
     return [(g, tc.parent_edge[g], tc.children[g]) for g in faces]
 
 
+def _checked_insertions(tc: TreeCotree, insertions: Optional[Mapping[int, int]]) -> dict[int, int]:
+    """``insertions`` as a dict; a key that is not a bounded face with a
+    parent edge raises ``InvalidFlattening``."""
+    insertions = dict(insertions or {})
+    stray = insertions.keys() - tc.parent_edge.keys()
+    if stray:
+        raise InvalidFlattening(
+            f"insertions for faces with no parent edge: {sorted(stray, key=repr)}")
+    return insertions
+
+
+def _insertion(insertions: Mapping[int, int], g: int, n: int) -> int:
+    """Face g's insertion offset into a bundle of n, checked to be in 0..n."""
+    pos = insertions.get(g, 0)
+    if not 0 <= pos <= n:
+        raise InvalidFlattening(f"insertion {pos} for face {g} out of range 0..{n}")
+    return pos
+
+
 def build_cable_system(arr: Arrangement, tc: TreeCotree,
                        insertions: Optional[Mapping[int, int]] = None) -> CableSystem:
     """Construct the canonical nested cable routing.
 
     ``insertions[f]`` picks where face f's own cable joins the bundle
     leaving f through its parent edge (0 = in front, in outbound reading
-    order).  Every choice is realizable; the default 0 matches the
-    default flattening of the recursive word construction.
+    order).  Every offset in 0..len(bundle) is realizable, and
+    ``nie_word`` takes the same offsets.
     """
-    insertions = dict(insertions or {})
+    insertions = _checked_insertions(tc, insertions)
     ports: dict[int, tuple[int, ...]] = {}
     letters: dict[int, tuple[Letter, ...]] = {}
     for g, eid, children in _deepest_first(arr, tc):
         # outbound reading order: reversed child blocks, own cable inserted
-        blocks = [f for a in reversed(children) for f in ports[a]]
-        pos = insertions.get(g, 0)
-        if not 0 <= pos <= len(blocks):
-            raise InvalidFlattening(
-                f"insertion {pos} for face {g} out of range 0..{len(blocks)}")
-        seq = tuple(blocks[:pos]) + (g,) + tuple(blocks[pos:])
-        ports[eid] = seq
+        seq = [f for a in reversed(children) for f in ports[a]]
+        seq.insert(_insertion(insertions, g, len(seq)), g)
+        ports[eid] = seq = tuple(seq)
         if arr.edges[eid].left_face == g:
             letters[eid] = tuple((f, 1) for f in seq)
         else:
@@ -257,81 +270,35 @@ def face_word(curve: PlaneCurve) -> tuple[CableSystem, CyclicWord]:
 # the recursive construction
 
 
-@dataclass(frozen=True)
-class Flattening:
-    """Per internal cotree node: which child word is split, and where.
-
-    ``choices[f] = (j, split)`` with j in 1..r counted as in the rewriting
-    e_f = w̄_r ... w̄_{j+1} (w̄_j)' ∂f (w̄_j)'' w̄_{j-1} ... w̄_1; ``split``
-    is the length of the prefix (w̄_j)'.
-    """
-
-    choices: Mapping[int, tuple[int, int]] = field(default_factory=dict)
-
-
 def nie_word(arr: Arrangement, tc: TreeCotree,
-             flat: Optional[Flattening] = None) -> CyclicWord:
+             insertions: Optional[Mapping[int, int]] = None) -> CyclicWord:
     """Bottom-up rewriting of cotree edges into free words over the faces.
 
-    Leaves become a single signed face letter (positive when the edge runs
-    counter-clockwise around its face); internal nodes splice the face
-    letter into the inverted child words at the position the flattening
-    dictates.  The final word concatenates the per-edge free words in
-    curve-traversal order.
+    Face g's edge word, counter-clockwise around g, is its children's
+    inverted words from the last child to the first, with g's letter
+    spliced in at offset ``insertions[g]`` (default 0): the rewriting
+    e_g = w̄_r ... w̄_{j+1} (w̄_j)' ∂g (w̄_j)'' w̄_{j-1} ... w̄_1 with
+    offset |w̄_r ... w̄_{j+1} (w̄_j)'|.  Each child word holds one letter
+    per cable crossing the child edge, so this is the offset at which
+    ``build_cable_system`` inserts g's cable.  The final word concatenates
+    the per-edge free words in curve-traversal order.
     """
-    choices = dict(flat.choices) if flat else {}
+    insertions = _checked_insertions(tc, insertions)
     oriented: dict[int, tuple[Letter, ...]] = {}  # cotree edge -> word along the traversal
     for g, eid, children in _deepest_first(arr, tc):
-        r = len(children)
-        if r == 0:
-            u: tuple[Letter, ...] = ((g, 1),)
-        else:
-            j, split = choices.get(g, (r, 0))
-            if not 1 <= j <= r:
-                raise InvalidFlattening(f"face {g}: child index {j} not in 1..{r}")
-            # inverted child words in boundary (ccw around g) orientation;
-            # wbar[i] for child i+1
-            wbar = [invert_sequence(oriented[a]) if arr.edges[a].left_face == g
-                    else oriented[a] for a in children]
-            if not 0 <= split <= len(wbar[j - 1]):
-                raise InvalidFlattening(
-                    f"face {g}: split {split} out of range 0..{len(wbar[j - 1])}")
-            u = ()
-            for i in range(r, j, -1):
-                u += wbar[i - 1]
-            u += wbar[j - 1][:split] + ((g, 1),) + wbar[j - 1][split:]
-            for i in range(j - 1, 0, -1):
-                u += wbar[i - 1]
-        oriented[eid] = u if arr.edges[eid].left_face == g else invert_sequence(u)
+        u = [l for a in reversed(children)
+             for l in (invert_sequence(oriented[a]) if arr.edges[a].left_face == g
+                       else oriented[a])]
+        u.insert(_insertion(insertions, g, len(u)), (g, 1))
+        oriented[eid] = tuple(u) if arr.edges[eid].left_face == g else invert_sequence(u)
 
     letters = tuple(l for t in range(len(arr.edges)) for l in oriented.get(t, ()))
     return CyclicWord(letters, arr.face_weights)
 
 
-def derive_flattening(cables: CableSystem) -> Flattening:
-    """The flattening induced by a cable system's insertion choices.
-
-    The insertion position of face f's cable inside the outbound bundle
-    of its parent edge determines which inverted child word is split and
-    where.
-    """
-    choices: dict[int, tuple[int, int]] = {}
-    for g in cables.cables:
-        children = cables.tc.children[g]
-        r = len(children)
-        if r == 0:
-            continue
-        lengths = [len(cables.ports[a]) for a in children]  # child 1..r
-        pos = cables.insertions.get(g, 0)
-        remaining = pos
-        j, split = r, 0
-        for idx in range(r, 0, -1):
-            if remaining <= lengths[idx - 1]:
-                j, split = idx, remaining
-                break
-            remaining -= lengths[idx - 1]
-        choices[g] = (j, split)
-    return Flattening(choices=choices)
+def derive_flattening(cables: CableSystem) -> Mapping[int, int]:
+    """The insertions that make ``nie_word`` give the cable system's word."""
+    return cables.insertions
 
 
 # ---------------------------------------------------------------------------

@@ -504,9 +504,8 @@ def test_svg_numbers_exact():
     assert _svg_num(Fraction(1, 2000)) == "0.001"  # round half away from zero
 
 
-@pytest.mark.parametrize("weights", [{"1": "2", "01": "3"}, {"01": "3", "1": "2"},
-                                     {"1": "2", " 1": "3"}],
-                         ids=["1-then-01", "01-then-1", "1-then-space-1"])
+@pytest.mark.parametrize("weights", [{"1": "2", "01": "3"}, {"01": "3", "1": "2"}],
+                         ids=["1-then-01", "01-then-1"])
 def test_weights_file_mode_refuses_a_face_named_twice(tmp_path, weights):
     # each key reads as face 1: keeping the last would make the norm
     # depend on the order of the keys
@@ -516,6 +515,19 @@ def test_weights_file_mode_refuses_a_face_named_twice(tmp_path, weights):
     assert res.exit_code == 2, res.output
     assert json.loads(res.output) == {"error": {
         "code": "MalformedInput", "message": "'weights' names face 1 twice"}}
+
+
+@pytest.mark.parametrize("weights,key", [({"+1": "2"}, "+1"), ({"1": "2", " 1": "3"}, " 1"),
+                                         ({"1_0": "2"}, "1_0"), ({"\u0661": "2"}, "\u0661")],
+                         ids=["plus-1", "1-then-space-1", "underscore", "arabic-indic-1"])
+def test_weights_file_mode_refuses_a_face_id_beyond_ascii_decimals(tmp_path, weights, key):
+    # int() reads every one of these keys; a face id is -?[0-9]+ alone
+    p = tmp_path / "weighted.json"
+    p.write_text(json.dumps({"points": [[0, 0], [4, 0], [0, 4]], "weights": weights}))
+    res = run("norm", "--input", str(p), "--weights", "file")
+    assert res.exit_code == 2, res.output
+    assert json.loads(res.output) == {"error": {
+        "code": "MalformedInput", "message": f"bad face id {key!r}"}}
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

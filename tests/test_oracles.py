@@ -57,10 +57,9 @@ edge and its two faces by hand.  The arrangements must be equal field
 for field.
 
 ``tree_cotree`` walks each face's boundary once and keeps its cotree
-children in boundary order.  Its oracle is the walk the cable system,
-the recursive word and the flattening each ran on their own: for one
-face, from just after its parent edge, every cotree edge but the parent
-edge.  The children must be identical on the corpus and the random
+children in boundary order.  Its oracle is the walk the cable system
+and the recursive word each ran on their own before it: for one face,
+from just after its parent edge, every cotree edge but the parent edge.  The children must be identical on the corpus and the random
 polygons, with the default cotree and with pinned parent edges, and be
 the parent edges of exactly the faces whose cotree parent is the face.
 

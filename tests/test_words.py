@@ -12,7 +12,7 @@ from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, equal_up_to_relabel
                       unit_weights)
 from curvefold.arrangement import MalformedInput, PlaneCurve, build_arrangement, tree_cotree
 from curvefold.folding import cancellation_norm
-from curvefold.words import (CyclicWord, Flattening, InvalidFlattening, blank_word,
+from curvefold.words import (CyclicWord, InvalidFlattening, blank_word,
                              build_cable_system, combined_word, derive_flattening,
                              invert_sequence, is_vertex_token, letter_str, nie_word,
                              parse_letter, parse_word, word_to_json)
@@ -50,31 +50,49 @@ def test_blank_equals_nie_on_corpus(corpus_name):
 
 
 def test_all_flattenings_same_norm(corpus_name):
-    """Different cycle flattenings change the word but not its norm or
-    per-face signed counts."""
+    """Every insertion offset of every face changes the word but not its
+    norm or per-face signed counts; an offset outside the bundle raises."""
     _, arr, tc, cables, word = pipeline(corpus_name)
     base, _ = cancellation_norm(word)
-    faces = sorted(f for f in tc.parent_face if f != 0)
-    variants = 0
-    for f in faces:
-        for j in (1, 2):
-            for split in (0, 1):
-                try:
-                    w = nie_word(arr, tc, Flattening({f: (j, split)}))
-                except InvalidFlattening:
-                    continue
-                variants += 1
-                value, _ = cancellation_norm(w)
-                assert value == base
-                for g in word.weights:
-                    assert face_counts(w, g)[0] == face_counts(word, g)[0]
-    assert variants >= 1
+    for f, eid in tc.parent_edge.items():
+        n = len(cables.ports[eid]) - 1  # the bundle f's cable joins
+        for pos in range(n + 1):
+            w = nie_word(arr, tc, {f: pos})
+            assert cancellation_norm(w)[0] == base
+            for g in word.weights:
+                assert face_counts(w, g)[0] == face_counts(word, g)[0]
+        for pos in (-1, n + 1):
+            with pytest.raises(InvalidFlattening):
+                nie_word(arr, tc, {f: pos})
 
 
 def test_flattening_rejects_bad_indices():
     _, arr, tc, _, _ = pipeline("mouse")
     with pytest.raises(InvalidFlattening):
-        nie_word(arr, tc, Flattening({1: (99, 0)}))
+        nie_word(arr, tc, {1: 99})
+
+
+@pytest.mark.parametrize("name", ["mouse", "spiral"])
+def test_both_constructions_refuse_an_offset_alike(name):
+    _, arr, tc, cables, _ = pipeline(name)
+    f, eid = max(tc.parent_edge.items())
+    pos = len(cables.ports[eid])
+    with pytest.raises(InvalidFlattening) as traced:
+        build_cable_system(arr, tc, insertions={f: pos})
+    with pytest.raises(InvalidFlattening) as recursive:
+        nie_word(arr, tc, {f: pos})
+    assert str(traced.value) == str(recursive.value) == (
+        f"insertion {pos} for face {f} out of range 0..{pos - 1}")
+
+
+@pytest.mark.parametrize("insertions", [{99: 3, 0: 1}, {0: 0}, {99: 0}, {"1": 0}])
+def test_insertions_name_only_faces_with_a_parent_edge(insertions):
+    # a mistyped face id must not leave the default word standing
+    _, arr, tc, _, _ = pipeline("mouse")
+    with pytest.raises(InvalidFlattening):
+        build_cable_system(arr, tc, insertions=insertions)
+    with pytest.raises(InvalidFlattening):
+        nie_word(arr, tc, insertions)
 
 
 def test_unsigned_count_equals_depth(corpus_name):
@@ -252,6 +270,20 @@ def test_letter_parsing():
     assert letter_str((4, -1)) == "-4"
     with pytest.raises(ValueError):
         parse_letter("0")
+
+
+@pytest.mark.parametrize("tok", ["+1", " 1", "1 ", "1_0", "\u0661", "-\u0661", "1\n", "", "-"])
+def test_ids_and_letters_are_ascii_decimals(tok):
+    # int() reads most of these; a face id or letter is -?[0-9]+ alone
+    with pytest.raises(MalformedInput):
+        parse_word({"word": [tok]})
+    with pytest.raises(MalformedInput):
+        parse_word({"word": ["1"], "weights": {tok: "2"}})
+
+
+def test_leading_zeros_still_name_the_face():
+    assert parse_word({"word": ["01", "-001"], "weights": {"01": "2"}}).letters == ((1, 1), (1, -1))
+    assert parse_word({"word": ["1"], "weights": {"01": "2"}}).weights == {1: 2}
 
 
 @pytest.mark.parametrize("doc", [
