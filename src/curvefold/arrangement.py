@@ -812,16 +812,16 @@ def tree_cotree(arr: Arrangement,
     between the same two faces the smallest edge id wins.  ``prefer`` may
     pin the parent edge of individual faces to another edge joining them
     to a face one level shallower (useful to reproduce specific
-    hand-drawn cable systems).  Each face's boundary is walked once for
-    its children.
+    hand-drawn cable systems); a pin it cannot honour raises
+    ``ValueError``.  Each face's boundary is walked once for its children.
     """
     parent = {f.id: f.parent for f in arr.faces[1:]}
     for fid, eid in (prefer or {}).items():
-        if fid not in parent:
-            continue
-        for nb, e in arr.dual[fid]:
-            if e == eid and arr.faces[nb].depth == arr.faces[fid].depth - 1:
-                parent[fid] = (nb, e)
+        nb = next((nb for nb, e in arr.dual[fid] if e == eid), None) if fid in parent else None
+        if nb is None or arr.faces[nb].depth != arr.faces[fid].depth - 1:
+            raise ValueError(f"cannot pin face {fid} to edge {eid}: it is not an edge "
+                             "from a bounded face to a face one level shallower")
+        parent[fid] = (nb, eid)
     parent_face = {f: p[0] for f, p in parent.items()}
     parent_edge = {f: p[1] for f, p in parent.items()}
     cotree = frozenset(parent_edge.values())

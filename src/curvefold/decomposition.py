@@ -14,24 +14,21 @@ Pieces are represented combinatorially as runs of the curve's edges,
 each with the face letters it carries; traversal step t is edge t, so an
 entry names its edge by its step.  Smoothing keeps every edge whole, so
 a piece's rotation number is the turning of its edges' directions: the
-steps inside its runs plus one step where each run meets the next.  The
-search walks vertex sets by their pieces' names, each set's grown from
-its parent's, and judges a piece from its name alone, by tables derived
-once per curve: the rotation is the turning of the piece's vertex's
-loop less that of each vertex nested in it, the letters are slices of the
-whole word's int letter codes, and the winding area of a piece that
-certifies is one int prefix-sum difference on the word's scale.  The
-walk asks the search, one call per vertex set, which of the set's pieces
-fails; once a piece (u, C) fails, the walk drops the sets below it that
-keep it: only a vertex nested in u's run and in none of C's changes the
-piece.  Only the decomposition the search returns is cut into pieces,
-and every piece reads the curve's face weights.  ``Subcurve.rotation``
-(the direction walk), ``Subcurve.area_w`` and ``certify_subcurve`` judge
-one piece on its own; ``sod_oracle`` judges by them the pieces
-``smooth_at`` cuts for every unlinked vertex set, apart from the
-search's judge, on curves of at most ``ORACLE_SET_CAP`` such sets.
-``homotopy_trace`` replays a folding as Blank's induction, one cut along
-an innermost pairing at a time, on the word alone.
+steps inside its runs plus one step where each run meets the next.
+
+The search only chooses a vertex set.  Its walk (``_unlinked_keys``)
+names each set's pieces, and ``_KeyJudge`` judges a piece from its name
+alone, by tables derived once per curve, as the piece's int winding area
+on the word's scale or None.  One function, ``_decompose``, cuts,
+certifies and measures every decomposition the module returns: it
+smooths the whole curve at a vertex set with ``smooth_at``, certifies
+each piece with ``certify_subcurve`` and sums ``Subcurve.area_w``,
+sharing nothing with the judge's tables.  ``min_area_sod`` calls it for
+the one set its search picks; ``sod_oracle`` calls it for every
+unlinked vertex set, apart from the search's judge, on curves of at
+most ``ORACLE_SET_CAP`` such sets.  ``homotopy_trace`` replays a folding
+as Blank's induction, one cut along an innermost pairing at a time, on
+the word alone.
 """
 
 from __future__ import annotations
@@ -40,14 +37,13 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .arrangement import (Arrangement, FaceWeights, PlaneCurve, Vector, check, turn,
                           turning_of_directions)
 from .folding import (CapExceeded, Folding, Pairing, _letter_codes, _positive_linear,
-                      _positive_witness, cancellation_norm, chords_cross, positively_foldable)
+                      cancellation_norm, chords_cross, positively_foldable)
 from .words import CableSystem, CyclicWord, Letter, face_word
 
 
@@ -107,8 +103,10 @@ class Subcurve:
         return out
 
     def area_w(self) -> Fraction:
-        return sum((abs(w) * self.weights[f] for f, w in self.windings().items()),
-                   Fraction(0))
+        """Winding area: one int sum over the weights' scale, made a
+        ``Fraction`` once."""
+        D, scaled = self.weights.scale
+        return Fraction(sum(abs(w) * scaled[f] for f, w in self.windings().items()), D)
 
     def crossings(self) -> list[int]:
         """Vertices both of whose passes belong to this piece."""
@@ -146,10 +144,6 @@ def curve_subcurve(arr: Arrangement, cables) -> Subcurve:
 # a piece of a smoothing: its opening vertex (None for the outer piece)
 # and the smoothed vertices directly nested in it
 PieceKey = tuple[Optional[int], tuple[int, ...]]
-# a certified piece's rotation, the pairs of its positive folding (of its
-# letters, or of their inverse for rotation -1) and its winding area on
-# the word's scale
-Verdict = tuple[int, list[tuple[int, int]], int]
 
 
 def _piece_keys(passes: Mapping[int, Sequence[int]], combo: tuple[int, ...]) -> list[PieceKey]:
@@ -246,8 +240,7 @@ class _KeyJudge:
       direction of entry b_c - 1 to the first of entry a_c; A(None) is
       the curve's rotation.  So the piece (v, C) turns by A(v) less A(c)
       for each c in C, every A(c) one difference of a prefix sum of the
-      curve's turning steps.  ``assemble`` checks each piece it cuts
-      against the direction walk, ``Subcurve.rotation``.
+      curve's turning steps.
     * Letters.  ``starts[t]`` is the index in ``word.letters`` of entry
       t's first letter, and ``codes`` holds one int per letter of the
       word (``folding._letter_codes``: a letter's inverse is its code ^ 1).
@@ -260,14 +253,13 @@ class _KeyJudge:
       has sign s, and its winding area on the word's scale is s times its
       runs' sigma differences.
 
-    No piece is cut to be judged: a verdict holds the rotation, the pairs
-    of the positive folding and the area, and ``assemble`` cuts a
-    certified piece and builds its certificate from its verdict.
+    No piece is cut to be judged, and the judge keeps no piece: a verdict
+    is the piece's area, or None.
     """
 
     def __init__(self, full: Subcurve, word: CyclicWord):
         arr = full.arr
-        self.full, self.word, self.passes = full, word, arr.vertex_passes
+        self.passes, self.length = arr.vertex_passes, len(full.entries)
         dirs: list[Vector] = []
         first: list[int] = []  # per entry, the index of its first direction
         for e in full.entries:
@@ -291,34 +283,22 @@ class _KeyJudge:
         v, nested = key
         return self.loop_turning[v] - sum(self.loop_turning[c] for c in nested)
 
-    def __call__(self, key: PieceKey) -> Optional[Verdict]:
-        """The verdict on the piece named ``key`` if it certifies, else None."""
+    def __call__(self, key: PieceKey) -> Optional[int]:
+        """The winding area, on the word's scale, of the piece named
+        ``key`` if it certifies, else None."""
         rot = self.rotation(key)
         if rot not in (1, -1):
             return None
         starts = self.starts
-        spans = [(starts[a], starts[b])
-                 for a, b in _runs(self.passes, key, len(self.full.entries))]
+        spans = [(starts[a], starts[b]) for a, b in _runs(self.passes, key, self.length)]
         own: list[int] = []
         for x, y in spans:
             own += self.codes[x:y]
         if rot == -1:
             own = [c ^ 1 for c in reversed(own)]
-        pairs = _positive_linear(own)
-        if pairs is None:
+        if _positive_linear(own) is None:
             return None
-        return rot, pairs, rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
-
-    def assemble(self, key: PieceKey, verdict: Verdict) -> tuple[Subcurve, dict]:
-        """The piece named ``key``, cut, and the certificate
-        ``certify_subcurve`` gives it, built from its verdict."""
-        rot, pairs, _ = verdict
-        piece = _piece(self.full, self.passes, key)
-        check(piece.rotation == rot, "decomposition",
-              "piece %s does not turn as its verdict says", key)
-        word = piece.word()
-        witness = _positive_witness(word if rot == 1 else word.inverse(), pairs)
-        return piece, {"rotation": rot, "witness": witness}
+        return rot * sum(self.sigma[y] - self.sigma[x] for x, y in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +309,8 @@ class _KeyJudge:
 class SelfOverlappingDecomposition:
     """Pieces of smoothing at ``vertex_pairs``, each kept with the
     ``certify_subcurve`` certificate (in ``subcurves`` order) that shows
-    it bounds an immersed disk, and their total winding area."""
+    it bounds an immersed disk, and their total winding area.  The
+    library builds one only in ``_decompose``."""
 
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
@@ -339,6 +320,23 @@ class SelfOverlappingDecomposition:
     # piece's arrangement) and its whole-curve face word
     cables: CableSystem = field(compare=False, repr=False)
     word: CyclicWord
+
+
+def _decompose(cables: CableSystem, word: CyclicWord, full: Subcurve,
+               vertices: frozenset[int]) -> Optional[SelfOverlappingDecomposition]:
+    """The decomposition of ``full`` (the whole curve of ``cables``, whose
+    face word is ``word``) by smoothing at ``vertices``: every piece cut
+    by ``smooth_at``, certified by ``certify_subcurve`` and measured by
+    ``Subcurve.area_w``; None if a piece does not certify."""
+    pieces = smooth_at(full, vertices)
+    certificates = []
+    for piece in pieces:
+        ok, certificate = certify_subcurve(piece)
+        if not ok:
+            return None
+        certificates.append(certificate)
+    return SelfOverlappingDecomposition(vertices, tuple(pieces), tuple(certificates),
+                                        sum(piece.area_w() for piece in pieces), cables, word)
 
 
 def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
@@ -428,88 +426,68 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
         level = grown
 
 
-def _decompositions(cables: CableSystem, word: CyclicWord
-                    ) -> Iterator[tuple[int, Callable[[], SelfOverlappingDecomposition]]]:
-    """Every self-overlapping decomposition by smoothing, fewest crossings
-    first, as its winding area on the scale of ``word`` (the face word of
-    ``cables``) and a call that assembles it.
+def _decompositions(full: Subcurve, word: CyclicWord) -> Iterator[tuple[int, frozenset[int]]]:
+    """The winding area, an int on the scale of ``word`` (the word of the
+    whole curve ``full``), and the vertex set of every self-overlapping
+    decomposition by smoothing, in the order of the walk
+    (``_unlinked_keys``).
 
-    The walk (``_unlinked_keys``) names each vertex set's pieces.  Pieces
-    repeat across vertex sets, so each distinct piece is judged once, from
-    its name alone: ``_KeyJudge`` reads its rotation, letters and area off
-    tables derived once per curve, and the search keeps its verdict, or
-    None when it fails.  The walk asks ``first_failing`` about each set:
-    the first of its pieces already known to fail, if any, or else the
-    first that fails as its pieces of unknown verdict are judged in
-    order.  The walk yields only the sets with no failing piece, and
-    none of the descendants that keep a named one: each of them is a set
-    the unpruned walk would reject by a lookup.  So the keys judged and
-    their order are those of the unpruned walk.  A set that decomposes
-    has the int sum of its pieces' areas; only the set a caller assembles
-    is cut into pieces that get their words and witnesses."""
-    judge = _KeyJudge(curve_subcurve(cables.arr, cables), word)
-    D, _ = word.scale
-    verdicts: dict[PieceKey, Optional[Verdict]] = {}
+    Pieces repeat across vertex sets, so each distinct piece is judged
+    once, by ``_KeyJudge``, and its verdict kept.  Asked about a set, the
+    search names the first of its pieces already known to fail, if any,
+    or else the first that fails as its pieces of unknown verdict are
+    judged in order.  Nothing is cut: a caller passes the vertex set it
+    chooses to ``_decompose``."""
+    judge = _KeyJudge(full, word)
+    areas: dict[PieceKey, Optional[int]] = {}
 
     def first_failing(keys: tuple[PieceKey, ...]) -> Optional[PieceKey]:
         for key in keys:
-            if verdicts.get(key, True) is None:
+            if areas.get(key, 0) is None:
                 return key
         for key in keys:
-            if key not in verdicts and verdicts.setdefault(key, judge(key)) is None:
+            if key not in areas and areas.setdefault(key, judge(key)) is None:
                 return key
         return None
 
-    def assemble(keys: tuple[PieceKey, ...], found: list[Verdict],
-                 area: int) -> SelfOverlappingDecomposition:
-        subcurves, certificates = zip(*map(judge.assemble, keys, found))
-        return SelfOverlappingDecomposition(frozenset(v for v, _ in keys[1:]), subcurves,
-                                            certificates, Fraction(area, D), cables, word)
-
-    for keys in _unlinked_keys(cables.arr.vertex_passes, first_failing):
-        found = [verdicts[key] for key in keys]
-        area = sum(piece_area for _, _, piece_area in found)
-        yield area, partial(assemble, keys, found, area)
+    for keys in _unlinked_keys(full.arr.vertex_passes, first_failing):
+        yield sum(areas[key] for key in keys), frozenset(v for v, _ in keys[1:])
 
 
 def min_area_sod(curve: PlaneCurve) -> SelfOverlappingDecomposition:
     """Smallest-area decomposition into immersed-disk boundaries.
 
     The cancellation norm of the face word (area weights) is the provable
-    optimum; the search walks unlinked vertex sets in increasing size, by
-    their pieces' names, and returns the first decomposition achieving
-    it.  Each distinct piece is judged once per search from its name, by
-    its rotation, then by whether its letter codes fold positively, with
-    no direction walk and no per-face area sum.  The walk asks the search
-    which piece of each vertex set fails, and yields neither a set with a
-    failing piece nor any of its descendants that keep that piece.  Only
-    the returned set's pieces are cut; the result keeps their
-    certificates.
+    optimum.  The search (``_decompositions``) picks the first vertex set
+    whose judged area reaches it; ``_decompose`` cuts, certifies and
+    measures that set's pieces, and their certified area must be the
+    norm.
     """
     cables, word = face_word(curve)
+    full = curve_subcurve(cables.arr, cables)
     target, _ = cancellation_norm(word)
     scaled = target * word.scale[0]
-    found = next((assemble for area, assemble in _decompositions(cables, word)
+    found = next((vertices for area, vertices in _decompositions(full, word)
                   if area == scaled), None)
     check(found is not None, "decomposition", "search must reach the cancellation norm")
-    return found()
+    sod = _decompose(cables, word, full, found)
+    check(sod is not None, "decomposition",
+          "a piece of the chosen vertex set %s does not certify", sorted(found))
+    check(sod.area == target, "decomposition",
+          "the certified area %s must equal the cancellation norm %s", sod.area, target)
+    return sod
 
 
 def _smoothed_decompositions(cables: CableSystem, word: CyclicWord
                              ) -> Iterator[SelfOverlappingDecomposition]:
     """Every self-overlapping decomposition by smoothing, in the walk's
-    order: each unlinked vertex set is smoothed with ``smooth_at``, each
-    piece certified with ``certify_subcurve``, and the pieces' areas
-    summed with ``Subcurve.area_w``.  Nothing is judged by name."""
+    order: ``_decompose`` at each unlinked vertex set.  Nothing is judged
+    by name."""
     full = curve_subcurve(cables.arr, cables)
     for keys in _unlinked_keys(cables.arr.vertex_passes):
-        combo = frozenset(v for v, _ in keys[1:])
-        pieces = smooth_at(full, combo)
-        verdicts = [certify_subcurve(piece) for piece in pieces]
-        if all(ok for ok, _ in verdicts):
-            yield SelfOverlappingDecomposition(
-                combo, tuple(pieces), tuple(cert for _, cert in verdicts),
-                sum((piece.area_w() for piece in pieces), Fraction(0)), cables, word)
+        sod = _decompose(cables, word, full, frozenset(v for v, _ in keys[1:]))
+        if sod is not None:
+            yield sod
 
 
 # the most unlinked vertex sets ``sod_oracle`` smooths: above the 3 840 of

@@ -396,16 +396,10 @@ def positively_foldable(word: CyclicWord) -> tuple[bool, Optional[Folding]]:
     pairs = _positive_linear(_letter_codes(word.letters))
     if pairs is None:
         return False, None
-    return True, _positive_witness(word, pairs)
-
-
-def _positive_witness(word: CyclicWord, pairs: Sequence[tuple[int, int]]) -> Folding:
-    """The folding of ``word`` by the pairs ``_positive_linear`` found for
-    its letters, checked to be a positive witness."""
     witness = Folding(word, frozenset(Pairing(a, b) for a, b in pairs))
     check(_positive_witness_ok(word, witness), "folding",
           "a positive witness must pair every negative letter")
-    return witness
+    return True, witness
 
 
 def _positive_witness_ok(word: CyclicWord, folding: Folding) -> bool:

@@ -204,6 +204,19 @@ def test_tree_cotree_partition(corpus_name):
         assert len(path) == f.depth
 
 
+def test_tree_cotree_refuses_a_pin_it_cannot_honour():
+    # on mouse, faces 1 (depth 1) and 3 (depth 2) share edges 1, 3 and 5,
+    # and edge 0 joins face 1 to face 2
+    _, arr, default, _, _ = pipeline("mouse")
+    assert tree_cotree(arr, {3: 1}) == default
+    assert tree_cotree(arr, {3: 3}).parent_edge == {**default.parent_edge, 3: 3}
+    # no face 99, no parent for the unbounded face 0, no edge 999, edge 0
+    # off face 3, and edge 1 towards a deeper face
+    for fid, eid in [(99, 3), (0, 1), (3, 999), (3, 0), (1, 1)]:
+        with pytest.raises(ValueError, match=rf"^cannot pin face {fid} to edge {eid}: "):
+            tree_cotree(arr, {fid: eid})
+
+
 def crossing_sign(arr, vid):
     """+1 if the second pass crosses the first from right to left."""
     (x1, y1), (x2, y2) = (arr.edges[k].directions[0] for k in arr.vertex_passes[vid])

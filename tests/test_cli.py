@@ -396,7 +396,8 @@ def test_oracle_cap_reported(tmp_path, monkeypatch):
     curve, arr = random_generic_polygon(random.Random(7), 17)
     assert len(arr.vertices) == 32
     path.write_text(json.dumps({"points": [[int(x), int(y)] for x, y in curve.points]}))
-    monkeypatch.setattr(decomposition, "smooth_at", lambda *args: pytest.fail("smoothed"))
+    monkeypatch.setattr(decomposition, "_smoothed_decompositions",
+                        lambda *args: pytest.fail("smoothed"))
     res = run("decompose", "--input", str(path), "--oracle")
     assert res.exit_code == 2, res.output
     error = json.loads(res.output)["error"]

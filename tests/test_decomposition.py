@@ -343,10 +343,10 @@ class _Recorder:
         self.cut.clear()
 
 
-def _walked_once(cut: int) -> dict[str, int]:
-    """The one-piece calls of a search that cut ``cut`` pieces: a direction
-    walk per piece, checked against the rotation its verdict holds."""
-    return {"rotation": cut, "turning_of_directions": cut}
+def _certified_once(cut: int) -> dict[str, int]:
+    """The one-piece calls of a search that cut ``cut`` pieces: per piece,
+    one certification, one direction walk within it and one area sum."""
+    return dict.fromkeys(("certify_subcurve", "rotation", "turning_of_directions", "area_w"), cut)
 
 
 def test_min_area_sod_certifies_each_piece_once(monkeypatch):
@@ -365,10 +365,12 @@ def test_min_area_sod_certifies_each_piece_once(monkeypatch):
         assert calls.cut == list(sod.subcurves), curve
         results.append((curve, list(calls.cut)))
     # the walk names every set's pieces, and pieces are judged from their
-    # names, not by certifying a cut piece; only each cut piece's rotation
-    # is walked, once
+    # names, not by certifying a cut piece; each search smooths once, at the
+    # set it picks, and certifies and measures each of its pieces once
     cut = sum(len(pieces) for _, pieces in results)
-    assert (calls.smoothings, calls.named, calls.one_piece) == (0, 0, _walked_once(cut))
+    searches = len(curves)
+    assert (calls.smoothings, calls.named) == (searches, searches)
+    assert calls.one_piece == _certified_once(cut)
     monkeypatch.undo()
     for curve, cut in results:
         assert all(certify_subcurve(piece)[0] for piece in cut), curve
@@ -383,13 +385,12 @@ def test_min_area_sod_skips_vertex_sets_with_a_failing_piece(monkeypatch):
     subsets = 1 + next(k for k, keys in enumerate(_unlinked_keys(arr.vertex_passes))
                        if tuple(v for v, _ in keys[1:]) == answer)
     assert (len(arr.vertices), len(answer), subsets) == (25, 9, 3840)
-    # pieces are judged from their names, so no vertex set is smoothed
-    # whole or named again; each of the 514 distinct pieces is judged
-    # once, and only the answer's 10 pieces are cut, and their rotations
-    # walked
+    # pieces are judged from their names, so only the answer is smoothed
+    # whole and named again; each of the 514 distinct pieces is judged
+    # once, and only the answer's 10 pieces are cut and certified
     judged = len({key for key, _ in calls.keys})
-    assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (0, 514, 514, 10)
-    assert (calls.named, calls.one_piece) == (0, _walked_once(10))
+    assert (calls.smoothings, judged, len(calls.keys), len(calls.cut)) == (1, 514, 514, 10)
+    assert (calls.named, calls.one_piece) == (1, _certified_once(10))
     # the walk asks about none of the sets below a failing piece that keep
     # it: 1 550 of the 3 840 sets up to the answer
     assert calls.walked == 1550
@@ -415,10 +416,10 @@ def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
     sod = min_area_sod(curve)
     # each of the 17 pieces that certify is measured by its prefix sums,
     # with no cut, no direction walk and no per-face area sum; only the
-    # answer's pieces are cut, and only their rotations walked
+    # answer's pieces are cut, certified and measured
     assert sum(ok for _, ok in calls.keys) == 17
     assert len(calls.cut) == len(sod.subcurves) == 6
-    assert calls.one_piece == _walked_once(6)
+    assert calls.one_piece == _certified_once(6)
     monkeypatch.undo()
     # each piece's area is its positive witness's unpaired weight
     areas = [sc.area_w() for sc in sod.subcurves]
@@ -428,11 +429,28 @@ def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
 
 def test_min_area_sod_checks_each_cut_piece_against_the_direction_walk(monkeypatch):
     # a direction walk that disagrees with the judge's turning table is
-    # caught when the answer's pieces are cut, under python -O as well
+    # caught when the answer's pieces are cut and certified, under python
+    # -O as well
     monkeypatch.setattr(Subcurve, "rotation", property(lambda self: 0))
     with pytest.raises(arrangement.InvariantViolation,
-                       match=r"^decomposition: piece .* does not turn as its verdict says"):
+                       match=r"^decomposition: a piece of the chosen vertex set \[0\] "
+                             r"does not certify$"):
         min_area_sod(load_curve("trefoil"))
+
+
+def test_min_area_sod_checks_the_certified_area_against_the_norm(monkeypatch):
+    # a judge whose areas are doubled, with the norm doubled to match, picks
+    # the true judge's set; its certified pieces weigh half the doubled norm
+    judge, norm = decomposition._KeyJudge.__call__, decomposition.cancellation_norm
+    monkeypatch.setattr(decomposition._KeyJudge, "__call__",
+                        lambda self, key: None if (area := judge(self, key)) is None
+                        else 2 * area)
+    monkeypatch.setattr(decomposition, "cancellation_norm",
+                        lambda word: (2 * norm(word)[0], norm(word)[1]))
+    with pytest.raises(arrangement.InvariantViolation) as caught:
+        min_area_sod(load_curve("mouse"))
+    assert (caught.value.stage, caught.value.detail) == (
+        "decomposition", "the certified area 765/2 must equal the cancellation norm 765")
 
 
 def test_sod_to_folding_round_trip(corpus_name):
@@ -498,7 +516,7 @@ def test_sod_to_folding_rejects_a_piece_that_does_not_certify():
 def test_sod_to_folding_rejects_another_decompositions_certificates():
     # every single smoothing of the trefoil decomposes it into two pieces
     curve, _, _, cables, word = pipeline("trefoil")
-    found = (assemble() for _, assemble in decomposition._decompositions(cables, word))
+    found = decomposition._smoothed_decompositions(cables, word)
     singles = [sod for sod in found if len(sod.vertex_pairs) == 1]
     assert len(singles) == 3
     for sod, other in itertools.permutations(singles, 2):

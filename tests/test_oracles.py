@@ -71,12 +71,12 @@ encloses it.  Pieces, their order and the ``LinkedVertices`` verdicts
 must be identical.
 
 The decomposition search judges each distinct piece once from its key,
-cuts only the pieces that certify, keeps each with its certificate, and
-skips a vertex set that holds a piece already known to fail.  Its oracle
-is the library's own ``_smoothed_decompositions``, the path of
-``sod_oracle``: it smooths every unlinked vertex set and certifies every
-piece.  The decompositions, their order, pieces, certificates and areas
-must be identical.  The walk drops the sets below a failing piece that
+yields the vertex set and area of each decomposition, and skips a vertex
+set that holds a piece already known to fail.  Its oracle is the
+library's own ``_smoothed_decompositions``, the path of ``sod_oracle``:
+it smooths every unlinked vertex set and certifies and measures every
+piece.  The vertex sets, their order and their areas must be
+identical.  The walk drops the sets below a failing piece that
 keep it; its oracle is the unpruned walk, which skips each set holding a
 key known to fail.  The keys judged, their order and the decompositions
 found must be identical, on the corpus, the random polygons and ten
@@ -92,8 +92,8 @@ reads the winding area of a piece that certifies as a prefix-sum
 difference on the word's scale.  On every piece of the smoothings above
 and of the smoothings at up to three crossings of those ten curves, the
 rotation must be the walk over the cut piece's geometry, and the
-verdict, certificate (witness included) and area those of
-``certify_subcurve`` and ``Subcurve.area_w`` on the cut piece.
+verdict and area those of ``certify_subcurve`` and ``Subcurve.area_w``
+on the cut piece.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
@@ -1076,11 +1076,17 @@ def test_cotree_children_match_the_boundary_walk():
     arrangements = [pipeline(name)[1] for name in CORPUS]
     arrangements += [random_generic_polygon(random.Random(seed), corners)[1]
                      for seed, corners in RANDOM_POLYGONS]
-    pinned = children = 0
+    pinned = refused = children = bounded = 0
     for arr in arrangements:
         default = tree_cotree(arr)
         for prefer in (None, {3: 3}, {3: 1}):
-            tc = tree_cotree(arr, prefer=prefer)
+            try:
+                tc = tree_cotree(arr, prefer=prefer)
+            except ValueError:
+                # face 3 is missing, or the edge does not join it to a
+                # face one level shallower
+                refused += 1
+                continue
             pinned += tc.parent_edge != default.parent_edge
             assert len(tc.children) == len(arr.faces)
             for f in arr.faces:
@@ -1088,10 +1094,11 @@ def test_cotree_children_match_the_boundary_walk():
                 assert sorted(tc.children[f.id]) == sorted(
                     tc.parent_edge[g] for g, p in tc.parent_face.items() if p == f.id)
                 children += len(tc.children[f.id])
+            bounded += len(arr.faces) - 1
     assert len(arrangements) == 9 + 24
-    # every bounded face is the child of one face, under each cotree
-    assert children == 3 * sum(len(arr.faces) - 1 for arr in arrangements)
-    assert pinned >= 2, pinned
+    # every bounded face is the child of one face, under each cotree built
+    assert children == bounded
+    assert (refused, pinned) == (41, 9), (refused, pinned)
 
 
 def _walk(passes, largest=None):
@@ -1159,11 +1166,12 @@ def _judged_pieces():
             for combo, keys in _walk(arr.vertex_passes, 3):
                 yield full, combo, keys
 
+    # each judge is kept with its whole curve, so that no id is reused
     judges = {}
     for full, _, keys in smoothings():
         if id(full) not in judges:
-            judges[id(full)] = (_KeyJudge(full, full.word()), set())
-        judge, seen = judges[id(full)]
+            judges[id(full)] = (full, _KeyJudge(full, full.word()), set())
+        _, judge, seen = judges[id(full)]
         for key in keys:
             if key not in seen:
                 seen.add(key)
@@ -1197,15 +1205,13 @@ def test_code_kernel_matches_the_letter_kernel_on_judged_pieces():
     assert sum(verdicts.values()) == 2 * 8054 and all(verdicts.values()), verdicts
 
 
-def test_assembled_pieces_match_the_certification_of_the_cut_piece():
+def test_judged_areas_match_the_area_of_the_cut_piece():
     certified = 0
     for judge, key, piece in _judged_pieces():
-        verdict = judge(key)
-        if verdict is None:
+        area = judge(key)
+        if area is None:
             continue
-        # the witness and its word are compared with the certificate's
-        assert judge.assemble(key, verdict) == (piece, certify_subcurve(piece)[1]), key
-        assert Fraction(verdict[2], judge.word.scale[0]) == piece.area_w(), key
+        assert Fraction(area, piece.weights.scale[0]) == piece.area_w(), key
         certified += 1
     assert certified == 1166, certified
 
@@ -1298,13 +1304,11 @@ def _cable_systems():
 def test_decomposition_search_matches_the_exhaustive_oracle():
     found = 0
     for label, cables, word in _cable_systems():
-        got = [assemble() for _, assemble in _decompositions(cables, word)]
-        want = list(_smoothed_decompositions(cables, word))
-        assert len(got) == len(want), label
-        for a, b in zip(got, want):
-            assert a.vertex_pairs == b.vertex_pairs, label
-            assert (a.subcurves, a.certificates, a.area) == \
-                (b.subcurves, b.certificates, b.area), (label, a.vertex_pairs)
+        D, _ = word.scale
+        full = curve_subcurve(cables.arr, cables)
+        got = [(vertices, Fraction(area, D)) for area, vertices in _decompositions(full, word)]
+        want = [(sod.vertex_pairs, sod.area) for sod in _smoothed_decompositions(cables, word)]
+        assert got == want, label
         found += len(got)
     assert found > 300, found
 
@@ -1327,7 +1331,7 @@ def search_oracle(cables, word, judged):
                 if verdicts[key] is None:
                     break
         else:
-            yield sum(verdicts[key][2] for key in keys), frozenset(v for v, _ in keys[1:])
+            yield sum(verdicts[key] for key in keys), frozenset(v for v, _ in keys[1:])
 
 
 def _up_to(target, decompositions):
@@ -1358,8 +1362,7 @@ def test_pruned_search_judges_and_yields_as_the_unpruned_walk(monkeypatch):
     found = keys = 0
     for (label, cables, word, target), (want, judged) in zip(cases, wanted):
         searched.clear()
-        got = _up_to(target, ((area, assemble().vertex_pairs)
-                              for area, assemble in _decompositions(cables, word)))
+        got = _up_to(target, _decompositions(curve_subcurve(cables.arr, cables), word))
         assert got == want, label
         assert searched == judged, label
         assert target is None or got[-1][0] == target, label

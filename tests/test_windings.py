@@ -150,18 +150,21 @@ def _check_against_oracles(arr: Arrangement) -> None:
         assert arr.dual[face.id] == _scan_dual_neighbors(arr, face.id), face.id
     level, _ = _bfs_cotree(arr, {})
     assert {face.id: face.depth for face in arr.faces} == level
-    # pin each face to its last edge toward a shallower face, or name its last
-    # edge toward a face no shallower, which the cotree must ignore
+    # pin each face to its last edge toward a shallower face; its last edge
+    # toward a face no shallower is refused
     shallower, other = {}, {}
     for face in arr.faces[1:]:
         for nb, eid in _scan_dual_neighbors(arr, face.id):
             pins = shallower if level[nb] == level[face.id] - 1 else other
             pins[face.id] = eid
-    for pins in ({}, shallower, other):
+    for pins in ({}, shallower):
         _, parent = _bfs_cotree(arr, pins)
         tc = tree_cotree(arr, pins)
         assert tc.parent_face == {f: p[0] for f, p in parent.items()}
         assert tc.parent_edge == {f: p[1] for f, p in parent.items()}
+    for fid, eid in other.items():
+        with pytest.raises(ValueError, match=rf"^cannot pin face {fid} to edge {eid}: "):
+            tree_cotree(arr, {fid: eid})
 
 
 @pytest.mark.parametrize("name", CORPUS)
