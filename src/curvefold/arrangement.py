@@ -43,11 +43,22 @@ tolerances anywhere:
   to its left face's boundary cycle and subtracted from its right face's
   as an unreduced int numerator and denominator.
 
-A ``Fraction`` is made only where a value leaves the construction: once
-per crossing for ``Vertex.point``, once per face for ``Face.signed_area``,
-and in the message of a ``NonGenericCurve``.  The face weights are a
-``FaceWeights`` mapping, which derives its integer scale on first use and
-keeps it for ``face_measures`` and for every word over the same weights.
+A build makes a ``Fraction`` only where a value leaves the construction:
+once per face for ``Face.signed_area``, once for the unit weight, and in
+the message of a ``NonGenericCurve``.  A vertex keeps its crossing as
+the int triple; ``Vertex.point`` is derived from it on first read and
+kept, and ``Arrangement.dart_geometry`` derives an edge's polyline on
+demand from its end vertices' points and the curve's corners.  The face
+weights are a ``FaceWeights`` mapping, which derives its integer scale
+on first use and keeps it for ``face_measures`` and for every word over
+the same weights.
+
+Each derived form is made once.  A curve derives its integer form
+(``PlaneCurve.integer_form``) on first use and keeps it for the build and
+for ``rotation_number``; ``build_arrangement`` returns the arrangement
+already built from the same curve object while anything still holds it,
+so a caller that holds one shares it with every function it passes the
+curve to.
 """
 
 from __future__ import annotations
@@ -55,8 +66,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -271,6 +285,20 @@ class PlaneCurve:
             if points[i] == points[(i + 1) % n]:
                 raise DegenerateCurve(f"repeated consecutive point at index {i}")
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[Vector, ...], tuple[Vector, ...]]:
+        """(D, corners, directions): the corners times D, the least common
+        denominator of their coordinates, and segment i's direction
+        corners[i + 1] - corners[i]; derived on first use and kept.
+        Scaling by D > 0 keeps every sign."""
+        D = common_denominator(q for p in self.points for q in p)
+        corners = tuple((x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
+                        for x, y in self.points)
+        n = len(corners)
+        dirs = tuple((corners[(i + 1) % n][0] - x, corners[(i + 1) % n][1] - y)
+                     for i, (x, y) in enumerate(corners))
+        return D, corners, dirs
+
 
 def parse_curve(doc) -> PlaneCurve:
     """Parse a curve document: a JSON string/bytes or an already-loaded dict.
@@ -359,7 +387,9 @@ class Edge:
     id: int
     v_from: Optional[int]  # None only for the crossing-free loop
     v_to: Optional[int]
-    geometry: tuple[Point, ...]  # oriented along the traversal
+    # the curve's corners it passes, in traversal order (for the loop, every
+    # corner and the first again); ``Arrangement.dart_geometry`` reads them
+    corners: tuple[int, ...]
     directions: tuple[Vector, ...]  # of the segment under each straight piece
     left_face: int = -1
     right_face: int = -1
@@ -368,9 +398,16 @@ class Edge:
 @dataclass
 class Vertex:
     id: int
-    point: Point
+    # (X, Y, Q), Q > 0: the crossing point (X / Q, Y / Q)
+    crossing: tuple[int, int, int]
     # outgoing dart ids in ccw order, from the first pass's outgoing dart
     darts_ccw: tuple[int, ...] = ()
+
+    @cached_property
+    def point(self) -> Point:
+        """The crossing in the curve's coordinates, made on first read and kept."""
+        X, Y, Q = self.crossing
+        return Fraction(X, Q), Fraction(Y, Q)
 
 
 @dataclass
@@ -408,8 +445,14 @@ class Arrangement:
         return e.v_to if d & 1 else e.v_from
 
     def dart_geometry(self, d: int) -> tuple[Point, ...]:
-        g = self.edges[d >> 1].geometry
-        return tuple(reversed(g)) if d & 1 else g
+        """The polyline of dart d: its edge's end crossings and the corners
+        between them, walked backwards for an odd dart."""
+        e = self.edges[d >> 1]
+        pts = self.curve.points
+        g = tuple(pts[c] for c in e.corners)
+        if e.v_from is not None:
+            g = (self.vertices[e.v_from].point, *g, self.vertices[e.v_to].point)
+        return g[::-1] if d & 1 else g
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +469,8 @@ def common_denominator(fractions: Iterable[Fraction]) -> int:
     dens = list({q.denominator for q in fractions})
     while len(dens) > 1:
         odd = dens[-1:] if len(dens) % 2 else []
-        # lcm(a, b) = a (b / gcd(a, b)), and b / gcd(a, b) is the reduced
-        # denominator of a / b
-        dens = [a * Fraction(a, b).denominator for a, b in zip(dens[::2], dens[1::2])] + odd
+        dens = [a // gcd(a, b) * b for a, b in zip(dens[::2], dens[1::2])] + odd
     return dens[0] if dens else 1
-
-
-def _integer_segments(points: Sequence[Point]) -> tuple[int, list[Vector], list[Vector]]:
-    """(D, corners, directions): the corners times D, the least common
-    denominator of their coordinates, and segment i's direction
-    corners[i + 1] - corners[i].  Scaling by D > 0 keeps every sign."""
-    D = common_denominator(q for p in points for q in p)
-    corners = [(x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
-               for x, y in points]
-    n = len(corners)
-    dirs = [(corners[(i + 1) % n][0] - x, corners[(i + 1) % n][1] - y)
-            for i, (x, y) in enumerate(corners)]
-    return D, corners, dirs
 
 
 # a crossing point (X, Y, q), q > 0, stands for (X / (q D), Y / (q D))
@@ -462,7 +490,7 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
                            ) -> list[list[Hit]]:
     """Per segment index, its crossings sorted by parameter.
 
-    Segment i runs from corners[i] along dirs[i] (``_integer_segments``).
+    Segment i runs from corners[i] along dirs[i] (``PlaneCurve.integer_form``).
     A pair is judged by the signs of four integer cross products; the two
     parameters' order keys and the scaled point are computed only where
     the segments meet, and both segments' hits share the pair and the
@@ -537,15 +565,37 @@ def _segment_intersections(D: int, corners: Sequence[Vector], dirs: Sequence[Vec
 # arrangement construction
 
 
+# the arrangement built from each curve object, by id(curve), while
+# anything holds it; a live arrangement holds its curve, so the id is not
+# reused meanwhile, and nothing on the curve points back
+_live: weakref.WeakValueDictionary[int, Arrangement] = weakref.WeakValueDictionary()
+
+
 def build_arrangement(curve: PlaneCurve) -> Arrangement:
-    D, corners, dirs = _integer_segments(curve.points)
+    """The arrangement of ``curve``: one per live curve object.
+
+    While anything holds the arrangement built from this very curve
+    object, it is returned again, so the functions a caller passes the
+    curve to share the caller's arrangement; otherwise a new one is built.
+    An equal but distinct curve builds its own.  The arrangement is
+    shared, so callers must not change it.
+    """
+    arr = _live.get(id(curve))
+    if arr is None or arr.curve is not curve:
+        arr = _live[id(curve)] = _build_arrangement(curve)
+    return arr
+
+
+def _build_arrangement(curve: PlaneCurve) -> Arrangement:
+    D, corners, dirs = curve.integer_form
     hits = _segment_intersections(D, corners, dirs)
     # Flatten the crossings into traversal order: (segment, pair, point).
     visits = [(i, pair, P) for i, h in enumerate(hits) for _, pair, P in h]
     arr = _crossing_arrangement(curve, D, corners, dirs, visits)
     bounded = arr.faces[1:]
     if curve.weights is UNIT_WEIGHTS:
-        arr.face_weights = FaceWeights({f.id: Fraction(1) for f in bounded})
+        one = Fraction(1)
+        arr.face_weights = FaceWeights({f.id: one for f in bounded})
         return arr
     named = curve.weights or {}
     unknown = sorted(set(named) - set(range(1, len(arr.faces))))
@@ -558,8 +608,7 @@ def build_arrangement(curve: PlaneCurve) -> Arrangement:
 def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
                           dirs: Sequence[Vector],
                           visits: Sequence[tuple[int, tuple[int, int], Scaled]]) -> Arrangement:
-    pts = curve.points
-    n = len(pts)
+    n = len(corners)
     m = len(visits)
     # cross(corner s, corner s + 1): the shoelace term of segment s
     spans = [_cross(corners[s], corners[(s + 1) % n]) for s in range(n)]
@@ -572,21 +621,22 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
     passes: list[list[int]] = [[] for _ in vid_of]
     for k, v in enumerate(vids):
         passes[v].append(k)
-    vertices = [Vertex(id=v, point=_point(visits[a][2], D)) for v, (a, _) in enumerate(passes)]
+    vertices = [Vertex(id=v, crossing=(X, Y, q * D))
+                for v, (X, Y, q) in enumerate(visits[a][2] for a, _ in passes)]
 
-    # Edges: arcs between consecutive crossings, carrying the corner points;
+    # Edges: arcs between consecutive crossings, passing the corners between;
     # a crossing-free curve is one closed edge.  Each edge's signed area
     # about the origin is one integer shoelace sum over the scaled points:
     # q1 q2 D^2 times twice the area, for crossings P1 and P2 at its ends,
     # kept as (sum, q1 q2) over the common 2 D^2.
-    edges = [] if m else [Edge(id=0, v_from=None, v_to=None, geometry=(*pts, pts[0]),
-                               directions=tuple(dirs))]
+    edges = [] if m else [Edge(id=0, v_from=None, v_to=None, corners=(*range(n), 0),
+                               directions=dirs)]
     edge_areas = [] if m else [(sum(spans), 1)]
     for k in range(m):
         si, _, (x1, y1, q1) = visits[k]
         sj, _, (x2, y2, q2) = visits[(k + 1) % m]
         # the segments after si up to sj, cyclically; each starts at a corner
-        passed = [s % n for s in range(si + 1, si + 1 + (sj - si) % n)]
+        passed = tuple(s % n for s in range(si + 1, si + 1 + (sj - si) % n))
         if passed:
             (ax, ay), (bx, by) = corners[passed[0]], corners[passed[-1]]
             num = ((x1 * ay - y1 * ax) * q2 + (bx * y2 - by * x2) * q1
@@ -594,9 +644,7 @@ def _crossing_arrangement(curve: PlaneCurve, D: int, corners: Sequence[Vector],
         else:
             num = x1 * y2 - y1 * x2
         edge_areas.append((num, q1 * q2))
-        edges.append(Edge(id=k, v_from=vids[k], v_to=vids[(k + 1) % m],
-                          geometry=(vertices[vids[k]].point, *(pts[s] for s in passed),
-                                    vertices[vids[(k + 1) % m]].point),
+        edges.append(Edge(id=k, v_from=vids[k], v_to=vids[(k + 1) % m], corners=passed,
                           directions=(dirs[si], *(dirs[s] for s in passed))))
 
     # Rotation system.  Dart 2e walks edge e forwards and its twin 2e + 1
@@ -746,7 +794,7 @@ def face_measures(arr: Arrangement) -> dict:
 
 def rotation_number(curve: PlaneCurve) -> int:
     """Total turning of the tangent, in full turns, counted exactly."""
-    return turning_of_directions(_integer_segments(curve.points)[2])
+    return turning_of_directions(curve.integer_form[2])
 
 
 def turn(u: Vector, v: Vector) -> Optional[int]:

@@ -318,7 +318,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
         for fid in cables.ordering:
             path = [_face_anchor(arr, fid, eps)]
             for eid in cables.cables[fid]:
-                g = arr.edges[eid].geometry
+                g = arr.dart_geometry(2 * eid)
                 mid = len(g) // 2
                 a, b = (g[mid - 1], g[mid]) if len(g) > 2 else (g[0], g[-1])
                 path.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
@@ -331,7 +331,7 @@ def render_svg(arr: Arrangement, *, cables=None, pieces=None) -> str:
         for idx, piece in enumerate(pieces):
             color = _PALETTE[idx % len(_PALETTE)]
             for entry in piece.entries:
-                g = arr.edges[entry.dart].geometry
+                g = arr.dart_geometry(2 * entry.dart)
                 out.append(f'<polyline points="{_poly_points(g, flip)}" '
                            f'fill="none" stroke="{color}" '
                            'stroke-width="0.6" opacity="0.55"/>')

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvefold import arrangement
 from curvefold.arrangement import CurveError, PlaneCurve, build_arrangement, parse_curve
 from curvefold.words import face_word
 
@@ -97,6 +98,22 @@ def face_counts(word, f: int) -> tuple[int, int]:
     """(signed, unsigned) occurrence counts of face f in the word."""
     signs = [s for g, s in word.letters if g == f]
     return sum(signs), len(signs)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The curves an arrangement is constructed from.  ``build_arrangement``
+    returns the live arrangement of a curve it has built, so constructions
+    are counted at the private builder, not calls."""
+    made = []
+    construct = arrangement._build_arrangement
+
+    def counted(curve):
+        made.append(curve)
+        return construct(curve)
+
+    monkeypatch.setattr(arrangement, "_build_arrangement", counted)
+    return made
 
 
 @pytest.fixture(params=CORPUS)

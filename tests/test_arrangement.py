@@ -1,15 +1,21 @@
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import (CORPUS, CURVES_DIR, RANDOM_POLYGONS, load_curve, pipeline,
                       random_generic_polygon)
+from curvefold import arrangement
 from curvefold.arrangement import (UNIT_WEIGHTS, DegenerateCurve, MalformedInput,
                                    NonGenericCurve, PlaneCurve, build_arrangement, face_measures,
                                    fraction_str, int_str, parse_curve, rotation_number,
                                    to_fraction, tree_cotree, turning_of_directions)
-from curvefold.words import parse_word
+from curvefold.decomposition import min_area_sod
+from curvefold.folding import is_self_overlapping
+from curvefold.words import face_word, parse_word
 
 # frozen per-curve facts: rotation, vertex count, {face: (area, winding, depth)}
 EXPECTED = {
@@ -91,8 +97,9 @@ def test_euler_formula(corpus_name):
 def test_build_hashes_no_fraction_and_sums_each_edge_into_two_faces(monkeypatch):
     """Crossings are keyed by segment pair and faces traced over integer
     dart ids; each edge's area enters its left and its right face once."""
-    # the 100-gon the bench draws as draw_curve(random.Random("x-100"), 100)
-    curve, _ = random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)
+    # the 100-gon the bench draws as draw_curve(random.Random("x-100"), 100);
+    # its first arrangement is dropped, so the build below constructs anew
+    curve = random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)[0]
     calls = {"hash": 0, "add": 0}
 
     def count(name, kind):
@@ -135,6 +142,68 @@ def test_build_and_measures_add_and_order_no_fraction(monkeypatch):
     for arr, got in measures:
         assert len(arr.vertices) > 2
         assert got["area_w"] == sum(abs(f.winding) * arr.face_weights[f.id] for f in arr.faces[1:])
+
+
+def test_a_build_makes_no_fraction_per_crossing(monkeypatch):
+    """A vertex keeps its crossing as ints: a build makes a ``Fraction`` per
+    face area and per unit weight only, and each vertex's point is made on
+    its first read and kept."""
+    seed, corners = RANDOM_POLYGONS[7]
+    points = random_generic_polygon(random.Random(seed), corners)[0].points
+    curves = [PlaneCurve(points), PlaneCurve(points, UNIT_WEIGHTS)]
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(arrangement, "Fraction", Counted)
+    for curve in curves:
+        made.clear()
+        arr = build_arrangement(curve)
+        V, F = len(arr.vertices), len(arr.faces)
+        unit_weights = F - 1 if curve.weights is UNIT_WEIGHTS else 0
+        assert V > 0 and len(made) <= F + unit_weights, (V, F, len(made))
+        made.clear()
+        first = [v.point for v in arr.vertices]
+        assert [v.point for v in arr.vertices] == first and len(made) == 2 * V
+
+
+def test_a_held_curve_is_built_once(builds):
+    """The functions a caller passes its curve to share the arrangement the
+    caller holds: hook has rotation 1, so each of them needs the word."""
+    c = load_curve("hook")
+    arr = build_arrangement(c)
+    is_self_overlapping(c)
+    face_word(c)
+    min_area_sod(c)
+    assert rotation_number(c) == 1 and len(builds) == 1
+    assert face_word(c)[0].arr is arr and len(builds) == 1
+
+
+def test_the_live_arrangement_is_held_by_its_holders_only(builds):
+    """The link from a curve to its arrangement is weak: the arrangement
+    dies with its last holder (no reference cycle keeps it, so this holds
+    with the collector off), the curve still pickles, an equal but distinct
+    curve builds its own, and the next build after the last holder is
+    gone constructs anew."""
+    curve = load_curve("hook")
+    gc.disable()
+    try:
+        arr = build_arrangement(curve)
+        alive = weakref.ref(arr)
+        twin = load_curve("hook")
+        assert twin == curve and build_arrangement(twin) is not arr
+        assert build_arrangement(curve) is arr and builds == [curve, twin]
+        copy = pickle.loads(pickle.dumps(curve))
+        assert copy == curve and copy is not curve
+        del arr
+        assert alive() is None
+        again = build_arrangement(curve)
+        assert builds == [curve, twin, curve] and again.curve is curve
+    finally:
+        gc.enable()
 
 
 def test_traversal_covers_each_edge_once(corpus_name):

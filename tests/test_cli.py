@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CURVES_DIR, load_curve, random_generic_polygon
-from curvefold import arrangement, cli, decomposition, folding, transforms, words
-from curvefold.arrangement import PlaneCurve, build_arrangement
+from curvefold import cli, decomposition, folding
+from curvefold.arrangement import PlaneCurve
 from curvefold.cli import _svg_num, main, render_svg
 from curvefold.decomposition import ORACLE_SET_CAP, _KeyJudge, min_area_sod, sod_oracle
 from curvefold.folding import is_self_overlapping
@@ -319,22 +319,6 @@ def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
     assert json.loads(res.output)["error"]["code"] == "NonGenericCurve"
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """The curves passed to ``build_arrangement``, through every module
-    that binds it."""
-    calls = []
-
-    def counted(curve):
-        calls.append(curve)
-        return build_arrangement(curve)
-
-    for mod in (arrangement, words, folding, transforms, decomposition, cli):
-        if getattr(mod, "build_arrangement", None) is build_arrangement:
-            monkeypatch.setattr(mod, "build_arrangement", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["bowtie", "hook", "square"])
 def test_selfoverlap_builds_the_arrangement_once(builds, name):
     res = run("selfoverlap", "--input", curve_path(name))
@@ -477,7 +461,7 @@ def test_svg_points_are_formatted_without_fraction_arithmetic(monkeypatch):
     # every polyline of the 100-gon the bench draws as
     # draw_curve(random.Random("x-100"), 100), flipped about a p/q line
     _, arr = random_generic_polygon(random.Random("x-100"), 100, span=10 ** 6)
-    geoms = [arr.curve.points] + [e.geometry for e in arr.edges]
+    geoms = [arr.curve.points] + [arr.dart_geometry(d) for d in arr.traversal]
     flip = Fraction(-10 ** 7, 3)
     want = [" ".join(f"{_svg_num(x)},{_svg_num(flip - y)}" for x, y in g) for g in geoms]
     ops = []

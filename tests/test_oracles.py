@@ -120,7 +120,7 @@ from blank_cuts import cut_along_folding, cut_at, stack_decompose
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipeline,
                       random_generic_polygon)
 from curvefold.arrangement import (Arrangement, DegenerateCurve, Edge, Face,
-                                   NonGenericCurve, PlaneCurve, _cross, _integer_segments,
+                                   NonGenericCurve, PlaneCurve, Point, _cross,
                                    _segment_intersections, build_arrangement, common_denominator,
                                    face_measures, point_str, tree_cotree, turning_of_directions)
 from curvefold.decomposition import (ContractStep, CutStep, LinkedVertices, Subcurve,
@@ -818,14 +818,38 @@ def boundary_children_oracle(arr, tc, fid: int) -> list[int]:
             if d >> 1 in tc.cotree and d >> 1 != parent_eid]
 
 
+def edge_geometry_oracle(curve: PlaneCurve) -> list[tuple[Point, ...]]:
+    """Edge t's polyline, for each traversal step t: the curve cut at the
+    crossings of ``segment_intersections_oracle``, in ``Fraction``s, from
+    the first crossing along the traversal (the whole closed curve when
+    there is none)."""
+    pts = curve.points
+    hits = segment_intersections_oracle(curve)
+    stops = []
+    for i, corner in enumerate(pts):
+        stops.append((corner, False))
+        stops += [(p, True) for p in hits[i]]
+    if not any(crossing for _, crossing in stops):
+        return [(*pts, pts[0])]
+    k = next(k for k, (_, crossing) in enumerate(stops) if crossing)
+    stops = stops[k:] + stops[:k + 1]
+    edges, polyline = [], [stops[0][0]]
+    for p, crossing in stops[1:]:
+        polyline.append(p)
+        if crossing:
+            edges.append(tuple(polyline))
+            polyline = [p]
+    return edges
+
+
 def simple_loop_oracle(curve: PlaneCurve) -> Arrangement:
     """Crossing-free curve: one closed edge, a bounded and an unbounded face."""
     pts = curve.points
     geom = tuple(pts) + (pts[0],)
     area2 = _shoelace2(geom)
     ccw = area2 > 0
-    edge = Edge(id=0, v_from=None, v_to=None, geometry=geom,
-                directions=tuple(_integer_segments(pts)[2]))
+    edge = Edge(id=0, v_from=None, v_to=None, corners=(*range(len(pts)), 0),
+                directions=curve.integer_form[2])
     forward, backward = 0, 1  # the dart ids of edge 0
     inner = Face(id=1, boundary=(forward if ccw else backward,),
                  signed_area=abs(area2) / 2, unbounded=False,
@@ -905,7 +929,7 @@ def _finder_hits(curve):
     """``_segment_intersections`` in the oracle's shape: segment index ->
     its crossing points in order, in the curve's coordinates.  The order
     keys must strictly increase."""
-    D, corners, dirs = _integer_segments(curve.points)
+    D, corners, dirs = curve.integer_form
     found = {}
     for i, h in enumerate(_segment_intersections(D, corners, dirs)):
         keys = [key for key, _, _ in h]
@@ -954,7 +978,7 @@ def test_order_keys_separate_parameters_closer_than_one_over_the_bound(scale):
     scale by D = 7 and the parameters are the same."""
     pts = [(0, 0), (1000, 0), (500, -1), (499, 998), (-498, 997), (501, -1)]
     curve = PlaneCurve(tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
-    D, corners, dirs = _integer_segments(curve.points)
+    D, corners, dirs = curve.integer_form
     assert D == scale
     hits = _segment_intersections(D, corners, dirs)
     assert [pair for _, pair, _ in hits[0]] == [(0, 4), (0, 2)]
@@ -989,7 +1013,7 @@ def _oracle_arrangements():
 def test_rotation_system_and_face_areas_match_the_angular_sort_and_the_walk():
     arrangements = crossings = faces = scaled = 0
     for arr in _oracle_arrangements():
-        scaled += _integer_segments(arr.curve.points)[0] > 1
+        scaled += arr.curve.integer_form[0] > 1
         assert _finder_hits(arr.curve) == segment_intersections_oracle(arr.curve)
         for v, expected in rotation_system_oracle(arr).items():
             darts = list(arr.vertices[v].darts_ccw)
@@ -1060,14 +1084,36 @@ def _crossing_free_curves():
         yield PlaneCurve(pts[::-1])
 
 
+def test_vertex_points_and_dart_geometry_match_the_fraction_cut():
+    """Each crossing's point and each dart's polyline equal those of the
+    curve cut at its ``Fraction`` crossings."""
+    curves = [pipeline(name)[0] for name in CORPUS]
+    curves += [random_generic_polygon(random.Random(seed), corners)[0]
+               for seed, corners in RANDOM_POLYGONS]
+    crossings = 0
+    for curve in curves:
+        arr = build_arrangement(curve)
+        want = edge_geometry_oracle(curve)
+        assert len(arr.edges) == len(want), curve.points
+        for e, g in zip(arr.edges, want):
+            assert arr.dart_geometry(2 * e.id) == g and arr.dart_geometry(2 * e.id + 1) == g[::-1]
+            assert all(type(x) is Fraction and type(y) is Fraction for x, y in g)
+            if e.v_from is not None:
+                assert arr.vertices[e.v_from].point == g[0] and arr.vertices[e.v_to].point == g[-1]
+        crossings += len(arr.vertices)
+    assert crossings == 288
+
+
 def test_crossing_free_loop_matches_the_hand_built_arrangement():
     windings = set()
     collinear = 0
     for curve in _crossing_free_curves():
         arr = build_arrangement(curve)
         assert arr == simple_loop_oracle(curve), curve.points
+        closed = (*curve.points, curve.points[0])
+        assert arr.dart_geometry(0) == closed and arr.dart_geometry(1) == closed[::-1]
         windings.add(arr.faces[1].winding)
-        dirs = _integer_segments(curve.points)[2]
+        dirs = curve.integer_form[2]
         collinear += any(_cross(u, w) == 0 for u, w in zip(dirs, dirs[1:]))
     assert windings == {1, -1} and collinear > 10, (windings, collinear)
 

@@ -28,7 +28,7 @@ def _dot(a: Point, b: Point) -> Fraction:
 def _all_subsegments(arr: Arrangement) -> list[tuple[Point, Point]]:
     out = []
     for e in arr.edges:
-        g = e.geometry
+        g = arr.dart_geometry(2 * e.id)
         for i in range(len(g) - 1):
             out.append((g[i], g[i + 1]))
     return out
