@@ -19,11 +19,15 @@ steps inside its runs plus one step where each run meets the next.
 The search only chooses a vertex set.  Its walk (``_unlinked_keys``)
 names each set's pieces, and ``_KeyJudge`` judges a piece from its name
 alone, by tables derived once per curve, as the piece's int winding area
-on the word's scale or None.  One function, ``_decompose``, cuts,
-certifies and measures every decomposition the module returns: it
-smooths the whole curve at a vertex set with ``smooth_at``, certifies
-each piece with ``certify_subcurve`` and sums ``Subcurve.area_w``,
-sharing nothing with the judge's tables.  ``min_area_sod`` calls it for
+on the word's scale or None.  The walk relies on the arrangement's
+vertex order: ids ascend with first passes.  One function,
+``_decompose``, cuts, certifies and measures every decomposition the
+module returns: it smooths the whole curve at a vertex set with
+``smooth_at``, certifies each piece with ``certify_subcurve`` and sums
+the areas of the certificates' witnesses, sharing nothing with the
+judge's tables.  A positive folding leaves |winding| letters of each
+face unpaired, so a witness's unpaired weight is its piece's winding
+area: each piece is measured once.  ``min_area_sod`` calls it for
 the one set its search picks; ``sod_oracle`` calls it for every
 unlinked vertex set, apart from the search's judge, on curves of at
 most ``ORACLE_SET_CAP`` such sets.  ``homotopy_trace`` replays a folding
@@ -34,7 +38,6 @@ the word alone.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -94,19 +97,6 @@ class Subcurve:
 
     def word(self) -> CyclicWord:
         return CyclicWord(self.letters(), self.arr.face_weights)
-
-    def windings(self) -> dict[int, int]:
-        """Winding number at each face's puncture: signed letter count."""
-        out: dict[int, int] = {}
-        for f, s in self.letters():
-            out[f] = out.get(f, 0) + s
-        return out
-
-    def area_w(self) -> Fraction:
-        """Winding area: one int sum over the weights' scale, made a
-        ``Fraction`` once."""
-        D, scaled = self.weights.scale
-        return Fraction(sum(abs(w) * scaled[f] for f, w in self.windings().items()), D)
 
     def crossings(self) -> list[int]:
         """Vertices both of whose passes belong to this piece."""
@@ -309,8 +299,9 @@ class _KeyJudge:
 class SelfOverlappingDecomposition:
     """Pieces of smoothing at ``vertex_pairs``, each kept with the
     ``certify_subcurve`` certificate (in ``subcurves`` order) that shows
-    it bounds an immersed disk, and their total winding area.  The
-    library builds one only in ``_decompose``."""
+    it bounds an immersed disk, and their total winding area: the sum of
+    the certificates' witness areas.  The library builds one only in
+    ``_decompose``."""
 
     vertex_pairs: frozenset[int]
     subcurves: tuple[Subcurve, ...]
@@ -326,8 +317,10 @@ def _decompose(cables: CableSystem, word: CyclicWord, full: Subcurve,
                vertices: frozenset[int]) -> Optional[SelfOverlappingDecomposition]:
     """The decomposition of ``full`` (the whole curve of ``cables``, whose
     face word is ``word``) by smoothing at ``vertices``: every piece cut
-    by ``smooth_at``, certified by ``certify_subcurve`` and measured by
-    ``Subcurve.area_w``; None if a piece does not certify."""
+    by ``smooth_at`` and certified by ``certify_subcurve``; None if a
+    piece does not certify.  A piece's area is its certificate's witness
+    area: a positive folding of a piece of rotation ±1 leaves |winding|
+    letters of each face unpaired."""
     pieces = smooth_at(full, vertices)
     certificates = []
     for piece in pieces:
@@ -335,8 +328,9 @@ def _decompose(cables: CableSystem, word: CyclicWord, full: Subcurve,
         if not ok:
             return None
         certificates.append(certificate)
-    return SelfOverlappingDecomposition(vertices, tuple(pieces), tuple(certificates),
-                                        sum(piece.area_w() for piece in pieces), cables, word)
+    area = sum(certificate["witness"].area for certificate in certificates)
+    return SelfOverlappingDecomposition(vertices, tuple(pieces), tuple(certificates), area,
+                                        cables, word)
 
 
 def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
@@ -346,14 +340,19 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
     first and lexicographic within a size, each in ``_piece_keys`` order,
     except the sets below a failing piece ``first_failing`` names.
 
-    ``passes`` gives each vertex's chord, ends ascending.  A set grows
-    only by a vertex v larger than all of it and unlinked from all of it,
-    so none is built past the one its caller stops at, and its keys are
-    its parent's with two changed.  v's host is the innermost vertex of
-    the set whose chord holds v's (the outer piece if there is none):
-    v's key takes the host's nested vertices inside v's chord, and the
-    host keeps the rest with v among them in pass order.  Each set waits
-    with the larger vertices it may still take, as a bitmask.
+    ``passes`` gives each vertex's chord, ends ascending, and its ids
+    ascend with first passes, as the arrangement numbers its vertices
+    by first encounter along the traversal; the walk checks this once.
+    A set grows only by a vertex v larger than all of it and unlinked
+    from all of it, so none is built past the one its caller stops at,
+    and its keys are its parent's with two changed.  v's host is the
+    innermost vertex of the set whose chord holds v's (the outer piece
+    if there is none), which is the largest such vertex.  Every vertex
+    of the set passes first before v does, so none lies inside v's
+    chord and v comes after all of the host's nested vertices in pass
+    order: v's key is (v, ()), and the host's nested vertices gain v at
+    their end.  Each set waits with the larger vertices it may still
+    take, as a bitmask.
 
     The walk calls ``first_failing`` once with the keys of each set, in
     its order, except the sets that keep a piece the call named.  The set
@@ -370,13 +369,14 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
     ``first_failing`` named.  The default names none, so the walk yields
     every unlinked set."""
     vs = sorted(passes)
-    first = {v: a for v, (a, _) in passes.items()}
+    check(all(passes[u][0] < passes[v][0] for u, v in zip(vs, vs[1:])), "decomposition",
+          "vertex ids must ascend with first passes")
     later = {u: sum(1 << v for v in vs if v > u and not chords_cross(passes[u], passes[v]))
              for u in vs}
-    # the smaller vertices whose chords hold v's, innermost first, then the outer piece
-    hosts = {v: (*sorted((u for u in vs if u < v and passes[u][0] < a and b < passes[u][1]),
-                         key=first.__getitem__, reverse=True), None)
-             for v, (a, b) in passes.items()}
+    # the smaller vertices whose chords hold v's, innermost (largest) first,
+    # then the outer piece
+    hosts = {v: (*(u for u in reversed(vs) if u < v and b < passes[u][1]), None)
+             for v, (_, b) in passes.items()}
     # the larger vertices whose chords lie inside u's (all, for the outer piece)
     inside: dict[Optional[int], int] = dict.fromkeys((None, *vs), 0)
     for v, held in hosts.items():
@@ -417,12 +417,8 @@ def _unlinked_keys(passes: Mapping[int, tuple[int, int]],
                     elif not after & failing[1]:
                         continue  # it and all its descendants keep the failing piece
                 h = index[u]
-                nested = keys[h][1]
-                a, b = passes[v]
-                i = bisect_left(nested, a, key=first.__getitem__)
-                j = bisect_left(nested, b, lo=i, key=first.__getitem__)
-                grown.append((keys[:h] + ((u, nested[:i] + (v,) + nested[j:]),) + keys[h + 1:]
-                              + ((v, nested[i:j]),), after, kept))
+                grown.append((keys[:h] + ((u, keys[h][1] + (v,)),) + keys[h + 1:] + ((v, ()),),
+                              after, kept))
         level = grown
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .arrangement import PlaneCurve, check, rotation_number
+from .arrangement import PlaneCurve, build_arrangement, check, rotation_number
 from .words import CyclicWord, Letter, face_word
 
 
@@ -427,9 +427,12 @@ def is_self_overlapping(curve: PlaneCurve) -> tuple[bool, dict]:
     """Rotation number 1 plus a positively foldable word.
 
     The certificate reports which condition failed, or carries the
-    positive-folding witness.
+    positive-folding witness.  Every curve is validated: one the
+    arrangement refuses raises its ``CurveError`` whatever its rotation
+    number.
     """
     rot = rotation_number(curve)
+    arr = build_arrangement(curve)  # validates the curve; held, so ``face_word`` reuses it
     if rot != 1:
         return False, {"reason": f"rotation_number={rot}"}
     _, word = face_word(curve)

@@ -13,6 +13,7 @@ joins its first across the cut, which crosses no cable.
 
 from __future__ import annotations
 
+from conftest import windings
 from curvefold.arrangement import check
 from curvefold.decomposition import Subcurve, SubcurveEntry, certify_subcurve, smooth_at
 from curvefold.folding import Folding, Pairing
@@ -120,7 +121,7 @@ def stack_decompose(sc: Subcurve) -> list[Subcurve]:
     Searches for a crossing whose smoothing yields two stacks whose
     rotations add up; recursion bottoms out at |rotation| = 1.
     """
-    wind = {f: w for f, w in sc.windings().items() if w != 0}
+    wind = {f: w for f, w in windings(sc.word()).items() if w != 0}
     if not is_good(sc):
         raise NotAStack("mixed letter signs")
     signs = {1 if w > 0 else -1 for w in wind.values()}

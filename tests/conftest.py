@@ -100,6 +100,17 @@ def face_counts(word, f: int) -> tuple[int, int]:
     return sum(signs), len(signs)
 
 
+def windings(word) -> dict[int, int]:
+    """The winding number at each face the word names: its signed count."""
+    return {f: face_counts(word, f)[0] for f in dict.fromkeys(f for f, _ in word.letters)}
+
+
+def winding_area(word) -> Fraction:
+    """|winding| times weight, summed over the faces: the winding area,
+    from signed letter counts alone, apart from any folding."""
+    return sum((abs(w) * word.weights[f] for f, w in windings(word).items()), Fraction(0))
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """The curves an arrangement is constructed from.  ``build_arrangement``

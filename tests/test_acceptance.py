@@ -3,13 +3,17 @@
 Each test is exact: rational arithmetic throughout, no tolerances.
 """
 
+import contextlib
+import io
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, equal_up_to_relabeling, face_counts, load_curve, pipeline
+from conftest import (CORPUS, CURVES_DIR, equal_up_to_relabeling, face_counts, load_curve,
+                      pipeline)
 from curvefold.arrangement import tree_cotree
 from curvefold.decomposition import (certify_subcurve, curve_subcurve,
                                      homotopy_trace, min_area_sod, smooth_at,
@@ -270,3 +274,19 @@ def test_double_loop_smoothings_classify_as_expected():
     pieces = smooth_at(full, sorted(verdicts))
     assert len(pieces) == 4
     assert all(certify_subcurve(p)[0] for p in pieces)
+
+
+def test_readme_library_example_prints_the_norm_twice():
+    # the ```python block of the README's Library section, run as written,
+    # with every warning an error
+    readme = (CURVES_DIR.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    namespace: dict = {}
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        exec(compile(block, "README.md", "exec"), namespace)
+    value = namespace["value"]
+    assert value == cancellation_norm(namespace["word"])[0] == 98
+    assert out.getvalue() == f"{value} False\n{value}\n"

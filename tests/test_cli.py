@@ -310,7 +310,8 @@ def test_non_generic_curve_with_a_huge_point_is_input_error(tmp_path):
 
 
 def test_selfoverlap_non_generic_curve_is_input_error(tmp_path):
-    # rotation 0, so the verdict is known before the arrangement is built
+    # rotation 0: the rotation alone would give a verdict, but the library
+    # refuses the curve first
     bad = tmp_path / "touch.json"
     bad.write_text(json.dumps(
         {"points": [[0, 0], [4, 3], [4, -3], [-4, 3], [-4, -3]]}))

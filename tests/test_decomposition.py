@@ -9,7 +9,7 @@ import pytest
 from blank_cuts import (InvalidPairing, NotAStack, blank_cut, cut_along_folding, is_good,
                         stack_decompose)
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, face_counts, load_curve, pipeline,
-                      random_generic_polygon)
+                      random_generic_polygon, winding_area, windings)
 from curvefold import arrangement, decomposition, words
 from curvefold.arrangement import rotation_number, tree_cotree
 from curvefold.decomposition import (InvalidDecomposition, LinkedVertices,
@@ -148,7 +148,7 @@ def faces_around_vertex(arr, vid):
 
 def sign_changing_vertices(sc):
     """Crossings whose four wedge windings read [+1, 0, -1, 0] cyclically."""
-    wind = sc.windings()
+    wind = windings(sc.word())
     out = []
     for v in sc.crossings():
         ws = [wind.get(f, 0) for f in faces_around_vertex(sc.arr, v)]
@@ -188,7 +188,7 @@ def test_blank_cut_one_ear():
     la, lb = sorted([a.letters(), b.letters()], key=len)
     assert la == ((3, 1),)
     assert lb == ((3, 1), (1, 1))
-    assert a.area_w() + b.area_w() == cancellation_norm(sc.word())[0]
+    assert winding_area(a.word()) + winding_area(b.word()) == cancellation_norm(sc.word())[0]
 
 
 def test_blank_cut_rejects_non_inverse_positions():
@@ -256,7 +256,7 @@ def test_min_area_sod_matches_norm(corpus_name):
     for piece in sod.subcurves:
         ok, cert = certify_subcurve(piece)
         assert ok
-    total = sum((p.area_w() for p in sod.subcurves), Fraction(0))
+    total = sum((winding_area(p.word()) for p in sod.subcurves), Fraction(0))
     assert total == sod.area
 
 
@@ -282,9 +282,8 @@ class _Recorder:
     the vertex sets its walk asks it about (its ``first_failing`` calls),
     records every key it judges (with whether that piece certified) and
     every piece it cuts, and counts its calls to the judges of one piece:
-    ``certify_subcurve``, the direction walk (``Subcurve.rotation``,
-    ``turning_of_directions``) and the per-face area sum
-    (``Subcurve.area_w``)."""
+    ``certify_subcurve`` and the direction walk (``Subcurve.rotation``,
+    ``turning_of_directions``)."""
 
     def __init__(self, monkeypatch):
         self.smoothings, self.named, self.walked, self.keys, self.cut = 0, 0, 0, [], []
@@ -335,7 +334,6 @@ class _Recorder:
             monkeypatch.setattr(module, "turning_of_directions", walk)
         monkeypatch.setattr(Subcurve, "rotation",
                             property(counted("rotation", Subcurve.rotation.fget)))
-        monkeypatch.setattr(Subcurve, "area_w", counted("area_w", Subcurve.area_w))
 
     def clear(self):
         self.walked = 0
@@ -345,8 +343,8 @@ class _Recorder:
 
 def _certified_once(cut: int) -> dict[str, int]:
     """The one-piece calls of a search that cut ``cut`` pieces: per piece,
-    one certification, one direction walk within it and one area sum."""
-    return dict.fromkeys(("certify_subcurve", "rotation", "turning_of_directions", "area_w"), cut)
+    one certification and one direction walk within it."""
+    return dict.fromkeys(("certify_subcurve", "rotation", "turning_of_directions"), cut)
 
 
 def test_min_area_sod_certifies_each_piece_once(monkeypatch):
@@ -415,14 +413,15 @@ def test_min_area_sod_measures_each_certified_piece_once(monkeypatch):
     calls = _Recorder(monkeypatch)
     sod = min_area_sod(curve)
     # each of the 17 pieces that certify is measured by its prefix sums,
-    # with no cut, no direction walk and no per-face area sum; only the
-    # answer's pieces are cut, certified and measured
+    # with no cut and no direction walk; only the answer's pieces are cut
+    # and certified, and measured by their certificates' witnesses
     assert sum(ok for _, ok in calls.keys) == 17
     assert len(calls.cut) == len(sod.subcurves) == 6
     assert calls.one_piece == _certified_once(6)
     monkeypatch.undo()
-    # each piece's area is its positive witness's unpaired weight
-    areas = [sc.area_w() for sc in sod.subcurves]
+    # each piece's winding area, by signed letter counts, is its positive
+    # witness's unpaired weight
+    areas = [winding_area(sc.word()) for sc in sod.subcurves]
     assert [cert["witness"].area for cert in sod.certificates] == areas
     assert sod.area == sum(areas, Fraction(0))
 
@@ -451,6 +450,22 @@ def test_min_area_sod_checks_the_certified_area_against_the_norm(monkeypatch):
         min_area_sod(load_curve("mouse"))
     assert (caught.value.stage, caught.value.detail) == (
         "decomposition", "the certified area 765/2 must equal the cancellation norm 765")
+
+
+def test_the_walk_refuses_ids_out_of_first_pass_order():
+    # one chord holding two disjoint ones: numbered by first pass, the walk
+    # names every set's pieces as ``_piece_keys`` does; numbered otherwise,
+    # a set's last vertex may hold an earlier one, so it refuses them,
+    # under python -O as well
+    passes = {0: (0, 5), 1: (1, 2), 2: (3, 4)}
+    walked = list(_unlinked_keys(passes))
+    assert len(walked) == 8
+    for keys in walked:
+        assert list(keys) == decomposition._piece_keys(passes, tuple(v for v, _ in keys[1:]))
+    for relabelled in ({0: (1, 2), 1: (0, 5), 2: (3, 4)}, {0: (0, 5), 1: (3, 4), 2: (1, 2)}):
+        with pytest.raises(arrangement.InvariantViolation,
+                           match=r"^decomposition: vertex ids must ascend with first passes$"):
+            next(_unlinked_keys(relabelled))
 
 
 def test_sod_to_folding_round_trip(corpus_name):
@@ -506,7 +521,7 @@ def test_sod_to_folding_rejects_a_piece_that_does_not_certify():
     pieces = tuple(smooth_at(curve_subcurve(cables.arr, cables), [2]))
     verdicts = [certify_subcurve(p) for p in pieces]
     assert [ok for ok, _ in verdicts].count(False) == 1
-    area = sum((p.area_w() for p in pieces), Fraction(0))
+    area = sum((winding_area(p.word()) for p in pieces), Fraction(0))
     sod = SelfOverlappingDecomposition(frozenset({2}), pieces,
                                        tuple(cert for _, cert in verdicts), area, cables, word)
     with pytest.raises(InvalidDecomposition, match="does not bound an immersed disk"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_curve, pipeline, recursion_headroom, unit_weights
+from curvefold.arrangement import NonGenericCurve, PlaneCurve, rotation_number
 from curvefold.folding import (CapExceeded, Folding, Pairing, cancellation_norm,
                                chords_cross, complete_to_maximal,
                                is_self_overlapping, norm_bruteforce,
@@ -332,6 +333,19 @@ def test_self_overlapping_corpus():
         assert got == verdict, name
         if not verdict:
             assert "reason" in cert
+
+
+@pytest.mark.parametrize("points, rotation, contact", [
+    ([(0, 4), (2, 0), (4, 4), (4, 0), (0, 0)], -1, "segments 0 and 3 at (2, 0)"),
+    ([(0, 0), (2, 2), (2, -2), (-2, 2), (-2, -2)], 0, "segments 0 and 2 at (0, 0)"),
+], ids=["rotation-1", "rotation0"])
+def test_self_overlap_refuses_every_curve_the_arrangement_refuses(points, rotation, contact):
+    # the rotation number alone would give the verdict False; the curve is
+    # validated first, as every other stage validates it
+    curve = PlaneCurve(tuple(points))
+    assert rotation_number(curve) == rotation
+    with pytest.raises(NonGenericCurve, match=re.escape(f"endpoint contact between {contact}")):
+        is_self_overlapping(curve)
 
 
 def test_self_overlap_reason_rotation():

@@ -92,8 +92,8 @@ reads the winding area of a piece that certifies as a prefix-sum
 difference on the word's scale.  On every piece of the smoothings above
 and of the smoothings at up to three crossings of those ten curves, the
 rotation must be the walk over the cut piece's geometry, and the
-verdict and area those of ``certify_subcurve`` and ``Subcurve.area_w``
-on the cut piece.
+verdict that of ``certify_subcurve`` on the cut piece and the area its
+winding area by signed letter counts.
 
 The homotopy trace replays a folding on the word alone.  Its geometric
 oracle is Blank's induction itself (``blank_cuts``): the whole curve is
@@ -118,7 +118,7 @@ import pytest
 import blank_cuts
 from blank_cuts import cut_along_folding, cut_at, stack_decompose
 from conftest import (CORPUS, RANDOM_POLYGONS, cyclic_equal, load_curve, pipeline,
-                      random_generic_polygon)
+                      random_generic_polygon, winding_area)
 from curvefold.arrangement import (Arrangement, DegenerateCurve, Edge, Face,
                                    NonGenericCurve, PlaneCurve, Point, _cross,
                                    _segment_intersections, build_arrangement, common_denominator,
@@ -1257,22 +1257,39 @@ def test_judged_areas_match_the_area_of_the_cut_piece():
         area = judge(key)
         if area is None:
             continue
-        assert Fraction(area, piece.weights.scale[0]) == piece.area_w(), key
+        assert Fraction(area, piece.weights.scale[0]) == winding_area(piece.word()), key
         certified += 1
     assert certified == 1166, certified
 
 
+def test_vertex_ids_ascend_with_first_passes():
+    # the order the walk relies on: the arrangement numbers vertices by
+    # first encounter along the traversal
+    arrangements = [pipeline(name)[1] for name in CORPUS]
+    arrangements += [random_generic_polygon(random.Random(seed), corners)[1]
+                     for seed, corners in RANDOM_POLYGONS]
+    arrangements += list(_d_arrangements())
+    vertices = 0
+    for arr in arrangements:
+        passes = arr.vertex_passes
+        assert sorted(passes, key=lambda v: passes[v][0]) == list(range(len(arr.vertices)))
+        assert all(a < b for a, b in passes.values()), arr.curve
+        vertices += len(passes)
+    assert (len(arrangements), vertices) == (43, 536), vertices
+
+
 def test_unlinked_subsets_match_the_filter():
-    # 300 random chord families, each chord's ends ascending, every set of
-    # the corpus curves, and the sets of at most three vertices of the
-    # random polygons and of the ``d-{s}`` curves
+    # 300 random chord families, each chord's ends ascending and the ids
+    # ascending with first ends, as the arrangement numbers its vertices;
+    # every set of the corpus curves, and the sets of at most three
+    # vertices of the random polygons and of the ``d-{s}`` curves
     families = []
     rng = random.Random(9909)
     for _ in range(300):
         k = rng.randint(0, 9)
         ends = rng.sample(range(2 * k), 2 * k)
-        ids = rng.sample(range(100), k)
-        chords = {v: tuple(sorted(ends[2 * t:2 * t + 2])) for t, v in enumerate(ids)}
+        ids = sorted(rng.sample(range(100), k))
+        chords = dict(zip(ids, sorted(tuple(sorted(ends[2 * t:2 * t + 2])) for t in range(k))))
         families.append((chords, None))
     families += [(pipeline(name)[1].vertex_passes, None) for name in CORPUS]
     families += [(random_generic_polygon(random.Random(seed), corners)[1].vertex_passes, 3)
